@@ -6,14 +6,15 @@ synthetic control-flow anomalies, and trains one-class detectors on the
 diagnoses of normal behavior.
 """
 
-from .alignment import (Alignment, CostScheme, Move, SKIP, UNKNOWN, coverage,
-                        log_fitness, misalignments, optimal_alignment,
-                        trace_fitness, worst_case_cost)
+from .alignment import (Alignment, CostScheme, Move, SKIP, UNKNOWN,
+                        misalignments, optimal_alignment, trace_fitness,
+                        worst_case_cost)
 from .detect import (DETECTOR_KINDS, Detector, ae_gradient_check, classify,
                      default_ae_layers, load_detector, save_detector, score,
                      score_matrix, train)
-from .diagnoses import (DiagnosesMatrix, DiagRow, build_diagnoses,
-                        diagnosis_columns, read_diagnoses, write_diagnoses)
+from .diagnoses import (DiagnosesMatrix, DiagRow, build_diagnoses, coverage,
+                        diagnosis_columns, log_fitness, read_diagnoses,
+                        write_diagnoses)
 from .errors import (AlignmentError, ConfmonError, DetectError, InjectError,
                      LogError, MetricsError, ModelError, PlayoutError)
 from .eventlog import (EventLog, LogStats, Trace, ingest_raw, parse_log,

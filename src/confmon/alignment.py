@@ -24,9 +24,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import AlignmentError, LogError
-from .eventlog import EventLog, Trace
-from .petri import PetriNet
+from .errors import AlignmentError
+from .eventlog import Trace
+from .petri import PetriNet, reachability_graph
 
 SKIP = ">>"
 UNKNOWN = "UNKNOWN"
@@ -110,42 +110,13 @@ def _events(trace) -> tuple[str, ...]:
 
 
 def _state_space(net: PetriNet, state_cap: int):
-    """Forward reachability graph of the net, cached on the net object.
-
-    Returns (index map marking-key -> int, successor lists). Successor lists
-    hold (transition, next marking index) sorted by transition id.
-    """
-    cached = net._caches.get("space")
-    if cached is not None:
-        return cached
-    from .petri import fire
-
-    m0 = net._to_key(net.initial_marking)
-    index = {m0: 0}
-    keys = [m0]
-    succ: list[tuple] = []
-    head = 0
-    while head < len(keys):
-        key = keys[head]
-        marking = net._from_key(key)
-        nexts = []
-        for t in net.transition_order:
-            pre = net.preset[t]
-            if pre and all(marking.get(p, 0) >= 1 for p in pre):
-                nxt = net._to_key(fire(net, marking, t))
-                if nxt not in index:
-                    if len(keys) >= state_cap:
-                        raise AlignmentError(
-                            f"alignment state-space exhausted: net {net.name} has more than "
-                            f"{state_cap} reachable markings")
-                    index[nxt] = len(keys)
-                    keys.append(nxt)
-                nexts.append((t, index[nxt]))
-        succ.append(tuple(nexts))
-        head += 1
-    space = (index, tuple(succ), keys)
-    net._caches["space"] = space
-    return space
+    """The net's reachability graph (see petri.reachability_graph)."""
+    graph = reachability_graph(net, state_cap)
+    if graph is None:
+        raise AlignmentError(
+            f"alignment state-space exhausted: net {net.name} has more than "
+            f"{state_cap} reachable markings")
+    return graph
 
 
 def _completion_tables(net: PetriNet, costs: CostScheme, state_cap: int):
@@ -224,21 +195,22 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
         usable = (n_events - pos) - unmatched
         return costs.c_log * unmatched + costs.c_model * max(0.0, v - usable)
 
-    # Heap entries: (f, path key, tiebreak counter, g, marking idx, pos, moves).
+    # Heap entries: (f, path key, tiebreak counter, g, marking idx, pos).
     # The path key is the move-kind/id sequence, so equal-cost candidates pop
-    # in tie-break order and the first settled goal is the canonical result.
+    # in tie-break order and the first settled goal is the canonical result;
+    # its moves are rebuilt from the key.
     h0 = heuristic(m0_idx, 0)
     counter = 0
-    heap = [(h0, (), 0, 0.0, m0_idx, 0, ())]
+    heap = [(h0, (), 0, 0.0, m0_idx, 0)]
     settled = set()
     expanded = 0
     while heap:
-        f, key, _, g, m_idx, pos, moves = heapq.heappop(heap)
+        f, key, _, g, m_idx, pos = heapq.heappop(heap)
         if (m_idx, pos) in settled:
             continue
         settled.add((m_idx, pos))
         if m_idx == mf_idx and pos == n_events:
-            return Alignment(moves, g)
+            return Alignment(_moves(net, key), g)
         expanded += 1
         if expanded > state_cap:
             raise AlignmentError(
@@ -252,36 +224,39 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
                         counter += 1
                         heapq.heappush(heap, (
                             g + costs.c_sync + h, key + ((_SYNC, t),), counter,
-                            g + costs.c_sync, nxt, pos + 1,
-                            moves + (Move("sync", act, t),)))
+                            g + costs.c_sync, nxt, pos + 1))
             if (m_idx, pos + 1) not in settled:
                 h = heuristic(m_idx, pos + 1)
                 if h != float("inf"):
                     counter += 1
                     heapq.heappush(heap, (
                         g + costs.c_log + h, key + ((_LOG, act),), counter,
-                        g + costs.c_log, m_idx, pos + 1,
-                        moves + (Move("log", act, None),)))
+                        g + costs.c_log, m_idx, pos + 1))
         for t, nxt in succ[m_idx]:
             if (nxt, pos) in settled:
                 continue
             h = heuristic(nxt, pos)
             if h == float("inf"):
                 continue
-            lbl = net.labels[t]
-            if lbl is None:
+            if net.labels[t] is None:
                 counter += 1
                 heapq.heappush(heap, (
                     g + costs.c_silent + h, key + ((_SILENT, t),), counter,
-                    g + costs.c_silent, nxt, pos,
-                    moves + (Move("silent", None, t),)))
+                    g + costs.c_silent, nxt, pos))
             else:
                 counter += 1
                 heapq.heappush(heap, (
                     g + costs.c_model + h, key + ((_MODEL, t),), counter,
-                    g + costs.c_model, nxt, pos,
-                    moves + (Move("model", lbl, t),)))
+                    g + costs.c_model, nxt, pos))
     raise AlignmentError(f"no alignment found for trace against net {net.name}")
+
+
+def _moves(net: PetriNet, key) -> tuple[Move, ...]:
+    """Moves of a path key: a log entry holds the event, the others a
+    transition id."""
+    return tuple(Move("log", ident, None) if kind == _LOG
+                 else Move(_KIND_NAMES[kind], net.labels[ident], ident)
+                 for kind, ident in key)
 
 
 def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme(),
@@ -313,14 +288,6 @@ def fitness_from_cost(net: PetriNet, trace, cost: float,
     return 1.0 - cost / worst
 
 
-def log_fitness(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme(),
-                state_cap: int = DEFAULT_STATE_CAP) -> float:
-    """Mean trace fitness over the log."""
-    if len(log) == 0:
-        raise LogError("log fitness of an empty log is undefined")
-    return sum(trace_fitness(net, tr, costs, state_cap) for tr in log) / len(log)
-
-
 def misalignments(alignment: Alignment, labels) -> dict:
     """Count misaligned moves per activity.
 
@@ -339,23 +306,3 @@ def misalignments(alignment: Alignment, labels) -> dict:
         elif mv.kind == "model":
             counts[mv.activity] += 1
     return counts
-
-
-def coverage(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme(),
-             state_cap: int = DEFAULT_STATE_CAP) -> float:
-    """Share of alignment moves that are not misalignments, over a whole log.
-
-    1 - (total misaligned moves) / (total alignment length); 1.0 on logs that
-    replay perfectly.
-    """
-    if len(log) == 0:
-        raise LogError("coverage of an empty log is undefined")
-    total_moves = 0
-    total_mis = 0
-    for tr in log:
-        alignment = optimal_alignment(net, tr, costs, state_cap)
-        total_moves += len(alignment)
-        total_mis += sum(misalignments(alignment, net.visible_labels).values())
-    if total_moves == 0:
-        return 1.0
-    return 1.0 - total_mis / total_moves

@@ -23,11 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .alignment import (CostScheme, fitness_from_cost, misalignments,
-                        optimal_alignment)
 from .detect import (DETECTOR_KINDS, classify, load_detector, save_detector,
                      score, train)
-from .diagnoses import (DiagnosesMatrix, build_diagnoses, write_diagnoses)
+from .diagnoses import build_diagnoses, write_diagnoses
 from .errors import ConfmonError, LogError, ModelError
 from .eventlog import EventLog, parse_log, split_log, write_log
 from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
@@ -61,30 +59,6 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _diagnose(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()):
-    """Diagnoses matrix plus log fitness and coverage in a single pass."""
-    from .diagnoses import DiagRow, diagnosis_columns
-
-    columns = diagnosis_columns(net)
-    rows = []
-    total_moves = 0
-    total_mis = 0
-    fit_sum = 0.0
-    for tr in log:
-        alignment = optimal_alignment(net, tr, costs)
-        counts = misalignments(alignment, net.visible_labels)
-        fit = fitness_from_cost(net, tr, alignment.cost, costs)
-        rows.append(DiagRow(tr.case_id, counts, fit))
-        total_moves += len(alignment)
-        total_mis += sum(counts.values())
-        fit_sum += fit
-    if len(log) == 0:
-        raise LogError("log has no traces")
-    diag = DiagnosesMatrix(columns, tuple(rows), net.name, costs)
-    cov = 1.0 if total_moves == 0 else 1.0 - total_mis / total_moves
-    return diag, fit_sum / len(log), cov
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -102,7 +76,8 @@ def cmd_simulate(args) -> None:
 def cmd_check(args) -> None:
     net = _resolve_model(args.model)
     log = _read_log(args.log)
-    diag, fitness, cov = _diagnose(net, log)
+    diag = build_diagnoses(net, log)
+    fitness, cov = diag.log_fitness(), diag.coverage()
     if args.out:
         _write_text(args.out, write_diagnoses(diag))
     print(f"fitness={fitness:.6f} coverage={cov:.6f}")
@@ -111,8 +86,7 @@ def cmd_check(args) -> None:
 def cmd_coverage(args) -> None:
     net = _resolve_model(args.model)
     log = _read_log(args.log)
-    _, _, cov = _diagnose(net, log)
-    print(f"coverage={cov:.6f}")
+    print(f"coverage={build_diagnoses(net, log).coverage():.6f}")
 
 
 def cmd_inject(args) -> None:
@@ -155,7 +129,9 @@ def cmd_detect(args) -> None:
     det = load_detector(detector_text)
     net = _resolve_model(args.model)
     log = _read_log(args.log)
-    diag, _, _ = _diagnose(net, log)
+    diag = build_diagnoses(net, log)
+    if not diag.rows:
+        raise LogError("log has no traces")
     lines = ["case,score,prediction"]
     for row in diag.rows:
         s = score(det, row)
@@ -173,15 +149,16 @@ def _read_predictions(path: str):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise LogError(f"cannot read predictions file {path}: {exc}") from exc
-    rows = []
+    rows = None  # until the header, the first non-blank line, is read
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         cells = line.split(",")
-        if no == 1:
+        if rows is None:
             if cells != ["case", "score", "prediction"]:
                 raise LogError(f"{path}: expected header 'case,score,prediction'")
+            rows = []
             continue
         if len(cells) != 3:
             raise LogError(f"{path} line {no}: expected 3 cells, got {len(cells)}")

@@ -315,6 +315,12 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
+def _finite(name: str, value):
+    if not np.all(np.isfinite(value)):
+        raise DetectError(f"detector field {name!r} holds a non-finite value")
+    return value
+
+
 def save_detector(det: Detector) -> str:
     """Text serialization; load_detector restores a detector with identical
     scores (float values are written with full round-trip precision)."""
@@ -344,8 +350,8 @@ def save_detector(det: Detector) -> str:
 
 
 def load_detector(text: str) -> Detector:
-    """Parse a detector saved by save_detector. Rejects unknown versions and
-    incomplete files."""
+    """Parse a detector saved by save_detector. Rejects unknown versions,
+    incomplete files and non-finite numbers."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _MAGIC:
         raise DetectError(f"not a detector file (expected header {_MAGIC!r})")
@@ -355,30 +361,36 @@ def load_detector(text: str) -> Detector:
             raise DetectError(f"malformed detector line: {ln!r}")
         k, v = ln.split("=", 1)
         fields[k] = v
+
+    def floats(name: str) -> np.ndarray:
+        return _finite(name, _parse_floats(fields[name]))
+
+    def scalar(name: str) -> float:
+        return _finite(name, float(fields[name]))
+
     try:
         kind = fields["kind"]
         if kind not in DETECTOR_KINDS:
             raise DetectError(f"unknown detector kind {kind!r}")
         columns = tuple(fields["columns"].split(","))
-        det = Detector(kind, columns,
-                       _parse_floats(fields["mins"]), _parse_floats(fields["maxs"]),
-                       float(fields["threshold"]), float(fields["quantile"]),
+        det = Detector(kind, columns, floats("mins"), floats("maxs"),
+                       scalar("threshold"), scalar("quantile"),
                        int(fields["seed"]), fields["model"])
         if len(det.mins) != len(columns) or len(det.maxs) != len(columns):
             raise DetectError("normalization vectors do not match the column count")
         if kind == "dbscan":
             rows, cols = (int(v) for v in fields["cores_shape"].split("x"))
-            cores = np.array([_parse_floats(fields[f"core{i}"]) for i in range(rows)])
+            cores = np.array([floats(f"core{i}") for i in range(rows)])
             cores = cores.reshape(rows, cols)
-            det.state = {"eps": float(fields["eps"]), "min_pts": int(fields["min_pts"]),
+            det.state = {"eps": scalar("eps"), "min_pts": int(fields["min_pts"]),
                          "n_clusters": int(fields["n_clusters"]), "cores": cores}
         elif kind == "ae":
             layers = tuple(int(s) for s in fields["layers"].split(","))
             weights = []
             biases = []
             for i, (fan_in, fan_out) in enumerate(zip(layers[:-1], layers[1:])):
-                weights.append(_parse_floats(fields[f"w{i}"]).reshape(fan_in, fan_out))
-                biases.append(_parse_floats(fields[f"b{i}"]))
+                weights.append(floats(f"w{i}").reshape(fan_in, fan_out))
+                biases.append(floats(f"b{i}"))
             det.state = {"layers": layers, "weights": weights, "biases": biases,
                          "loss_history": ()}
     except KeyError as exc:

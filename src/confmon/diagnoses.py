@@ -3,7 +3,8 @@
 One row per trace, in log order. Columns are the sorted visible activity
 names of the model, then UNKNOWN (log moves on activities the model does not
 know), then fitness. With the default cost scheme the counter total of a row
-equals the optimal alignment cost of its trace.
+equals the optimal alignment cost of its trace. build_diagnoses is the one
+pass that aligns a log; log fitness and coverage are reductions of its matrix.
 
 CSV form:
 
@@ -17,6 +18,7 @@ with more precision round-trips up to that quantization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +57,29 @@ class DiagnosesMatrix:
     rows: tuple[DiagRow, ...]
     model_id: str
     costs: CostScheme
+    # Total number of alignment moves over the log. Only build_diagnoses knows
+    # it; the CSV does not carry it, so a matrix read back has None.
+    moves: int | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def log_fitness(self) -> float:
+        """Mean trace fitness over the rows."""
+        if not self.rows:
+            raise LogError("log fitness of an empty log is undefined")
+        return sum(row.fitness for row in self.rows) / len(self.rows)
+
+    def coverage(self) -> float:
+        """Coverage of the aligned log (see the module function coverage)."""
+        if not self.rows:
+            raise LogError("coverage of an empty log is undefined")
+        if self.moves is None:
+            raise LogError("coverage needs the alignment lengths, which a diagnoses CSV lacks")
+        if self.moves == 0:
+            return 1.0
+        misaligned = sum(sum(row.counts.values()) for row in self.rows)
+        return 1.0 - misaligned / self.moves
 
     def to_array(self) -> np.ndarray:
         """Numeric matrix, one row per trace, columns as in self.columns."""
@@ -73,14 +95,29 @@ def diagnosis_columns(net: PetriNet) -> tuple[str, ...]:
 def build_diagnoses(net: PetriNet, log: EventLog,
                     costs: CostScheme = CostScheme()) -> DiagnosesMatrix:
     """Align every trace and collect its misalignment counters and fitness."""
-    columns = diagnosis_columns(net)
     rows = []
+    moves = 0
     for tr in log:
         alignment = optimal_alignment(net, tr, costs)
         counts = misalignments(alignment, net.visible_labels)
         fit = fitness_from_cost(net, tr, alignment.cost, costs)
         rows.append(DiagRow(tr.case_id, counts, fit))
-    return DiagnosesMatrix(columns, tuple(rows), net.name, costs)
+        moves += len(alignment)
+    return DiagnosesMatrix(diagnosis_columns(net), tuple(rows), net.name, costs, moves)
+
+
+def log_fitness(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()) -> float:
+    """Mean trace fitness over the log."""
+    return build_diagnoses(net, log, costs).log_fitness()
+
+
+def coverage(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()) -> float:
+    """Share of alignment moves that are not misalignments, over a whole log.
+
+    1 - (total misaligned moves) / (total alignment length); 1.0 on logs that
+    replay perfectly.
+    """
+    return build_diagnoses(net, log, costs).coverage()
 
 
 def write_diagnoses(diag: DiagnosesMatrix) -> str:
@@ -135,6 +172,8 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
             fitness = float(cells[-1])
         except ValueError as exc:
             raise LogError(f"line {no}: non-numeric cell: {line!r}") from exc
+        if not math.isfinite(fitness):
+            raise LogError(f"line {no}: fitness must be finite, got {cells[-1]!r}")
         rows.append(DiagRow(cells[0], counts, fitness))
     if header is None:
         raise LogError("diagnoses CSV has no header row")

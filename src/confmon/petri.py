@@ -10,14 +10,14 @@ normally but emit nothing during playout.
 Markings are plain dicts mapping place id to a positive token count.
 
 The module covers parsing of the line-oriented .net model format, firing
-semantics, workflow-net structure checks, a bounded relaxed-soundness
-analysis, and stochastic playout with optional drop/duplicate noise.
+semantics, workflow-net structure checks, the reachability graph that both
+alignments and the bounded relaxed-soundness analysis read, and stochastic
+playout with optional drop/duplicate noise.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 
@@ -174,10 +174,11 @@ def is_workflow_net(net: PetriNet) -> bool:
 class SoundnessReport:
     """Result of the bounded soundness exploration.
 
-    sound is True only when the final marking is reachable from every explored
-    marking, no transition is dead, and the exploration finished under the
-    marking cap. When the cap is hit the analysis is inconclusive: sound is
-    False, and the other fields describe only the explored fragment.
+    sound is True only when the final marking is reachable from every
+    reachable marking and no transition is dead. When more markings are
+    reachable than the cap allows, the analysis is inconclusive: sound and
+    final_always_reachable are False, dead_transitions is empty and
+    markings_explored is the cap.
     """
 
     sound: bool
@@ -187,57 +188,67 @@ class SoundnessReport:
     inconclusive: bool
 
 
+def reachability_graph(net: PetriNet, state_cap: int):
+    """Forward reachability graph of the net, or None when more than
+    state_cap markings are reachable.
+
+    Returns (index, succ, keys): keys lists the reachable marking keys
+    (net._to_key) in breadth-first order from the initial marking, index maps
+    a key to its position, and succ[i] holds (transition, successor position)
+    pairs sorted by transition id. Only complete graphs are cached on the net,
+    so every caller reads the same graph whatever cap built it.
+    """
+    graph = net._caches.get("graph")
+    if graph is None:
+        m0 = net._to_key(net.initial_marking)
+        index = {m0: 0}
+        keys = [m0]
+        succ: list[tuple] = []
+        for key in keys:  # keys grows while it is scanned, as a FIFO queue
+            marking = net._from_key(key)
+            nexts = []
+            for t in sorted(enabled(net, marking)):
+                nxt = net._to_key(fire(net, marking, t))
+                if nxt not in index:
+                    if len(keys) >= state_cap:
+                        return None
+                    index[nxt] = len(keys)
+                    keys.append(nxt)
+                nexts.append((t, index[nxt]))
+            succ.append(tuple(nexts))
+        graph = (index, tuple(succ), keys)
+        net._caches["graph"] = graph
+    return graph if len(graph[2]) <= state_cap else None
+
+
 def check_soundness(net: PetriNet, state_cap: int = 100_000) -> SoundnessReport:
-    """Relaxed soundness via reachability-graph exploration.
+    """Relaxed soundness via the reachability graph.
 
     Checks (a) that the final marking stays reachable from every reachable
-    marking and (b) that every transition is enabled somewhere. Exploration
-    stops at state_cap markings, in which case the report says inconclusive
+    marking and (b) that every transition is enabled somewhere. When more
+    than state_cap markings are reachable, the report says inconclusive
     rather than failing.
     """
-    m0 = net._to_key(net.initial_marking)
-    mf = net._to_key(net.final_marking)
-    succ: dict[tuple, list[tuple]] = {}
-    fired: set[str] = set()
-    queue = deque([m0])
-    seen = {m0}
-    capped = False
-    while queue:
-        key = queue.popleft()
-        marking = net._from_key(key)
-        nexts = []
-        for t in net.transition_order:
-            pre = net.preset[t]
-            if pre and all(marking.get(p, 0) >= 1 for p in pre):
-                fired.add(t)
-                nxt = net._to_key(fire(net, marking, t))
-                nexts.append(nxt)
-                if nxt not in seen:
-                    if len(seen) >= state_cap:
-                        capped = True
-                        continue
-                    seen.add(nxt)
-                    queue.append(nxt)
-        succ[key] = nexts
-    if capped:
-        return SoundnessReport(False, False, (), len(seen), True)
-    preds: dict[tuple, set[tuple]] = {k: set() for k in seen}
-    for src, nexts in succ.items():
-        for dst in nexts:
-            preds[dst].add(src)
-    covered: set[tuple] = set()
-    if mf in seen:
-        covered.add(mf)
-        back = deque([mf])
-        while back:
-            cur = back.popleft()
-            for prev in preds[cur]:
-                if prev not in covered:
-                    covered.add(prev)
-                    back.append(prev)
-    final_ok = covered >= seen
+    graph = reachability_graph(net, state_cap)
+    if graph is None:
+        return SoundnessReport(False, False, (), state_cap, True)
+    index, succ, keys = graph
+    preds: list[list[int]] = [[] for _ in keys]
+    for src, nexts in enumerate(succ):
+        for _, dst in nexts:
+            preds[dst].append(src)
+    mf = index.get(net._to_key(net.final_marking))
+    covered = set() if mf is None else {mf}
+    stack = list(covered)
+    while stack:
+        for prev in preds[stack.pop()]:
+            if prev not in covered:
+                covered.add(prev)
+                stack.append(prev)
+    final_ok = len(covered) == len(keys)
+    fired = {t for nexts in succ for t, _ in nexts}
     dead = tuple(t for t in net.transition_order if t not in fired)
-    return SoundnessReport(final_ok and not dead, final_ok, dead, len(seen), False)
+    return SoundnessReport(final_ok and not dead, final_ok, dead, len(keys), False)
 
 
 @dataclass(frozen=True)

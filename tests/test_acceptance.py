@@ -21,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from confmon.alignment import coverage, log_fitness, misalignments, optimal_alignment, trace_fitness
+from confmon.alignment import misalignments, optimal_alignment, trace_fitness
 from confmon.cli import ExperimentConfig, run_experiment
 from confmon.detect import ae_gradient_check, train
-from confmon.diagnoses import build_diagnoses
+from confmon.diagnoses import build_diagnoses, coverage, log_fitness
 from confmon.eventlog import split_log
 from confmon.inject import ANOMALY_TYPES, InjectionSpec, inject_trace, _trace_rng
 from confmon.metrics import Confusion, prf, roc_auc

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmon.alignment import (Alignment, CostScheme, SKIP, coverage,
-                               log_fitness, misalignments, optimal_alignment,
-                               trace_fitness, worst_case_cost)
+from confmon.alignment import (Alignment, CostScheme, SKIP, misalignments,
+                               optimal_alignment, trace_fitness,
+                               worst_case_cost)
+from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import AlignmentError, LogError
 from confmon.eventlog import EventLog, Trace
-from confmon.petri import PetriNet, playout
+from confmon.petri import PetriNet, bundled_model, check_soundness, playout
 from conftest import random_workflow_net
 from oracle import oracle_alignment_cost
 
@@ -144,6 +145,28 @@ def test_cost_scheme_validation():
 def test_state_cap_is_enforced(fn1):
     with pytest.raises(AlignmentError, match="state-space exhausted"):
         optimal_alignment(fn1, LOOP_TRACE, state_cap=3)
+
+
+def test_state_cap_is_enforced_on_a_cached_graph():
+    net = bundled_model("fn1")
+    optimal_alignment(net, LOOP_TRACE)  # caches the complete graph
+    with pytest.raises(AlignmentError, match="more than 3 reachable markings"):
+        optimal_alignment(net, LOOP_TRACE, state_cap=3)
+    assert check_soundness(net, state_cap=3).inconclusive
+
+
+def test_soundness_and_alignment_share_one_graph(monkeypatch):
+    import confmon.petri
+
+    calls = []
+    real = confmon.petri.enabled
+    monkeypatch.setattr(confmon.petri, "enabled",
+                        lambda net, marking: calls.append(1) or real(net, marking))
+    net = bundled_model("fn1")
+    check_soundness(net)
+    assert len(calls) == 7  # one enabling test per reachable marking
+    optimal_alignment(net, LOOP_TRACE)
+    assert len(calls) == 7
 
 
 def test_unreachable_final_marking_is_an_error():

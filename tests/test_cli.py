@@ -4,9 +4,10 @@ import pytest
 
 from confmon.cli import (ExperimentConfig, main, parse_experiment_config,
                          run_experiment)
+from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import ConfmonError
 from confmon.eventlog import parse_log, write_log
-from confmon.petri import playout
+from confmon.petri import NoiseParams, playout
 
 
 def run(*argv):
@@ -48,6 +49,30 @@ def test_check_clean_log(normal_log_file, tmp_path, capsys):
 def test_coverage_command(normal_log_file, capsys):
     assert run("coverage", "--model", "fn1", "--log", str(normal_log_file)) == 0
     assert capsys.readouterr().out.strip() == "coverage=1.000000"
+
+
+def test_check_prints_log_fitness_and_coverage(som, tmp_path, capsys):
+    log = playout(som, 60, seed=5, noise=NoiseParams(0.1, 0.1))
+    path = tmp_path / "noisy.log"
+    path.write_text(write_log(log), encoding="utf-8")
+    fitness, cov = log_fitness(som, log), coverage(som, log)
+    assert fitness < 1.0 and cov < 1.0
+    assert run("check", "--model", "som", "--log", str(path)) == 0
+    assert capsys.readouterr().out == f"fitness={fitness:.6f} coverage={cov:.6f}\n"
+    assert run("coverage", "--model", "som", "--log", str(path)) == 0
+    assert capsys.readouterr().out == f"coverage={cov:.6f}\n"
+
+
+def test_empty_log_exits_one(normal_log_file, tmp_path, capsys):
+    det_path = tmp_path / "det.txt"
+    assert run("train", "--detector", "ft", "--model", "fn1",
+               "--log", str(normal_log_file), "-o", str(det_path)) == 0
+    empty = tmp_path / "empty.log"
+    empty.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["check"], ["coverage"], ["detect", "--detector", str(det_path)]):
+        assert run(*argv, "--model", "fn1", "--log", str(empty)) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_inject_all_triples_the_log(normal_log_file, tmp_path):
@@ -115,6 +140,19 @@ def test_evaluate_rejects_unknown_case(tmp_path, capsys):
     preds.write_text("case,score,prediction\nc9,0.0,normal\n", encoding="utf-8")
     assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
     assert "unknown case" in capsys.readouterr().err
+
+
+def test_predictions_header_is_the_first_non_blank_line(tmp_path, capsys):
+    log = tmp_path / "truth.log"
+    log.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("\ncase,score,prediction\nc1,0.0,normal\nc2,1.0,anomalous\n",
+                     encoding="utf-8")
+    assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 0
+    capsys.readouterr()
+    preds.write_text("\nc1,0.0,normal\nc2,1.0,anomalous\n", encoding="utf-8")
+    assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
+    assert "expected header" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):

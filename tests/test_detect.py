@@ -224,3 +224,22 @@ def test_load_rejects_inconsistent_normalization(line_train, line_val):
         for line in text.splitlines()) + "\n"
     with pytest.raises(DetectError, match="do not match the column count"):
         load_detector(broken)
+
+
+@pytest.fixture(scope="module")
+def saved_detectors(line_train, line_val):
+    return {kind: save_detector(train(kind, line_train, line_val, seed=0))
+            for kind in DETECTOR_KINDS}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind,field", [
+    ("ft", "threshold"), ("ft", "quantile"), ("ft", "mins"), ("ft", "maxs"),
+    ("dbscan", "eps"), ("dbscan", "core0"), ("ae", "w0"), ("ae", "b1")])
+def test_load_rejects_non_finite_values(saved_detectors, kind, field, bad):
+    lines = saved_detectors[kind].splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{field}="))
+    values = lines[i].split("=", 1)[1].split(",")
+    lines[i] = f"{field}=" + ",".join([bad] + values[1:])
+    with pytest.raises(DetectError, match=f"field '{field}' holds a non-finite value"):
+        load_detector("\n".join(lines) + "\n")

@@ -106,6 +106,20 @@ def test_read_rejects_non_numeric_cells():
         read_diagnoses(text)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_rejects_non_finite_fitness(bad):
+    text = f"case,t1,UNKNOWN,fitness\nc1,0,0,1.0\nc2,0,0,{bad}\n"
+    with pytest.raises(LogError, match="line 3: fitness must be finite"):
+        read_diagnoses(text)
+
+
+def test_coverage_needs_alignment_lengths(fn1):
+    diag = build_diagnoses(fn1, MIXED)
+    assert 0.0 < diag.coverage() < 1.0
+    with pytest.raises(LogError, match="alignment lengths"):
+        read_diagnoses(write_diagnoses(diag)).coverage()
+
+
 def test_playout_diagnoses_are_clean(fn1):
     log = playout(fn1, 25, seed=4)
     diag = build_diagnoses(fn1, log)
