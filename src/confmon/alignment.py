@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ModelError
 from .eventlog import Trace
 from .petri import PetriNet, reachability_graph
 
@@ -111,7 +111,10 @@ def _events(trace) -> tuple[str, ...]:
 
 def _state_space(net: PetriNet, state_cap: int):
     """The net's reachability graph (see petri.reachability_graph)."""
-    graph = reachability_graph(net, state_cap)
+    try:
+        graph = reachability_graph(net, state_cap)
+    except ModelError as exc:  # unbounded
+        raise AlignmentError(f"{exc}; alignments need a bounded net") from exc
     if graph is None:
         raise AlignmentError(
             f"alignment state-space exhausted: net {net.name} has more than "

@@ -23,10 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .detect import (DETECTOR_KINDS, classify, load_detector, save_detector,
-                     score, train)
+from .detect import DETECTOR_KINDS, load_detector, save_detector, score, train
 from .diagnoses import build_diagnoses, write_diagnoses
-from .errors import ConfmonError, LogError, ModelError
+from .errors import ConfmonError, DetectError, LogError, ModelError
 from .eventlog import EventLog, parse_log, split_log, write_log
 from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets, inject_log)
@@ -128,6 +127,9 @@ def cmd_detect(args) -> None:
         raise ConfmonError(f"cannot read detector file {args.detector}: {exc}") from exc
     det = load_detector(detector_text)
     net = _resolve_model(args.model)
+    if det.model_id != net.name:
+        raise DetectError(f"detector {args.detector} was trained on model "
+                          f"{det.model_id!r}, not on --model {net.name!r}")
     log = _read_log(args.log)
     diag = build_diagnoses(net, log)
     if not diag.rows:

@@ -185,9 +185,18 @@ def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
 # -- dbscan -----------------------------------------------------------------
 
 
+# Rows of a per distance block: bounds the (block, m, d) difference tensor, so
+# memory grows with n * m rather than n * m * d.
+_PAIRWISE_BLOCK = 128
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.sqrt((d * d).sum(axis=2))
+    """Euclidean distances between the rows of a and b, as an (n, m) array."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    for lo in range(0, a.shape[0], _PAIRWISE_BLOCK):
+        d = a[lo:lo + _PAIRWISE_BLOCK, None, :] - b[None, :, :]
+        out[lo:lo + _PAIRWISE_BLOCK] = np.sqrt((d * d).sum(axis=2))
+    return out
 
 
 def _fit_dbscan(x: np.ndarray, min_pts: int, eps):

@@ -4,7 +4,8 @@ One row per trace, in log order. Columns are the sorted visible activity
 names of the model, then UNKNOWN (log moves on activities the model does not
 know), then fitness. With the default cost scheme the counter total of a row
 equals the optimal alignment cost of its trace. build_diagnoses is the one
-pass that aligns a log; log fitness and coverage are reductions of its matrix.
+pass that aligns a log, once per distinct trace; log fitness and coverage are
+reductions of its matrix.
 
 CSV form:
 
@@ -94,15 +95,27 @@ def diagnosis_columns(net: PetriNet) -> tuple[str, ...]:
 
 def build_diagnoses(net: PetriNet, log: EventLog,
                     costs: CostScheme = CostScheme()) -> DiagnosesMatrix:
-    """Align every trace and collect its misalignment counters and fitness."""
+    """Align every trace and collect its misalignment counters and fitness.
+
+    Each distinct event sequence is aligned once per call: with the net and
+    cost scheme fixed, a trace's alignment depends only on its events, so
+    traces of one variant share (counts, fitness, alignment length). Every
+    row still gets its own counts dict, and moves sums every trace's length.
+    """
     rows = []
     moves = 0
+    variants: dict[tuple[str, ...], tuple[dict, float, int]] = {}
     for tr in log:
-        alignment = optimal_alignment(net, tr, costs)
-        counts = misalignments(alignment, net.visible_labels)
-        fit = fitness_from_cost(net, tr, alignment.cost, costs)
-        rows.append(DiagRow(tr.case_id, counts, fit))
-        moves += len(alignment)
+        aligned = variants.get(tr.events)
+        if aligned is None:
+            alignment = optimal_alignment(net, tr, costs)
+            aligned = (misalignments(alignment, net.visible_labels),
+                       fitness_from_cost(net, tr, alignment.cost, costs),
+                       len(alignment))
+            variants[tr.events] = aligned
+        counts, fit, length = aligned
+        rows.append(DiagRow(tr.case_id, dict(counts), fit))
+        moves += length
     return DiagnosesMatrix(diagnosis_columns(net), tuple(rows), net.name, costs, moves)
 
 

@@ -21,7 +21,7 @@ LABELS = ("normal", "anomalous")
 
 
 def _check_token(value: str, what: str) -> None:
-    if not value or value != value.strip() or any(c.isspace() for c in value):
+    if value.split() != [value]:  # empty, or holds whitespace anywhere
         raise LogError(f"{what} must be a non-empty token without whitespace: {value!r}")
     if "|" in value:
         raise LogError(f"{what} may not contain '|': {value!r}")

@@ -176,9 +176,9 @@ class SoundnessReport:
 
     sound is True only when the final marking is reachable from every
     reachable marking and no transition is dead. When more markings are
-    reachable than the cap allows, the analysis is inconclusive: sound and
-    final_always_reachable are False, dead_transitions is empty and
-    markings_explored is the cap.
+    reachable than the cap allows, or the net is unbounded, the analysis is
+    inconclusive: sound and final_always_reachable are False,
+    dead_transitions is empty and markings_explored is the cap.
     """
 
     sound: bool
@@ -197,23 +197,30 @@ def reachability_graph(net: PetriNet, state_cap: int):
     a key to its position, and succ[i] holds (transition, successor position)
     pairs sorted by transition id. Only complete graphs are cached on the net,
     so every caller reads the same graph whatever cap built it.
+
+    Raises ModelError naming a place when the net is unbounded: a new marking
+    that strictly covers one of its breadth-first ancestors can repeat the
+    firings between them forever, pumping that place.
     """
     graph = net._caches.get("graph")
     if graph is None:
         m0 = net._to_key(net.initial_marking)
         index = {m0: 0}
         keys = [m0]
+        parent = [-1]
         succ: list[tuple] = []
-        for key in keys:  # keys grows while it is scanned, as a FIFO queue
+        for i, key in enumerate(keys):  # keys grows while scanned, as a FIFO queue
             marking = net._from_key(key)
             nexts = []
             for t in sorted(enabled(net, marking)):
                 nxt = net._to_key(fire(net, marking, t))
                 if nxt not in index:
+                    _check_not_pumped(net, keys, parent, i, nxt)
                     if len(keys) >= state_cap:
                         return None
                     index[nxt] = len(keys)
                     keys.append(nxt)
+                    parent.append(i)
                 nexts.append((t, index[nxt]))
             succ.append(tuple(nexts))
         graph = (index, tuple(succ), keys)
@@ -221,15 +228,30 @@ def reachability_graph(net: PetriNet, state_cap: int):
     return graph if len(graph[2]) <= state_cap else None
 
 
+def _check_not_pumped(net: PetriNet, keys, parent, i: int, new) -> None:
+    """Raise when the new marking key, reached from keys[i], strictly covers
+    keys[i] or one of its breadth-first ancestors."""
+    while i >= 0:
+        old = keys[i]
+        if all(a <= b for a, b in zip(old, new)):  # new is not old: some a < b
+            place = next(p for p, a, b in zip(net.place_order, old, new) if a < b)
+            raise ModelError(f"net {net.name} is unbounded: place {place!r} gains "
+                             f"tokens without limit")
+        i = parent[i]
+
+
 def check_soundness(net: PetriNet, state_cap: int = 100_000) -> SoundnessReport:
     """Relaxed soundness via the reachability graph.
 
     Checks (a) that the final marking stays reachable from every reachable
     marking and (b) that every transition is enabled somewhere. When more
-    than state_cap markings are reachable, the report says inconclusive
-    rather than failing.
+    than state_cap markings are reachable, or the net is unbounded, the
+    report says inconclusive rather than failing.
     """
-    graph = reachability_graph(net, state_cap)
+    try:
+        graph = reachability_graph(net, state_cap)
+    except ModelError:  # unbounded, or over fire's per-place token cap
+        graph = None
     if graph is None:
         return SoundnessReport(False, False, (), state_cap, True)
     index, succ, keys = graph

@@ -126,6 +126,17 @@ def test_train_detect_evaluate_pipeline(fn1, normal_log_file, tmp_path, capsys):
     assert roc_lines[-1] == "1.000000,1.000000"
 
 
+def test_detect_rejects_a_detector_of_another_model(normal_log_file, tmp_path, capsys):
+    det_path = tmp_path / "det.txt"
+    assert run("train", "--detector", "ft", "--model", "fn1",
+               "--log", str(normal_log_file), "-o", str(det_path)) == 0
+    capsys.readouterr()
+    assert run("detect", "--detector", str(det_path), "--model", "som",
+               "--log", str(normal_log_file)) == 1
+    err = capsys.readouterr().err
+    assert "trained on model 'fn1', not on --model 'som'" in err
+
+
 def test_evaluate_requires_labels(normal_log_file, tmp_path, capsys):
     preds = tmp_path / "preds.csv"
     preds.write_text("case,score,prediction\nc1,0.0,normal\n", encoding="utf-8")

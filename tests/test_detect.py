@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from confmon.alignment import CostScheme
-from confmon.detect import (DETECTOR_KINDS, ae_gradient_check, classify,
-                            default_ae_layers, load_detector, save_detector,
-                            score, score_matrix, train)
+from confmon.detect import (DETECTOR_KINDS, _pairwise, ae_gradient_check,
+                            classify, default_ae_layers, load_detector,
+                            save_detector, score, score_matrix, train)
 from confmon.diagnoses import DiagnosesMatrix, DiagRow, build_diagnoses
 from confmon.errors import DetectError
 from confmon.eventlog import split_log
@@ -243,3 +243,16 @@ def test_load_rejects_non_finite_values(saved_detectors, kind, field, bad):
     lines[i] = f"{field}=" + ",".join([bad] + values[1:])
     with pytest.raises(DetectError, match=f"field '{field}' holds a non-finite value"):
         load_detector("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("m", [300, 45])
+def test_blocked_pairwise_equals_one_shot_broadcast(m):
+    # 300 rows is not a multiple of the 128-row block
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-0.5, 1.5, size=(300, 7))
+    b = a if m == 300 else rng.uniform(-0.5, 1.5, size=(m, 7))
+    d = a[:, None, :] - b[None, :, :]
+    one_shot = np.sqrt((d * d).sum(axis=2))
+    blocked = _pairwise(a, b)
+    assert blocked.shape == (300, m)
+    assert blocked.tobytes() == one_shot.tobytes()

@@ -3,13 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from confmon.alignment import CostScheme, optimal_alignment
+import confmon.diagnoses
+from confmon.alignment import (CostScheme, fitness_from_cost, misalignments,
+                               optimal_alignment)
 from confmon.diagnoses import (DiagnosesMatrix, DiagRow, build_diagnoses,
-                               diagnosis_columns, read_diagnoses,
-                               write_diagnoses)
+                               coverage, diagnosis_columns, log_fitness,
+                               read_diagnoses, write_diagnoses)
 from confmon.errors import LogError
 from confmon.eventlog import EventLog, Trace
-from confmon.petri import playout
+from confmon.petri import NoiseParams, playout
 
 MIXED = EventLog([
     Trace("c1", ("t1", "t2", "t4", "t5", "t6")),
@@ -126,3 +128,64 @@ def test_playout_diagnoses_are_clean(fn1):
     arr = diag.to_array()
     assert np.all(arr[:, :-1] == 0.0)
     assert np.all(arr[:, -1] == 1.0)
+
+
+# -- one alignment per variant ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def noisy_som_log(som):
+    log = playout(som, 150, seed=8, noise=NoiseParams(0.05, 0.05))
+    n_variants = len({tr.events for tr in log})
+    assert n_variants < len(log) - 20  # plenty of duplicated variants
+    return log
+
+
+def _per_trace_reference(net, log, costs):
+    """Diagnoses and total moves with one alignment per trace."""
+    rows, moves = [], 0
+    for tr in log:
+        alignment = optimal_alignment(net, tr, costs)
+        rows.append(DiagRow(tr.case_id, misalignments(alignment, net.visible_labels),
+                            fitness_from_cost(net, tr, alignment.cost, costs)))
+        moves += len(alignment)
+    return DiagnosesMatrix(diagnosis_columns(net), tuple(rows), net.name, costs, moves)
+
+
+@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(2.0, 3.0, 0.5)])
+def test_variant_memo_matches_per_trace_alignment(som, noisy_som_log, costs):
+    diag = build_diagnoses(som, noisy_som_log, costs)
+    ref = _per_trace_reference(som, noisy_som_log, costs)
+    assert write_diagnoses(diag) == write_diagnoses(ref)
+    assert diag.moves == ref.moves
+    assert [row.fitness for row in diag.rows] == [row.fitness for row in ref.rows]
+
+
+def test_one_alignment_per_distinct_trace(som, noisy_som_log, monkeypatch):
+    aligned = []
+    real = confmon.diagnoses.optimal_alignment
+
+    def counting(net, trace, *args, **kwargs):
+        aligned.append(trace.events)
+        return real(net, trace, *args, **kwargs)
+
+    monkeypatch.setattr(confmon.diagnoses, "optimal_alignment", counting)
+    build_diagnoses(som, noisy_som_log)
+    assert sorted(aligned) == sorted({tr.events for tr in noisy_som_log})
+
+
+def test_rows_of_one_variant_do_not_share_counts(fn1):
+    log = EventLog([Trace("c1", ("t1", "t5", "t6")), Trace("c2", ("t1", "t5", "t6"))])
+    first, second = build_diagnoses(fn1, log).rows
+    assert first.counts == second.counts
+    first.counts["t2"] += 10
+    assert first.counts != second.counts
+    assert sum(second.counts.values()) == optimal_alignment(fn1, log.traces[1]).cost
+
+
+def test_coverage_and_log_fitness_match_per_trace_reference(som, noisy_som_log):
+    ref = _per_trace_reference(som, noisy_som_log, CostScheme())
+    fitness = sum(row.fitness for row in ref.rows) / len(ref.rows)
+    misaligned = sum(sum(row.counts.values()) for row in ref.rows)
+    assert log_fitness(som, noisy_som_log) == fitness
+    assert coverage(som, noisy_som_log) == 1.0 - misaligned / ref.moves

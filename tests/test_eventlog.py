@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmon.errors import LogError
-from confmon.eventlog import (EventLog, Trace, ingest_raw, parse_log,
-                              split_log, stats, write_log, write_log_csv)
+from confmon.eventlog import (EventLog, Trace, _check_token, ingest_raw,
+                              parse_log, split_log, stats, write_log,
+                              write_log_csv)
 
 token = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 
@@ -168,3 +171,23 @@ def test_split_log_partition_property(n, seed):
     assert sorted(ids) == sorted(tr.case_id for tr in log)
     assert len(parts[1]) == int(0.2 * n + 1e-9)
     assert len(parts[2]) == int(0.2 * n + 1e-9)
+
+
+def _whitespace_verdict_by_chars(value: str) -> bool:
+    """The token test written out character by character."""
+    return not value or value != value.strip() or any(c.isspace() for c in value)
+
+
+def test_token_whitespace_test_agrees_with_a_per_character_scan():
+    """value.split() != [value] rejects exactly the empty string and every
+    string holding a whitespace character. Checked for every code point c
+    alone, and for every code point of the basic multilingual plane (where
+    all of Unicode's whitespace lies) as a+c, c+b and a+c+b."""
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    bmp = chars[:0x10000]
+    values = [""] + chars + [v for c in bmp for v in ("a" + c, c + "b", "a" + c + "b")]
+    fast = [v.split() != [v] for v in values]
+    assert fast == [_whitespace_verdict_by_chars(v) for v in values]
+    for value in (v for v, rejected in zip(values, fast) if rejected):
+        with pytest.raises(LogError, match="non-empty token without whitespace"):
+            _check_token(value, "activity")

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmon.errors import ModelError, PlayoutError
+from confmon.alignment import optimal_alignment
+from confmon.errors import AlignmentError, ModelError, PlayoutError
+from confmon.eventlog import Trace
 from confmon.petri import (MAX_TOKENS_PER_PLACE, NoiseParams, PetriNet,
                            bundled_model, check_soundness, enabled, fire,
                            is_workflow_net, parse_model, playout)
@@ -149,14 +151,36 @@ def test_soundness_reports_dead_transition(fn1):
     assert not rep.final_always_reachable
 
 
-def test_soundness_inconclusive_on_cap():
+def pump_net() -> PetriNet:
     # t1 pumps tokens into p2 forever, so the reachability graph is unbounded
-    net = PetriNet(["p1", "p2"], ["t1", "t2"],
-                   [("p1", "t1"), ("t1", "p1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p2")],
-                   {"p1": 1}, {"p2": 1}, {"t1": "a", "t2": "b"})
-    rep = check_soundness(net, state_cap=50)
+    return PetriNet(["p1", "p2"], ["t1", "t2"],
+                    [("p1", "t1"), ("t1", "p1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p2")],
+                    {"p1": 1}, {"p2": 1}, {"t1": "a", "t2": "b"})
+
+
+def test_soundness_inconclusive_on_cap():
+    rep = check_soundness(pump_net(), state_cap=50)
     assert rep.inconclusive
     assert not rep.sound
+
+
+def test_unbounded_net_is_inconclusive_at_the_default_cap(monkeypatch):
+    import confmon.petri
+
+    calls = []
+    real = confmon.petri.enabled
+    monkeypatch.setattr(confmon.petri, "enabled",
+                        lambda net, marking: calls.append(1) or real(net, marking))
+    rep = check_soundness(pump_net())
+    assert rep.inconclusive
+    assert not rep.sound
+    # {p1} -> {p1, p2} covers its parent, so the search stops at the first marking
+    assert len(calls) == 1
+
+
+def test_alignment_on_unbounded_net_names_the_place():
+    with pytest.raises(AlignmentError, match="place 'p2'.*alignments need a bounded net"):
+        optimal_alignment(pump_net(), Trace("c1", ("a", "b")))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
