@@ -198,22 +198,24 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
         usable = (n_events - pos) - unmatched
         return costs.c_log * unmatched + costs.c_model * max(0.0, v - usable)
 
-    # Heap entries: (f, path key, tiebreak counter, g, marking idx, pos).
-    # The path key is the move-kind/id sequence, so equal-cost candidates pop
-    # in tie-break order and the first settled goal is the canonical result;
-    # its moves are rebuilt from the key.
+    # Heap entries: (f, path key, g, marking idx, pos). The path key is a str
+    # with one character per move, whose code point is the move's rank in
+    # (kind, transition id) order, so str comparison is the tie-break order,
+    # prefixes included: equal-cost candidates pop in tie-break order and the
+    # first settled goal is the canonical result. Its moves are rebuilt from
+    # the key. A path is pushed at most once, so no two entries share a key.
+    _, sync, free, log = _move_codes(net)
     h0 = heuristic(m0_idx, 0)
-    counter = 0
-    heap = [(h0, (), 0, 0.0, m0_idx, 0)]
+    heap = [(h0, "", 0.0, m0_idx, 0)]
     settled = set()
     expanded = 0
     while heap:
-        f, key, _, g, m_idx, pos = heapq.heappop(heap)
+        f, key, g, m_idx, pos = heapq.heappop(heap)
         if (m_idx, pos) in settled:
             continue
         settled.add((m_idx, pos))
         if m_idx == mf_idx and pos == n_events:
-            return Alignment(_moves(net, key), g)
+            return Alignment(_moves(net, sigma, key), g)
         expanded += 1
         if expanded > state_cap:
             raise AlignmentError(
@@ -224,16 +226,14 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
                 if net.labels[t] == act and (nxt, pos + 1) not in settled:
                     h = heuristic(nxt, pos + 1)
                     if h != float("inf"):
-                        counter += 1
                         heapq.heappush(heap, (
-                            g + costs.c_sync + h, key + ((_SYNC, t),), counter,
+                            g + costs.c_sync + h, key + sync[t],
                             g + costs.c_sync, nxt, pos + 1))
             if (m_idx, pos + 1) not in settled:
                 h = heuristic(m_idx, pos + 1)
                 if h != float("inf"):
-                    counter += 1
                     heapq.heappush(heap, (
-                        g + costs.c_log + h, key + ((_LOG, act),), counter,
+                        g + costs.c_log + h, key + log,
                         g + costs.c_log, m_idx, pos + 1))
         for t, nxt in succ[m_idx]:
             if (nxt, pos) in settled:
@@ -241,25 +241,54 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
             h = heuristic(nxt, pos)
             if h == float("inf"):
                 continue
-            if net.labels[t] is None:
-                counter += 1
-                heapq.heappush(heap, (
-                    g + costs.c_silent + h, key + ((_SILENT, t),), counter,
-                    g + costs.c_silent, nxt, pos))
-            else:
-                counter += 1
-                heapq.heappush(heap, (
-                    g + costs.c_model + h, key + ((_MODEL, t),), counter,
-                    g + costs.c_model, nxt, pos))
+            step = costs.c_silent if net.labels[t] is None else costs.c_model
+            heapq.heappush(heap, (g + step + h, key + free[t], g + step, nxt, pos))
     raise AlignmentError(f"no alignment found for trace against net {net.name}")
 
 
-def _moves(net: PetriNet, key) -> tuple[Move, ...]:
-    """Moves of a path key: a log entry holds the event, the others a
-    transition id."""
-    return tuple(Move("log", ident, None) if kind == _LOG
-                 else Move(_KIND_NAMES[kind], net.labels[ident], ident)
-                 for kind, ident in key)
+def _move_codes(net: PetriNet):
+    """The net's move alphabet, cached on the net: (moves, sync, free, log).
+
+    moves lists every move in (kind, id) order: one sync move per visible
+    transition, one silent or model move per transition and, last as _LOG is
+    the largest kind, one log move with id None. A move's code is chr of its
+    index. sync and free map a transition id to the code of its sync move and
+    of its silent or model move; log is the code of the log move.
+
+    One log code serves every event: keys that share a prefix share the
+    state after it, and a state has a single log move, so the event of a log
+    move never decides a comparison between keys.
+    """
+    codes = net._caches.get("move_codes")
+    if codes is None:
+        moves = sorted([(_SYNC, t) for t, label in net.labels.items() if label is not None]
+                       + [(_SILENT if label is None else _MODEL, t)
+                          for t, label in net.labels.items()]
+                       + [(_LOG, None)])
+        code = {move: chr(i) for i, move in enumerate(moves)}
+        sync = {t: code[_SYNC, t] for t, label in net.labels.items() if label is not None}
+        free = {t: code[_SILENT if label is None else _MODEL, t]
+                for t, label in net.labels.items()}
+        codes = net._caches["move_codes"] = (moves, sync, free, code[_LOG, None])
+    return codes
+
+
+def _moves(net: PetriNet, sigma, key: str) -> tuple[Move, ...]:
+    """Moves of a path key, decoded through the net's move list. Sync and log
+    moves consume the trace in order; a log move's activity is the event at
+    its position."""
+    moves = _move_codes(net)[0]
+    out = []
+    pos = 0
+    for code in key:
+        kind, t = moves[ord(code)]
+        if kind == _LOG:
+            out.append(Move("log", sigma[pos], None))
+        else:
+            out.append(Move(_KIND_NAMES[kind], net.labels[t], t))
+        if kind == _SYNC or kind == _LOG:
+            pos += 1
+    return tuple(out)
 
 
 def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme(),

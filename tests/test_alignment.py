@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -12,11 +13,43 @@ from confmon.alignment import (Alignment, CostScheme, SKIP, misalignments,
 from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import AlignmentError, LogError
 from confmon.eventlog import EventLog, Trace
-from confmon.petri import PetriNet, bundled_model, check_soundness, playout
+from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
+                           playout)
 from conftest import random_workflow_net
 from oracle import oracle_alignment_cost
 
 LOOP_TRACE = ("t1", "t2", "t4", "t5", "t3", "t4", "t5", "t6")
+
+
+def noisy_fn1_loop(rng: random.Random, n_events: int) -> tuple:
+    """A run of fn1 with about n_events events: t1, rounds of {t2|t3}
+    interleaved with t4 then t5, then t6; each event is dropped, and each
+    kept event duplicated in place, with probability 0.05."""
+    events = ["t1"]
+    for _ in range(max(1, (n_events - 2) // 3)):
+        pair = [rng.choice(("t2", "t3")), "t4"]
+        rng.shuffle(pair)
+        events += pair + ["t5"]
+    events.append("t6")
+    out = []
+    for ev in events:
+        if rng.random() < 0.05:
+            continue
+        out.append(ev)
+        if rng.random() < 0.05:
+            out.append(ev)
+    return tuple(out)
+
+
+def move_digest(net, traces, costs=CostScheme()) -> str:
+    """SHA-256 over (kind, activity, transition) of every move and the cost of
+    each trace's optimal alignment."""
+    h = hashlib.sha256()
+    for trace in traces:
+        a = optimal_alignment(net, trace, costs)
+        h.update(repr(([(mv.kind, mv.activity, mv.transition) for mv in a.moves],
+                       a.cost)).encode())
+    return h.hexdigest()
 
 
 def replay_model_projection(net, moves):
@@ -239,3 +272,103 @@ def test_fitness_bounds_property(data):
     assert 0.0 <= cost <= worst
     fit = trace_fitness(fn1, trace)
     assert 0.0 <= fit <= 1.0
+
+
+# The digests below pin the canonical tie-break. They were recorded with the
+# earlier search, whose path keys were tuples of (kind, id) pairs.
+
+def test_long_traces_keep_pinned_moves(fn1, som):
+    rng = random.Random(5)
+    long = [noisy_fn1_loop(rng, 60 + 190 * i // 9) for i in range(10)]
+    assert [len(tr) for tr in long] == [55, 82, 99, 124, 151, 164, 184, 202, 223, 249]
+    assert move_digest(fn1, long) == (
+        "16c882f036b83a33ac388fe7309725ebee0ce550e964fe4f2f5fc0d8630cc44a")
+    assert move_digest(fn1, long, CostScheme(c_log=2.0, c_model=3.0, c_silent=0.5)) == (
+        "670a4ee426f7d129c4b3e1cee2277a3c84ac25a690c55f9925543df74f5221df")
+    log = playout(som, 200, seed=3, noise=NoiseParams(0.05, 0.05))
+    assert move_digest(som, [tr.events for tr in log]) == (
+        "79507f9a85c86df4e24a3936f5c11155e5798c8dd58ecc4b98535911abb15083")
+
+
+def test_many_distinct_unknown_activities(fn1):
+    """300 distinct activities unknown to the net, scattered over a noisy
+    fn1 run: each is one log move, in trace order."""
+    rng = random.Random(8)
+    events = list(noisy_fn1_loop(rng, 120))
+    unknown = [f"x{k:03d}" for k in range(300)]
+    rng.shuffle(unknown)
+    for act in unknown:
+        events.insert(rng.randrange(len(events) + 1), act)
+    trace = tuple(events)
+    a = optimal_alignment(fn1, trace)
+    assert a.cost == oracle_alignment_cost(fn1, trace) == 306.0
+    assert [mv.activity for mv in a.moves if mv.kind == "log" and
+            mv.activity not in fn1.visible_labels] == [ev for ev in trace if ev in unknown]
+    assert tuple(mv.activity for mv in a.moves if mv.kind in ("sync", "log")) == trace
+    assert move_digest(fn1, [trace]) == (
+        "4f5bd7ff8fb7c8870602fed7d6639f545718ddf02fe80352f8643c94a902001d")
+
+
+def wide_choice_net(n: int) -> PetriNet:
+    """start, then a loop over a choice of n activities a000, a001, ...
+    (silent transition back), then end."""
+    acts = [f"a{k:03d}" for k in range(n)]
+    arcs = [("source", "start"), ("start", "p"), ("q", "back"), ("back", "p"),
+            ("q", "end"), ("end", "sink")]
+    for act in acts:
+        arcs += [("p", act), (act, "q")]
+    labels = {"start": "start", "end": "end", "back": None, **{a: a for a in acts}}
+    return PetriNet(["source", "p", "q", "sink"], list(labels), arcs,
+                    {"source": 1}, {"sink": 1}, labels, name="wide")
+
+
+def test_move_alphabet_wider_than_one_byte():
+    """A net with 132 visible transitions has 266 sync, model, silent and log
+    moves, so move codes pass 255; the tie-break still orders by id."""
+    net = wide_choice_net(130)
+    rng = random.Random(9)
+    acts = sorted(net.visible_labels - {"start", "end"})
+    traces = [(), ("start", "end"), ("start", "zz", "a129", "end", "a003")]
+    for _ in range(20):
+        events = ["start"] + [rng.choice(acts + ["zz", "yy"])
+                              for _ in range(rng.randrange(0, 12))] + ["end"]
+        if rng.random() < 0.3:
+            events.pop(0)
+        if rng.random() < 0.3:
+            events.pop()
+        traces.append(tuple(events))
+    assert [(mv.kind, mv.transition) for mv in optimal_alignment(net, ()).moves] == [
+        ("model", "start"), ("model", "a000"), ("model", "end")]
+    assert [(mv.kind, mv.activity) for mv in optimal_alignment(net, traces[2]).moves] == [
+        ("sync", "start"), ("log", "zz"), ("sync", "a129"), ("sync", "end"), ("log", "a003")]
+    for trace in traces:
+        assert optimal_alignment(net, trace).cost == oracle_alignment_cost(net, trace)
+    assert move_digest(net, traces) == (
+        "9026e9b09a17188b2274243c0da4034c599ac2599a12a654719c2fb74362829a")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_default_cost_equals_misalignment_total_property(data):
+    """Under the default costs every counted move costs 1 and nothing else
+    costs anything, so the counter total is the alignment cost."""
+    net = bundled_model(data.draw(st.sampled_from(["fn1", "som"])))
+    alphabet = sorted(net.visible_labels) + ["x1", "x2"]
+    trace = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=10)))
+    a = optimal_alignment(net, trace)
+    assert sum(misalignments(a, net.visible_labels).values()) == a.cost
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), c_log=st.sampled_from([1.0, 2.0]))
+def test_unknown_activity_adds_c_log_property(data, c_log):
+    """An event no transition carries is always a log move, so inserting one
+    anywhere raises the optimal cost by exactly c_log."""
+    net = bundled_model(data.draw(st.sampled_from(["fn1", "som"])))
+    costs = CostScheme(c_log=c_log)
+    alphabet = sorted(net.visible_labels) + ["x1"]
+    trace = data.draw(st.lists(st.sampled_from(alphabet), max_size=10))
+    at = data.draw(st.integers(0, len(trace)))
+    longer = tuple(trace[:at]) + ("x9",) + tuple(trace[at:])
+    assert (optimal_alignment(net, longer, costs).cost
+            == optimal_alignment(net, tuple(trace), costs).cost + c_log)
