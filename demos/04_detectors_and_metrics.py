@@ -9,8 +9,8 @@ with precision/recall/F1 and ROC AUC. Run from the repository root:
 """
 
 from confmon import (NoiseParams, build_diagnoses, build_eval_sets,
-                     bundled_model, confusion, playout, prf, roc_auc, score,
-                     split_log, train)
+                     bundled_model, classify, confusion, playout, prf, roc_auc,
+                     score_matrix, split_log, train)
 
 SEED = 0
 net = bundled_model("som")
@@ -25,17 +25,17 @@ print(f"normal log: {len(train_log)} train / {len(val_log)} val / {len(test_log)
 # anomalies come from a fresh playout so they cannot echo the training traces
 source = playout(net, 50, seed=SEED + 1000)
 eval_sets = build_eval_sets(source, lam=3.0, seed=SEED)
+d_eval = {atype: build_diagnoses(net, eval_sets[atype]) for atype in ("ma", "woa", "ua")}
 
 print(f"{'detector':8s} {'set':4s} {'prec':>6s} {'rec':>6s} {'f1':>6s} {'auc':>6s}")
 for kind in ("ft", "dbscan", "ae"):
     det = train(kind, d_train, d_val, quantile=95.0, seed=SEED)
+    normal = score_matrix(det, d_test).tolist()
     for atype in ("ma", "woa", "ua"):
-        d_eval = build_diagnoses(net, eval_sets[atype])
-        rows = list(d_test.rows) + list(d_eval.rows)
-        labels = ["normal"] * len(d_test.rows) + ["anomalous"] * len(d_eval.rows)
-        scores = [score(det, row) for row in rows]
-        predicted = ["anomalous" if s > det.threshold else "normal" for s in scores]
-        res = prf(confusion(labels, predicted))
+        anomalous = score_matrix(det, d_eval[atype]).tolist()
+        scores = normal + anomalous
+        labels = ["normal"] * len(normal) + ["anomalous"] * len(anomalous)
+        res = prf(confusion(labels, classify(det, scores)))
         auc = roc_auc(labels, scores).auc
         print(f"{kind:8s} {atype:4s} {res.precision:6.3f} {res.recall:6.3f} "
               f"{res.f1:6.3f} {auc:6.3f}")

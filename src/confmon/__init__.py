@@ -10,9 +10,9 @@ from .alignment import (Alignment, CostScheme, Move, SKIP, UNKNOWN,
                         misalignments, optimal_alignment, trace_fitness,
                         worst_case_cost)
 from .detect import (DETECTOR_KINDS, Detector, ae_gradient_check, classify,
-                     default_ae_layers, load_detector, save_detector, score,
+                     default_ae_layers, load_detector, save_detector,
                      score_matrix, train)
-from .diagnoses import (DiagnosesMatrix, DiagRow, build_diagnoses, coverage,
+from .diagnoses import (DiagnosesMatrix, build_diagnoses, coverage,
                         diagnosis_columns, log_fitness, read_diagnoses,
                         write_diagnoses)
 from .errors import (AlignmentError, ConfmonError, DetectError, InjectError,

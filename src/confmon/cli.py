@@ -23,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .detect import DETECTOR_KINDS, load_detector, save_detector, score, train
+from .detect import (DETECTOR_KINDS, classify, load_detector, save_detector,
+                     score_matrix, train)
 from .diagnoses import build_diagnoses, write_diagnoses
 from .errors import ConfmonError, DetectError, LogError, ModelError
 from .eventlog import EventLog, parse_log, split_log, write_log
@@ -132,13 +133,12 @@ def cmd_detect(args) -> None:
                           f"{det.model_id!r}, not on --model {net.name!r}")
     log = _read_log(args.log)
     diag = build_diagnoses(net, log)
-    if not diag.rows:
+    if not len(diag):
         raise LogError("log has no traces")
+    scores = score_matrix(det, diag).tolist()
     lines = ["case,score,prediction"]
-    for row in diag.rows:
-        s = score(det, row)
-        pred = "anomalous" if s > det.threshold else "normal"
-        lines.append(f"{row.case_id},{repr(s)},{pred}")
+    for case_id, s, pred in zip(diag.case_ids, scores, classify(det, scores)):
+        lines.append(f"{case_id},{repr(s)},{pred}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -294,18 +294,17 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
     source = playout(net, cfg.n_traces, max_steps=cfg.max_steps, seed=seed + 1000)
     eval_logs = build_eval_sets(source, cfg.lam, cfg.pool, seed=seed)
     d_eval = {at: build_diagnoses(net, eval_logs[at]) for at in ANOMALY_TYPES}
-    eval_rows = {at: d_eval[at].rows for at in ANOMALY_TYPES}
-    eval_rows["all"] = tuple(row for at in ANOMALY_TYPES for row in eval_rows[at])
 
     rows = []
     for kind in cfg.detectors:
         det = train(kind, d_train, d_val, quantile=cfg.quantile, seed=seed)
+        normal = score_matrix(det, d_test).tolist()
+        injected = {at: score_matrix(det, d_eval[at]).tolist() for at in ANOMALY_TYPES}
+        injected["all"] = [s for at in ANOMALY_TYPES for s in injected[at]]
         for at in EVAL_SET_ORDER:
-            batch = list(d_test.rows) + list(eval_rows[at])
-            labels = ["normal"] * len(d_test.rows) + ["anomalous"] * len(eval_rows[at])
-            scores = [score(det, row) for row in batch]
-            predicted = ["anomalous" if s > det.threshold else "normal" for s in scores]
-            res = prf(confusion(labels, predicted))
+            scores = normal + injected[at]
+            labels = ["normal"] * len(normal) + ["anomalous"] * len(injected[at])
+            res = prf(confusion(labels, classify(det, scores)))
             roc = roc_auc(labels, scores)
             rows.append({"seed": seed, "anomaly": at, "technique": kind,
                          "accuracy": res.accuracy, "recall": res.recall,

@@ -16,6 +16,10 @@ Feature rows are min-max normalized per column with statistics learned on the
 training rows (a constant column maps its training values to 0, and deviating
 values keep their offset), then clamped to [-0.5, 1.5]. ft ignores the
 normalization and reads the fitness column directly.
+
+score_matrix is the one scorer and classify the one decision rule. A score
+depends on its row alone, the same bits in any batch, so each distinct row
+is scored once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 
 import numpy as np
 
-from .diagnoses import DiagnosesMatrix, DiagRow
+from .diagnoses import DiagnosesMatrix
 from .errors import DetectError
 
 DETECTOR_KINDS = ("ft", "dbscan", "ae")
@@ -58,14 +62,6 @@ class Detector:
 def _normalize(mins: np.ndarray, maxs: np.ndarray, x: np.ndarray) -> np.ndarray:
     ranges = np.where(maxs > mins, maxs - mins, 1.0)
     return np.clip((x - mins) / ranges, -0.5, 1.5)
-
-
-def _row_vector(det: Detector, row: DiagRow) -> np.ndarray:
-    expected = set(det.columns) - {"fitness"}
-    if set(row.counts) != expected:
-        raise DetectError(
-            f"row columns {sorted(row.counts)} do not match detector columns {sorted(expected)}")
-    return np.asarray(row.vector(det.columns), dtype=float)
 
 
 def default_ae_layers(d: int) -> tuple[int, ...]:
@@ -185,17 +181,21 @@ def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
 # -- dbscan -----------------------------------------------------------------
 
 
-# Rows of a per distance block: bounds the (block, m, d) difference tensor, so
-# memory grows with n * m rather than n * m * d.
-_PAIRWISE_BLOCK = 128
+# Elements of one (rows, m, d) difference block: rows of a are taken as many
+# at a time as fit, so temporaries stay bounded whatever n, m and d are.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a and b, as an (n, m) array."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    for lo in range(0, a.shape[0], _PAIRWISE_BLOCK):
-        d = a[lo:lo + _PAIRWISE_BLOCK, None, :] - b[None, :, :]
-        out[lo:lo + _PAIRWISE_BLOCK] = np.sqrt((d * d).sum(axis=2))
+def _pairwise(a: np.ndarray, b: np.ndarray, nearest: bool = False) -> np.ndarray:
+    """Euclidean distances between the rows of a and b as an (n, m) array; with
+    nearest, only each row's distance to its nearest row of b, as an (n,)
+    array, without ever holding the (n, m) matrix."""
+    out = np.empty(a.shape[0] if nearest else (a.shape[0], b.shape[0]))
+    step = max(1, _BLOCK_ELEMENTS // max(1, b.size))
+    for lo in range(0, a.shape[0], step):
+        d = a[lo:lo + step, None, :] - b[None, :, :]
+        dist = np.sqrt((d * d).sum(axis=2))
+        out[lo:lo + step] = dist.min(axis=1) if nearest else dist
     return out
 
 
@@ -282,33 +282,31 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
 
     det = Detector(kind, train_d.columns, mins, maxs, 0.0, quantile, seed,
                    train_d.model_id, state)
-    val_scores = np.array([score(det, row) for row in val_d.rows])
-    det.threshold = float(np.percentile(val_scores, quantile))
+    det.threshold = float(np.percentile(score_matrix(det, val_d), quantile))
     return det
 
 
-def score(det: Detector, row: DiagRow) -> float:
-    """Anomaly score of a diagnoses row; higher means more anomalous."""
-    if det.kind == "ft":
-        fit = float(_row_vector(det, row)[det.columns.index("fitness")])
-        return 1.0 - fit
-    vec = _normalize(det.mins, det.maxs, _row_vector(det, row))
-    if det.kind == "dbscan":
-        diffs = det.state["cores"] - vec
-        return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
-    errs = _ae_errors(det.state["weights"], det.state["biases"], vec[None, :])
-    return float(errs[0])
-
-
-def classify(det: Detector, row: DiagRow) -> str:
-    """"anomalous" when the score is strictly above the threshold."""
-    return "anomalous" if score(det, row) > det.threshold else "normal"
-
-
 def score_matrix(det: Detector, diag: DiagnosesMatrix) -> np.ndarray:
+    """Anomaly score of every diagnoses row; higher means more anomalous."""
     if diag.columns != det.columns:
         raise DetectError("diagnoses columns do not match detector columns")
-    return np.array([score(det, row) for row in diag.rows])
+    if det.kind == "ft":
+        return 1.0 - diag.fitness
+    distinct, inverse = np.unique(diag.to_array(), axis=0, return_inverse=True)
+    xn = _normalize(det.mins, det.maxs, distinct)
+    if det.kind == "dbscan":
+        scores = _pairwise(xn, det.state["cores"], nearest=True)
+    else:
+        # One row per call: a batched matrix product may round differently,
+        # which would make a row's score depend on its batch.
+        weights, biases = det.state["weights"], det.state["biases"]
+        scores = np.array([_ae_errors(weights, biases, v[None, :])[0] for v in xn])
+    return scores[inverse.reshape(-1)]
+
+
+def classify(det: Detector, scores) -> list[str]:
+    """"anomalous" where a score is strictly above the threshold, else "normal"."""
+    return np.where(np.asarray(scores) > det.threshold, "anomalous", "normal").tolist()
 
 
 # -- serialization -----------------------------------------------------------

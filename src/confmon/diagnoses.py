@@ -3,9 +3,10 @@
 One row per trace, in log order. Columns are the sorted visible activity
 names of the model, then UNKNOWN (log moves on activities the model does not
 know), then fitness. With the default cost scheme the counter total of a row
-equals the optimal alignment cost of its trace. build_diagnoses is the one
-pass that aligns a log, once per distinct trace; log fitness and coverage are
-reductions of its matrix.
+equals the optimal alignment cost of its trace. A matrix holds the case ids,
+an int counter array of shape (n, k) and a float fitness vector of length n.
+build_diagnoses is the one pass that aligns a log, once per distinct trace;
+log fitness and coverage are reductions of its arrays.
 
 CSV form:
 
@@ -33,60 +34,49 @@ from .petri import PetriNet
 _MAGIC = "confmon-diagnoses v1"
 
 
-@dataclass(frozen=True)
-class DiagRow:
-    """Misalignment counters and fitness for one trace."""
-
-    case_id: str
-    counts: dict
-    fitness: float
-
-    def vector(self, columns) -> list[float]:
-        """Row as floats in the given column order (labels..., UNKNOWN, fitness)."""
-        out = []
-        for col in columns:
-            if col == "fitness":
-                out.append(float(self.fitness))
-            else:
-                out.append(float(self.counts[col]))
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagnosesMatrix:
+    """Rows in log order; counts has one column per entry of columns[:-1]."""
+
     columns: tuple[str, ...]
-    rows: tuple[DiagRow, ...]
+    case_ids: tuple[str, ...]
+    counts: np.ndarray
+    fitness: np.ndarray
     model_id: str
     costs: CostScheme
     # Total number of alignment moves over the log. Only build_diagnoses knows
     # it; the CSV does not carry it, so a matrix read back has None.
     moves: int | None = None
 
+    def __post_init__(self):
+        n = len(self.case_ids)
+        counts = np.asarray(self.counts, dtype=np.int64).reshape(n, len(self.columns) - 1)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "fitness", np.asarray(self.fitness, dtype=float).reshape(n))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.case_ids)
 
     def log_fitness(self) -> float:
         """Mean trace fitness over the rows."""
-        if not self.rows:
+        if not len(self):
             raise LogError("log fitness of an empty log is undefined")
-        return sum(row.fitness for row in self.rows) / len(self.rows)
+        # a left-to-right sum, as a per-trace loop would add them
+        return sum(self.fitness.tolist()) / len(self)
 
     def coverage(self) -> float:
         """Coverage of the aligned log (see the module function coverage)."""
-        if not self.rows:
+        if not len(self):
             raise LogError("coverage of an empty log is undefined")
         if self.moves is None:
             raise LogError("coverage needs the alignment lengths, which a diagnoses CSV lacks")
         if self.moves == 0:
             return 1.0
-        misaligned = sum(sum(row.counts.values()) for row in self.rows)
-        return 1.0 - misaligned / self.moves
+        return 1.0 - int(self.counts.sum()) / self.moves
 
     def to_array(self) -> np.ndarray:
         """Numeric matrix, one row per trace, columns as in self.columns."""
-        if not self.rows:
-            return np.zeros((0, len(self.columns)))
-        return np.array([row.vector(self.columns) for row in self.rows], dtype=float)
+        return np.column_stack((self.counts.astype(float), self.fitness))
 
 
 def diagnosis_columns(net: PetriNet) -> tuple[str, ...]:
@@ -99,24 +89,28 @@ def build_diagnoses(net: PetriNet, log: EventLog,
 
     Each distinct event sequence is aligned once per call: with the net and
     cost scheme fixed, a trace's alignment depends only on its events, so
-    traces of one variant share (counts, fitness, alignment length). Every
-    row still gets its own counts dict, and moves sums every trace's length.
+    traces of one variant share (counts, fitness, alignment length), and
+    moves sums every trace's length.
     """
-    rows = []
+    columns = diagnosis_columns(net)
+    case_ids, counts, fitness = [], [], []
     moves = 0
-    variants: dict[tuple[str, ...], tuple[dict, float, int]] = {}
+    variants: dict[tuple[str, ...], tuple[list, float, int]] = {}
     for tr in log:
         aligned = variants.get(tr.events)
         if aligned is None:
             alignment = optimal_alignment(net, tr, costs)
-            aligned = (misalignments(alignment, net.visible_labels),
+            per_activity = misalignments(alignment, net.visible_labels)
+            aligned = ([per_activity[col] for col in columns[:-1]],
                        fitness_from_cost(net, tr, alignment.cost, costs),
                        len(alignment))
             variants[tr.events] = aligned
-        counts, fit, length = aligned
-        rows.append(DiagRow(tr.case_id, dict(counts), fit))
+        row, fit, length = aligned
+        case_ids.append(tr.case_id)
+        counts.append(row)
+        fitness.append(fit)
         moves += length
-    return DiagnosesMatrix(diagnosis_columns(net), tuple(rows), net.name, costs, moves)
+    return DiagnosesMatrix(columns, tuple(case_ids), counts, fitness, net.name, costs, moves)
 
 
 def log_fitness(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()) -> float:
@@ -139,12 +133,8 @@ def write_diagnoses(diag: DiagnosesMatrix) -> str:
     head = (f"# {_MAGIC} model={diag.model_id} "
             f"costs={c.c_log:g},{c.c_model:g},{c.c_silent:g},{c.c_sync:g}")
     lines = [head, "case," + ",".join(diag.columns)]
-    for row in diag.rows:
-        cells = [row.case_id]
-        for col in diag.columns[:-1]:
-            cells.append(str(row.counts[col]))
-        cells.append(f"{row.fitness:.6f}")
-        lines.append(",".join(cells))
+    for case_id, row, fit in zip(diag.case_ids, diag.counts.tolist(), diag.fitness.tolist()):
+        lines.append(",".join([case_id, *map(str, row), f"{fit:.6f}"]))
     return "\n".join(lines) + "\n"
 
 
@@ -153,7 +143,7 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
     model_id = "unknown"
     costs = CostScheme()
     header = None
-    rows = []
+    case_ids, counts, fitness = [], [], []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -181,13 +171,18 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
         if len(cells) != len(header) + 1:
             raise LogError(f"line {no}: expected {len(header) + 1} cells, got {len(cells)}")
         try:
-            counts = {col: int(cell) for col, cell in zip(header[:-1], cells[1:-1])}
-            fitness = float(cells[-1])
+            row = [int(cell) for cell in cells[1:-1]]
+            fit = float(cells[-1])
         except ValueError as exc:
             raise LogError(f"line {no}: non-numeric cell: {line!r}") from exc
-        if not math.isfinite(fitness):
+        if not math.isfinite(fit):
             raise LogError(f"line {no}: fitness must be finite, got {cells[-1]!r}")
-        rows.append(DiagRow(cells[0], counts, fitness))
+        case_ids.append(cells[0])
+        counts.append(row)
+        fitness.append(fit)
     if header is None:
         raise LogError("diagnoses CSV has no header row")
-    return DiagnosesMatrix(header, tuple(rows), model_id, costs)
+    try:
+        return DiagnosesMatrix(header, tuple(case_ids), counts, fitness, model_id, costs)
+    except OverflowError as exc:
+        raise LogError(f"a counter does not fit in 64 bits: {exc}") from exc

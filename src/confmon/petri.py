@@ -103,9 +103,6 @@ class PetriNet:
                 if not isinstance(k, int) or k <= 0:
                     raise ModelError(f"{which} marking count for {p!r} must be a positive int")
 
-    def label_of(self, transition: str) -> str | None:
-        return self.labels[transition]
-
     def is_silent(self, transition: str) -> bool:
         return self.labels[transition] is None
 

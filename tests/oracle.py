@@ -1,14 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here recomputes results from the raw net structure (places, arcs,
-labels) on purpose, without calling the package's firing, search, or metric
-code paths, so a bug in the production code cannot hide in its own oracle.
+labels) or a detector's saved state on purpose, without calling the package's
+firing, search, metric, or scoring code paths, so a bug in the production
+code cannot hide in its own oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+
+import numpy as np
 
 
 def _structure(net):
@@ -129,3 +132,26 @@ def oracle_auc(labels, scores):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def oracle_score(det, values):
+    """Anomaly score of one diagnoses row, given as floats in det.columns
+    order, computed from that row alone: 1 - fitness for ft, the distance to
+    the nearest core for dbscan, the mean squared reconstruction error of a
+    one-row forward pass for ae. Features are min-max normalized with the
+    detector's statistics and clamped to [-0.5, 1.5]."""
+    vec = np.asarray(values, dtype=float)
+    if det.kind == "ft":
+        return 1.0 - float(vec[det.columns.index("fitness")])
+    ranges = np.where(det.maxs > det.mins, det.maxs - det.mins, 1.0)
+    vec = np.clip((vec - det.mins) / ranges, -0.5, 1.5)
+    if det.kind == "dbscan":
+        diffs = det.state["cores"] - vec
+        return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
+    out = vec[None, :]
+    last = len(det.state["weights"]) - 1
+    for i, (w, b) in enumerate(zip(det.state["weights"], det.state["biases"])):
+        out = out @ w + b
+        if i < last:
+            out = np.tanh(out)
+    return float(np.mean((out - vec[None, :]) ** 2, axis=1)[0])

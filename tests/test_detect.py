@@ -2,35 +2,56 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confmon.detect
 from confmon.alignment import CostScheme
 from confmon.detect import (DETECTOR_KINDS, _pairwise, ae_gradient_check,
                             classify, default_ae_layers, load_detector,
-                            save_detector, score, score_matrix, train)
-from confmon.diagnoses import DiagnosesMatrix, DiagRow, build_diagnoses
+                            save_detector, score_matrix, train)
+from confmon.diagnoses import DiagnosesMatrix, build_diagnoses
 from confmon.errors import DetectError
 from confmon.eventlog import split_log
+from confmon.inject import build_eval_sets
 from confmon.petri import NoiseParams, playout
+
+from oracle import oracle_score
 
 COLS = ("a", "UNKNOWN", "fitness")
 
 
-def toy_row(cid, a, unk=0, fit=1.0):
-    return DiagRow(cid, {"a": a, "UNKNOWN": unk}, fit)
+def toy_matrix(rows, columns=COLS):
+    """Matrix of (a, unk, fit) rows; case ids are the row positions."""
+    rows = list(rows)
+    return DiagnosesMatrix(columns, tuple(f"r{i}" for i in range(len(rows))),
+                           [(a, unk) for a, unk, _ in rows], [fit for _, _, fit in rows],
+                           "toy", CostScheme())
 
 
-def toy_matrix(rows):
-    return DiagnosesMatrix(COLS, tuple(rows), "toy", CostScheme())
+def score_one(det, a, unk=0, fit=1.0):
+    return score_matrix(det, toy_matrix([(a, unk, fit)])).tolist()[0]
+
+
+def classify_one(det, a, unk=0, fit=1.0):
+    return classify(det, [score_one(det, a, unk, fit)])[0]
+
+
+def take(diag, idx):
+    """The rows of diag at the given positions, as a new matrix."""
+    idx = np.asarray(idx, dtype=int)
+    return DiagnosesMatrix(diag.columns, tuple(diag.case_ids[i] for i in idx),
+                           diag.counts[idx], diag.fitness[idx], diag.model_id, diag.costs)
 
 
 @pytest.fixture(scope="module")
 def line_train():
-    return toy_matrix(toy_row(f"t{i}", i) for i in range(10))
+    return toy_matrix((i, 0, 1.0) for i in range(10))
 
 
 @pytest.fixture(scope="module")
 def line_val():
-    return toy_matrix(toy_row(f"v{i}", i) for i in range(10))
+    return toy_matrix((i, 0, 1.0) for i in range(10))
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +63,12 @@ def fn1_diagnoses(fn1):
 
 def test_ft_scores_one_minus_fitness(line_train, line_val):
     det = train("ft", line_train, line_val)
-    assert score(det, toy_row("x", 0, fit=1.0)) == 0.0
-    assert score(det, toy_row("x", 0, fit=0.25)) == 0.75
+    assert score_one(det, 0, fit=1.0) == 0.0
+    assert score_one(det, 0, fit=0.25) == 0.75
 
 
 def test_threshold_is_validation_percentile(line_train):
-    val = toy_matrix(toy_row(f"v{i}", 0, fit=1.0 - i / 100.0) for i in range(20))
+    val = toy_matrix((0, 0, 1.0 - i / 100.0) for i in range(20))
     det = train("ft", line_train, val, quantile=95.0)
     scores = [i / 100.0 for i in range(20)]
     assert det.threshold == pytest.approx(np.percentile(scores, 95.0))
@@ -59,8 +80,10 @@ def test_classification_is_strictly_above_threshold(line_train, line_val):
     det = train("ft", line_train, line_val, quantile=100.0)
     # every validation trace fits perfectly, so the threshold is exactly zero
     assert det.threshold == 0.0
-    assert classify(det, toy_row("x", 3, fit=1.0)) == "normal"
-    assert classify(det, toy_row("x", 3, fit=0.999)) == "anomalous"
+    assert classify_one(det, 3, fit=1.0) == "normal"
+    assert classify_one(det, 3, fit=0.999) == "anomalous"
+    assert classify(det, [0.0, 1e-12, -1.0]) == ["normal", "anomalous", "normal"]
+    assert classify(det, np.array([])) == []
 
 
 def test_dbscan_eps_heuristic_frozen(line_train, line_val):
@@ -72,23 +95,25 @@ def test_dbscan_eps_heuristic_frozen(line_train, line_val):
     assert det.state["cores"].shape[0] == 10
     assert det.state["n_clusters"] == 1
     assert det.threshold == 0.0
-    assert score(det, toy_row("x", 4.5)) == pytest.approx(1.0 / 18.0)
-    assert classify(det, toy_row("x", 5)) == "normal"
-    assert classify(det, toy_row("x", 20)) == "anomalous"
+    # counters are integers, so the probe sits 1/18 off the core at a = 4
+    # along the fitness column, which is constant in training and unscaled
+    assert score_one(det, 4, fit=1.0 - 1.0 / 18.0) == pytest.approx(1.0 / 18.0)
+    assert classify_one(det, 5) == "normal"
+    assert classify_one(det, 20) == "anomalous"
 
 
 def test_normalization_clamps_outliers(line_train, line_val):
     # 20 and 100 both clip to 1.5 after min-max scaling, pinning the score
     det = train("dbscan", line_train, line_val)
-    assert score(det, toy_row("x", 20)) == score(det, toy_row("x", 100)) == pytest.approx(0.5)
+    assert score_one(det, 20) == score_one(det, 100) == pytest.approx(0.5)
 
 
 def test_constant_column_normalization(line_train, line_val):
     """UNKNOWN and fitness are constant in training; their range falls back to
     one, so a deviation passes through as a raw (clamped) offset."""
     det = train("dbscan", line_train, line_val)
-    assert score(det, toy_row("x", 0, unk=1)) == pytest.approx(1.0)
-    assert score(det, toy_row("x", 0, unk=50)) == pytest.approx(1.5)
+    assert score_one(det, 0, unk=1) == pytest.approx(1.0)
+    assert score_one(det, 0, unk=50) == pytest.approx(1.5)
 
 
 def test_dbscan_explicit_eps_and_no_core_error(line_train, line_val):
@@ -99,7 +124,7 @@ def test_dbscan_explicit_eps_and_no_core_error(line_train, line_val):
 
 
 def test_dbscan_needs_rows_to_estimate_eps(line_val):
-    tiny = toy_matrix(toy_row(f"t{i}", i) for i in range(5))
+    tiny = toy_matrix((i, 0, 1.0) for i in range(5))
     with pytest.raises(DetectError, match="estimate epsilon"):
         train("dbscan", tiny, line_val, {"min_pts": 5})
     # an explicit epsilon sidesteps the estimate
@@ -142,9 +167,9 @@ def test_ae_is_seed_deterministic(fn1_diagnoses):
     a = train("ae", d_train, d_val, seed=1)
     b = train("ae", d_train, d_val, seed=1)
     c = train("ae", d_train, d_val, seed=2)
-    probe = d_val.rows[0]
-    assert score(a, probe) == score(b, probe)
-    assert score(a, probe) != score(c, probe)
+    probe = take(d_val, [0])
+    assert score_matrix(a, probe)[0] == score_matrix(b, probe)[0]
+    assert score_matrix(a, probe)[0] != score_matrix(c, probe)[0]
 
 
 def test_ae_layer_mismatch_rejected(line_train, line_val):
@@ -161,26 +186,23 @@ def test_train_input_validation(line_train, line_val):
     with pytest.raises(DetectError, match="unknown detector kind"):
         train("svm", line_train, line_val)
     with pytest.raises(DetectError, match="at least 5 training rows"):
-        train("ft", toy_matrix([toy_row("t1", 1)]), line_val)
+        train("ft", toy_matrix([(1, 0, 1.0)]), line_val)
     with pytest.raises(DetectError, match="validation diagnoses are empty"):
         train("ft", line_train, toy_matrix([]))
     with pytest.raises(DetectError, match="quantile"):
         train("ft", line_train, line_val, quantile=101.0)
-    other = DiagnosesMatrix(("b", "UNKNOWN", "fitness"),
-                            (DiagRow("v1", {"b": 0, "UNKNOWN": 0}, 1.0),),
-                            "toy", CostScheme())
+    other = toy_matrix([(0, 0, 1.0)], columns=("b", "UNKNOWN", "fitness"))
     with pytest.raises(DetectError, match="different columns"):
         train("ft", line_train, other)
 
 
 def test_score_rejects_mismatched_rows(line_train, line_val):
     det = train("ft", line_train, line_val)
-    bad = DiagRow("x", {"b": 0, "UNKNOWN": 0}, 1.0)
+    # the same counters in another column order are a different schema
+    permuted = toy_matrix([(0, 0, 1.0)], columns=("UNKNOWN", "a", "fitness"))
     with pytest.raises(DetectError, match="do not match"):
-        score(det, bad)
-    other = DiagnosesMatrix(("b", "UNKNOWN", "fitness"),
-                            (DiagRow("v1", {"b": 0, "UNKNOWN": 0}, 1.0),),
-                            "toy", CostScheme())
+        score_matrix(det, permuted)
+    other = toy_matrix([(0, 0, 1.0)], columns=("b", "UNKNOWN", "fitness"))
     with pytest.raises(DetectError, match="columns do not match"):
         score_matrix(det, other)
 
@@ -194,15 +216,77 @@ def test_save_load_round_trip_scores(kind, fn1_diagnoses):
     assert back.columns == det.columns
     assert back.threshold == det.threshold
     assert back.model_id == det.model_id
-    for row in d_val.rows:
-        assert score(back, row) == score(det, row)
+    assert score_matrix(back, d_val).tobytes() == score_matrix(det, d_val).tobytes()
 
 
-def test_score_matrix_matches_row_scores(fn1_diagnoses):
+def _oracle_scores(det, diag):
+    return [oracle_score(det, [*row, fit])
+            for row, fit in zip(diag.counts.tolist(), diag.fitness.tolist())]
+
+
+@pytest.fixture(scope="module")
+def som_scoring(som):
+    """Detectors of every kind trained on a noisy som log, and two matrices
+    to score: the noisy normal rows and the all-injected set."""
+    normal = playout(som, 120, seed=11, noise=NoiseParams(0.05, 0.05))
+    train_log, val_log, test_log = split_log(normal, seed=11)
+    d_train, d_val = build_diagnoses(som, train_log), build_diagnoses(som, val_log)
+    injected = build_eval_sets(playout(som, 60, seed=1011), 3.0, seed=11)["all"]
+    targets = (build_diagnoses(som, test_log), build_diagnoses(som, injected))
+    dets = {kind: train(kind, d_train, d_val, seed=11) for kind in DETECTOR_KINDS}
+    return dets, targets
+
+
+def test_score_matrix_matches_row_scores(fn1_diagnoses, som_scoring):
+    """score_matrix equals the per-row reference bit for bit: dbscan on fn1,
+    and every kind on a noisy som log and its all-injected set."""
     d_train, d_val = fn1_diagnoses
     det = train("dbscan", d_train, d_val)
-    got = score_matrix(det, d_val)
-    assert got.tolist() == [score(det, row) for row in d_val.rows]
+    assert score_matrix(det, d_val).tolist() == _oracle_scores(det, d_val)
+    dets, targets = som_scoring
+    for diag in targets:
+        assert len(np.unique(diag.to_array(), axis=0)) < len(diag)  # rows repeat
+        for det in dets.values():
+            assert score_matrix(det, diag).tolist() == _oracle_scores(det, diag)
+
+
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+def test_row_score_does_not_depend_on_its_batch(kind, som_scoring):
+    dets, targets = som_scoring
+    det = dets[kind]
+    diag = targets[1]
+    full = score_matrix(det, diag)
+    n = len(diag)
+    order = np.random.default_rng(0).permutation(n)
+    assert score_matrix(det, take(diag, order)).tobytes() == full[order].tobytes()
+    for i in (0, n // 2, n - 1):
+        assert score_matrix(det, take(diag, [i])).tobytes() == full[[i]].tobytes()
+        assert score_matrix(det, take(diag, [i, i, i])).tobytes() == full[[i, i, i]].tobytes()
+
+
+def test_empty_matrix_scores_empty(line_train, line_val):
+    for kind in DETECTOR_KINDS:
+        det = train(kind, line_train, line_val, seed=0)
+        assert score_matrix(det, toy_matrix([])).shape == (0,)
+
+
+_toy_rows = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3),
+                               st.floats(0.0, 1.0, allow_nan=False)),
+                     min_size=6, max_size=14)
+
+
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+@settings(max_examples=8, deadline=None)
+@given(train_rows=_toy_rows, probe_rows=_toy_rows)
+def test_save_load_keeps_scores_bit_identical(kind, train_rows, probe_rows):
+    params = {"epochs": 25} if kind == "ae" else None
+    d_train = toy_matrix(train_rows)
+    det = train(kind, d_train, d_train, params, seed=0)
+    back = load_detector(save_detector(det))
+    # probes reach past the training range, so clamping is exercised too
+    probe = toy_matrix([(3 * a, 2 * unk, fit) for a, unk, fit in probe_rows])
+    assert back.threshold == det.threshold
+    assert score_matrix(back, probe).tobytes() == score_matrix(det, probe).tobytes()
 
 
 def test_load_rejects_malformed_files():
@@ -245,14 +329,30 @@ def test_load_rejects_non_finite_values(saved_detectors, kind, field, bad):
         load_detector("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("m", [300, 45])
-def test_blocked_pairwise_equals_one_shot_broadcast(m):
-    # 300 rows is not a multiple of the 128-row block
+def _one_shot_distances(m):
     rng = np.random.default_rng(3)
     a = rng.uniform(-0.5, 1.5, size=(300, 7))
     b = a if m == 300 else rng.uniform(-0.5, 1.5, size=(m, 7))
     d = a[:, None, :] - b[None, :, :]
-    one_shot = np.sqrt((d * d).sum(axis=2))
+    return a, b, np.sqrt((d * d).sum(axis=2))
+
+
+@pytest.mark.parametrize("m", [300, 45])
+def test_blocked_pairwise_equals_one_shot_broadcast(m):
+    # the default budget splits 300 x 300 x 7 into blocks of 31 rows
+    a, b, one_shot = _one_shot_distances(m)
     blocked = _pairwise(a, b)
     assert blocked.shape == (300, m)
     assert blocked.tobytes() == one_shot.tobytes()
+    assert _pairwise(a, b, nearest=True).tobytes() == one_shot.min(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1000, 1])
+@pytest.mark.parametrize("m", [300, 45])
+def test_small_block_budgets_keep_distances(m, budget, monkeypatch):
+    # 1000 elements give one-row blocks when m = 300 and 3-row blocks when
+    # m = 45; a budget below m * d still takes one row at a time
+    monkeypatch.setattr(confmon.detect, "_BLOCK_ELEMENTS", budget)
+    a, b, one_shot = _one_shot_distances(m)
+    assert _pairwise(a, b).tobytes() == one_shot.tobytes()
+    assert _pairwise(a, b, nearest=True).tobytes() == one_shot.min(axis=1).tobytes()

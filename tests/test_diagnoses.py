@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confmon.diagnoses
 from confmon.alignment import (CostScheme, fitness_from_cost, misalignments,
                                optimal_alignment)
-from confmon.diagnoses import (DiagnosesMatrix, DiagRow, build_diagnoses,
+from confmon.diagnoses import (DiagnosesMatrix, build_diagnoses,
                                coverage, diagnosis_columns, log_fitness,
                                read_diagnoses, write_diagnoses)
 from confmon.errors import LogError
 from confmon.eventlog import EventLog, Trace
-from confmon.petri import NoiseParams, playout
+from confmon.petri import NoiseParams, bundled_model, playout
 
 MIXED = EventLog([
     Trace("c1", ("t1", "t2", "t4", "t5", "t6")),
@@ -29,7 +31,9 @@ def test_columns_are_sorted_labels_plus_reserved(fn1):
 def test_build_keeps_log_order_and_case_ids(fn1):
     diag = build_diagnoses(fn1, MIXED)
     assert diag.columns == diagnosis_columns(fn1)
-    assert [row.case_id for row in diag.rows] == ["c1", "c2", "c3", "c4"]
+    assert diag.case_ids == ("c1", "c2", "c3", "c4")
+    assert diag.counts.shape == (4, 7)
+    assert diag.counts.dtype.kind == "i"
     assert diag.model_id == "fn1"
 
 
@@ -37,32 +41,32 @@ def test_counter_totals_equal_alignment_cost(fn1):
     """With unit costs every misaligned move costs exactly one, so the counter
     total of a row reproduces the optimal alignment cost of its trace."""
     diag = build_diagnoses(fn1, MIXED)
-    for row, tr in zip(diag.rows, MIXED):
+    for row, tr in zip(diag.counts.tolist(), MIXED):
         cost = optimal_alignment(fn1, tr).cost
-        assert sum(row.counts.values()) == cost
+        assert sum(row) == cost
 
 
 def test_frozen_rows(fn1):
     diag = build_diagnoses(fn1, MIXED)
-    by_case = {row.case_id: row for row in diag.rows}
-    assert by_case["c1"].fitness == 1.0
-    assert sum(by_case["c1"].counts.values()) == 0
-    assert by_case["c2"].counts["t5"] == 2
-    assert by_case["c2"].fitness == pytest.approx(0.8)
-    assert by_case["c3"].counts["UNKNOWN"] == 1
-    assert by_case["c4"].fitness == 0.0
-    assert sum(by_case["c4"].counts.values()) == 5
+    counts = {cid: dict(zip(diag.columns[:-1], row))
+              for cid, row in zip(diag.case_ids, diag.counts.tolist())}
+    fitness = dict(zip(diag.case_ids, diag.fitness.tolist()))
+    assert fitness["c1"] == 1.0
+    assert sum(counts["c1"].values()) == 0
+    assert counts["c2"]["t5"] == 2
+    assert fitness["c2"] == pytest.approx(0.8)
+    assert counts["c3"]["UNKNOWN"] == 1
+    assert fitness["c4"] == 0.0
+    assert sum(counts["c4"].values()) == 5
 
 
 def test_vector_and_to_array(fn1):
     diag = build_diagnoses(fn1, MIXED)
     arr = diag.to_array()
     assert arr.shape == (4, 8)
-    row = diag.rows[1]
-    assert row.vector(diag.columns) == list(arr[1])
     assert arr[1][diag.columns.index("t5")] == 2.0
     assert arr[1][-1] == pytest.approx(0.8)
-    empty = DiagnosesMatrix(diag.columns, (), "fn1", CostScheme())
+    empty = DiagnosesMatrix(diag.columns, (), [], [], "fn1", CostScheme())
     assert empty.to_array().shape == (0, 8)
 
 
@@ -74,10 +78,9 @@ def test_csv_round_trip(fn1):
     assert back.model_id == "fn1"
     assert back.costs == diag.costs
     assert len(back) == len(diag)
-    for a, b in zip(back.rows, diag.rows):
-        assert a.case_id == b.case_id
-        assert a.counts == b.counts
-        assert a.fitness == pytest.approx(b.fitness, abs=5e-7)
+    assert back.case_ids == diag.case_ids
+    assert back.counts.tolist() == diag.counts.tolist()
+    assert back.fitness == pytest.approx(diag.fitness, abs=5e-7)
     # a written file parses back to byte-identical output (6-decimal fitness)
     assert write_diagnoses(back) == text
 
@@ -105,6 +108,12 @@ def test_read_rejects_wrong_width():
 def test_read_rejects_non_numeric_cells():
     text = "case,t1,UNKNOWN,fitness\nc1,zero,0,1.0\n"
     with pytest.raises(LogError, match="non-numeric"):
+        read_diagnoses(text)
+
+
+def test_read_rejects_counters_beyond_64_bits():
+    text = f"case,t1,UNKNOWN,fitness\nc1,{2 ** 64},0,1.0\n"
+    with pytest.raises(LogError, match="64 bits"):
         read_diagnoses(text)
 
 
@@ -143,13 +152,16 @@ def noisy_som_log(som):
 
 def _per_trace_reference(net, log, costs):
     """Diagnoses and total moves with one alignment per trace."""
-    rows, moves = [], 0
+    columns = diagnosis_columns(net)
+    counts, fitness, moves = [], [], 0
     for tr in log:
         alignment = optimal_alignment(net, tr, costs)
-        rows.append(DiagRow(tr.case_id, misalignments(alignment, net.visible_labels),
-                            fitness_from_cost(net, tr, alignment.cost, costs)))
+        per_activity = misalignments(alignment, net.visible_labels)
+        counts.append([per_activity[col] for col in columns[:-1]])
+        fitness.append(fitness_from_cost(net, tr, alignment.cost, costs))
         moves += len(alignment)
-    return DiagnosesMatrix(diagnosis_columns(net), tuple(rows), net.name, costs, moves)
+    return DiagnosesMatrix(columns, tuple(tr.case_id for tr in log), counts, fitness,
+                           net.name, costs, moves)
 
 
 @pytest.mark.parametrize("costs", [CostScheme(), CostScheme(2.0, 3.0, 0.5)])
@@ -158,7 +170,8 @@ def test_variant_memo_matches_per_trace_alignment(som, noisy_som_log, costs):
     ref = _per_trace_reference(som, noisy_som_log, costs)
     assert write_diagnoses(diag) == write_diagnoses(ref)
     assert diag.moves == ref.moves
-    assert [row.fitness for row in diag.rows] == [row.fitness for row in ref.rows]
+    assert diag.fitness.tolist() == ref.fitness.tolist()
+    assert diag.counts.tolist() == ref.counts.tolist()
 
 
 def test_one_alignment_per_distinct_trace(som, noisy_som_log, monkeypatch):
@@ -174,18 +187,19 @@ def test_one_alignment_per_distinct_trace(som, noisy_som_log, monkeypatch):
     assert sorted(aligned) == sorted({tr.events for tr in noisy_som_log})
 
 
-def test_rows_of_one_variant_do_not_share_counts(fn1):
-    log = EventLog([Trace("c1", ("t1", "t5", "t6")), Trace("c2", ("t1", "t5", "t6"))])
-    first, second = build_diagnoses(fn1, log).rows
-    assert first.counts == second.counts
-    first.counts["t2"] += 10
-    assert first.counts != second.counts
-    assert sum(second.counts.values()) == optimal_alignment(fn1, log.traces[1]).cost
-
-
 def test_coverage_and_log_fitness_match_per_trace_reference(som, noisy_som_log):
     ref = _per_trace_reference(som, noisy_som_log, CostScheme())
-    fitness = sum(row.fitness for row in ref.rows) / len(ref.rows)
-    misaligned = sum(sum(row.counts.values()) for row in ref.rows)
+    fitness = sum(ref.fitness.tolist()) / len(ref)
+    misaligned = sum(sum(row) for row in ref.counts.tolist())
     assert log_fitness(som, noisy_som_log) == fitness
     assert coverage(som, noisy_som_log) == 1.0 - misaligned / ref.moves
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from(["fn1", "som"]), seed=st.integers(0, 10_000),
+       p_drop=st.floats(0.0, 0.4), p_dup=st.floats(0.0, 0.4))
+def test_fitness_lies_in_unit_interval(model, seed, p_drop, p_dup):
+    net = bundled_model(model)
+    log = playout(net, 8, seed=seed, noise=NoiseParams(p_drop, p_dup))
+    fitness = build_diagnoses(net, log).fitness
+    assert np.all((fitness >= 0.0) & (fitness <= 1.0))
