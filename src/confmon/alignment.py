@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 from .errors import AlignmentError, ModelError
 from .eventlog import Trace
-from .petri import PetriNet, reachability_graph
+from .petri import DEFAULT_STATE_CAP, PetriNet, reachability_graph
 
 SKIP = ">>"
 UNKNOWN = "UNKNOWN"
-
-DEFAULT_STATE_CAP = 1_000_000
 
 _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}

@@ -10,9 +10,10 @@ normally but emit nothing during playout.
 Markings are plain dicts mapping place id to a positive token count.
 
 The module covers parsing of the line-oriented .net model format, firing
-semantics, workflow-net structure checks, the reachability graph that both
-alignments and the bounded relaxed-soundness analysis read, and stochastic
-playout with optional drop/duplicate noise.
+semantics, workflow-net structure checks, and the one reachability graph,
+capped at DEFAULT_STATE_CAP markings, that alignments, bounded relaxed
+soundness and stochastic playout with drop/duplicate noise all read. Playout
+raises the graph's ModelError on an unbounded net and PlayoutError over the cap.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ Marking = dict
 # skip moves, and the last two are reserved diagnosis column names.
 RESERVED_ACTIVITY_NAMES = ("tau", ">>", "UNKNOWN", "fitness")
 
-# Token counts are capped per place so unbounded nets fail fast instead of
-# accumulating gigantic markings.
-MAX_TOKENS_PER_PLACE = 1 << 16
+# Most reachable markings any reader of the reachability graph accepts.
+DEFAULT_STATE_CAP = 1_000_000
 
 
 class PetriNet:
@@ -144,8 +144,6 @@ def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
             del out[p]
     for p in net.postset[transition]:
         out[p] = out.get(p, 0) + 1
-        if out[p] > MAX_TOKENS_PER_PLACE:
-            raise ModelError(f"place {p!r} exceeds {MAX_TOKENS_PER_PLACE} tokens; net looks unbounded")
     return out
 
 
@@ -237,7 +235,7 @@ def _check_not_pumped(net: PetriNet, keys, parent, i: int, new) -> None:
         i = parent[i]
 
 
-def check_soundness(net: PetriNet, state_cap: int = 100_000) -> SoundnessReport:
+def check_soundness(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> SoundnessReport:
     """Relaxed soundness via the reachability graph.
 
     Checks (a) that the final marking stays reachable from every reachable
@@ -247,7 +245,7 @@ def check_soundness(net: PetriNet, state_cap: int = 100_000) -> SoundnessReport:
     """
     try:
         graph = reachability_graph(net, state_cap)
-    except ModelError:  # unbounded, or over fire's per-place token cap
+    except ModelError:  # unbounded
         graph = None
     if graph is None:
         return SoundnessReport(False, False, (), state_cap, True)
@@ -288,41 +286,43 @@ _MAX_CONSECUTIVE_DISCARDS = 1000
 
 def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
             noise: NoiseParams = NoiseParams()) -> EventLog:
-    """Simulate the net: uniform random walks from the initial marking.
+    """Simulate the net: uniform random walks over its reachability graph.
 
-    Each trace fires uniformly chosen enabled transitions until the final
-    marking is hit or max_steps firings pass; walks that miss the final
-    marking are discarded and retried. Silent transitions fire but emit no
-    event. After a walk succeeds, each emitted event is independently dropped
-    with probability noise.p_drop, and a kept event is duplicated in place
-    with probability noise.p_dup. Deterministic for a given seed.
+    Each trace follows uniformly chosen edges from the initial marking until
+    the final marking is hit or max_steps firings pass; walks that miss it are
+    discarded and retried. Silent transitions emit no event. After a walk
+    succeeds, each emitted event is independently dropped with probability
+    noise.p_drop, and a kept event is duplicated in place with probability
+    noise.p_dup. Deterministic for a given seed. Raises ModelError on an
+    unbounded net and PlayoutError over DEFAULT_STATE_CAP markings.
     """
     if n_traces < 0:
         raise PlayoutError(f"n_traces must be >= 0, got {n_traces}")
     if max_steps < 1:
         raise PlayoutError(f"max_steps must be >= 1, got {max_steps}")
+    graph = reachability_graph(net, DEFAULT_STATE_CAP)
+    if graph is None:
+        raise PlayoutError(f"net {net.name} has more than {DEFAULT_STATE_CAP} reachable markings")
+    index, succ, keys = graph
+    final = index.get(net._to_key(net.final_marking))
     rng = random.Random(seed)
-    final = net.final_marking
     traces = []
     discards = 0
     while len(traces) < n_traces:
-        marking = dict(net.initial_marking)
+        state = 0
         events: list[str] = []
-        done = marking == final
         for _ in range(max_steps):
-            if done:
+            if state == final:
                 break
-            options = sorted(enabled(net, marking))
+            options = succ[state]
             if not options:
-                raise PlayoutError(
-                    f"deadlock at marking {marking} before the final marking; net is not sound")
-            t = rng.choice(options)
-            marking = fire(net, marking, t)
+                raise PlayoutError(f"deadlock at marking {net._from_key(keys[state])} "
+                                   "before the final marking; net is not sound")
+            t, state = rng.choice(options)
             act = net.labels[t]
             if act is not None:
                 events.append(act)
-            done = marking == final
-        if not done:
+        if state != final:
             discards += 1
             if discards > _MAX_CONSECUTIVE_DISCARDS:
                 raise PlayoutError(

@@ -26,6 +26,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def enabled_calls(monkeypatch) -> list:
+    """Grows by one entry per call of petri.enabled during the test."""
+    import confmon.petri
+
+    calls = []
+    real = confmon.petri.enabled
+    monkeypatch.setattr(confmon.petri, "enabled",
+                        lambda net, marking: calls.append(1) or real(net, marking))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fn1() -> PetriNet:
     return bundled_model("fn1")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 
 import numpy as np
 
@@ -117,6 +118,44 @@ def oracle_reachability(net, cap=100_000):
                 can_finish.add(src)
                 changed = True
     return seen, fired, can_finish
+
+
+def oracle_playout(net, n_traces, max_steps=200, seed=0, p_drop=0.0, p_dup=0.0):
+    """(case id, events) pairs of seeded uniform random walks over markings.
+
+    Each step tests every transition against the current marking, picks one
+    of the enabled ones (in transition id order) with rng.choice and fires
+    it; walks that miss the final marking within max_steps are retried. Then
+    each event is dropped with probability p_drop, and a kept one duplicated
+    with probability p_dup. The draws are the same as the package's playout,
+    so equal seeds must give equal logs."""
+    rng = random.Random(seed)
+    places = tuple(sorted(net.places))
+    pre, post = _structure(net)
+    m0 = tuple(net.initial_marking.get(p, 0) for p in places)
+    mf = tuple(net.final_marking.get(p, 0) for p in places)
+    order = sorted(net.transitions)
+    traces = []
+    while len(traces) < n_traces:
+        key, events = m0, []
+        for _ in range(max_steps):
+            if key == mf:
+                break
+            t = rng.choice([t for t in order if _enabled_key(key, places, pre[t])])
+            key = _fire_key(key, places, pre[t], post[t])
+            if net.labels[t] is not None:
+                events.append(net.labels[t])
+        if key != mf:
+            continue
+        noisy = []
+        for ev in events:
+            if rng.random() < p_drop:
+                continue
+            noisy.append(ev)
+            if rng.random() < p_dup:
+                noisy.append(ev)
+        traces.append((f"c{len(traces) + 1}", tuple(noisy)))
+    return traces
 
 
 def oracle_auc(labels, scores):

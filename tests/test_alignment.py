@@ -188,18 +188,16 @@ def test_state_cap_is_enforced_on_a_cached_graph():
     assert check_soundness(net, state_cap=3).inconclusive
 
 
-def test_soundness_and_alignment_share_one_graph(monkeypatch):
-    import confmon.petri
-
-    calls = []
-    real = confmon.petri.enabled
-    monkeypatch.setattr(confmon.petri, "enabled",
-                        lambda net, marking: calls.append(1) or real(net, marking))
+def test_soundness_and_alignment_share_one_graph(enabled_calls):
     net = bundled_model("fn1")
     check_soundness(net)
-    assert len(calls) == 7  # one enabling test per reachable marking
+    assert len(enabled_calls) == 7  # one enabling test per reachable marking
     optimal_alignment(net, LOOP_TRACE)
-    assert len(calls) == 7
+    playout(net, 20)
+    assert len(enabled_calls) == 7
+    enabled_calls.clear()
+    playout(bundled_model("fn1"), 20)
+    assert len(enabled_calls) == 7  # a fresh net: one graph build, then walks over it
 
 
 def test_unreachable_final_marking_is_an_error():

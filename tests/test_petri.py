@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from confmon.alignment import optimal_alignment
 from confmon.errors import AlignmentError, ModelError, PlayoutError
 from confmon.eventlog import Trace
-from confmon.petri import (MAX_TOKENS_PER_PLACE, NoiseParams, PetriNet,
-                           bundled_model, check_soundness, enabled, fire,
-                           is_workflow_net, parse_model, playout)
+from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
+                           enabled, fire, is_workflow_net, parse_model, playout)
 from conftest import random_workflow_net
-from oracle import oracle_reachability
+from oracle import oracle_playout, oracle_reachability
 
 
 def test_parse_fn1_shape(fn1):
@@ -105,10 +104,16 @@ def test_empty_preset_transition_is_never_enabled():
         fire(net, {"p1": 1}, "t0")
 
 
-def test_fire_token_cap(fn1):
-    big = {"source": 1, "p1": MAX_TOKENS_PER_PLACE}
-    with pytest.raises(ModelError, match="unbounded"):
-        fire(fn1, big, "t1")
+def test_bounded_net_with_large_initial_marking():
+    # 65537 tokens on one place is a large count, not a sign of unboundedness
+    net = PetriNet(["a", "b"], ["t"], [("a", "t"), ("t", "b")],
+                   {"a": 1, "b": 65536}, {"b": 65537}, {"t": "x"})
+    rep = check_soundness(net)
+    assert rep.sound
+    assert not rep.inconclusive
+    assert rep.markings_explored == 2
+    assert optimal_alignment(net, ("x",)).cost == 0
+    assert [tr.events for tr in playout(net, 3)] == [("x",)] * 3
 
 
 def test_is_workflow_net(fn1, som):
@@ -164,18 +169,26 @@ def test_soundness_inconclusive_on_cap():
     assert not rep.sound
 
 
-def test_unbounded_net_is_inconclusive_at_the_default_cap(monkeypatch):
-    import confmon.petri
-
-    calls = []
-    real = confmon.petri.enabled
-    monkeypatch.setattr(confmon.petri, "enabled",
-                        lambda net, marking: calls.append(1) or real(net, marking))
+def test_unbounded_net_is_inconclusive_at_the_default_cap(enabled_calls):
     rep = check_soundness(pump_net())
     assert rep.inconclusive
     assert not rep.sound
     # {p1} -> {p1, p2} covers its parent, so the search stops at the first marking
-    assert len(calls) == 1
+    assert len(enabled_calls) == 1
+
+
+def test_playout_on_unbounded_net_names_the_place(enabled_calls):
+    with pytest.raises(ModelError, match="place 'p2'"):
+        playout(pump_net(), 1)
+    assert len(enabled_calls) == 1
+
+
+def test_playout_over_the_state_cap(monkeypatch):
+    import confmon.petri
+
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 10)
+    with pytest.raises(PlayoutError, match="net som has more than 10 reachable markings"):
+        playout(bundled_model("som"), 1)
 
 
 def test_alignment_on_unbounded_net_names_the_place():
@@ -233,8 +246,31 @@ def test_playout_max_steps_exhaustion(fn1):
 def test_playout_deadlock_reported():
     net = PetriNet(["p1", "p2", "p3"], ["t1"], [("p1", "t1"), ("t1", "p2")],
                    {"p1": 1}, {"p3": 1}, {"t1": "a"})
-    with pytest.raises(PlayoutError, match="deadlock"):
+    with pytest.raises(PlayoutError, match=r"deadlock at marking \{'p2': 1\}"):
         playout(net, 1)
+    # the marking lists its places in place order, not in firing order
+    net = PetriNet(["a", "b", "c", "z"], ["t1"], [("c", "t1"), ("t1", "a")],
+                   {"b": 1, "c": 1}, {"z": 1}, {"t1": "x"})
+    with pytest.raises(PlayoutError, match=r"deadlock at marking \{'a': 1, 'b': 1\}"):
+        playout(net, 1)
+
+
+@pytest.mark.parametrize("model", ["fn1", "som"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(0.03, 0.03)])
+def test_playout_equals_oracle(model, seed, noise):
+    net = bundled_model(model)
+    log = playout(net, 40, seed=seed, noise=noise)
+    assert [(tr.case_id, tr.events) for tr in log] == \
+        oracle_playout(net, 40, seed=seed, p_drop=noise.p_drop, p_dup=noise.p_dup)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_playout_equals_oracle_on_random_nets(seed):
+    net = random_workflow_net(seed, budget=5)
+    log = playout(net, 40, seed=seed, noise=NoiseParams(0.1, 0.1))
+    assert [(tr.case_id, tr.events) for tr in log] == \
+        oracle_playout(net, 40, seed=seed, p_drop=0.1, p_dup=0.1)
 
 
 def test_noise_params_validation():
