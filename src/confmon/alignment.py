@@ -9,14 +9,12 @@ a firing sequence of the net from its initial to its final marking:
   silent  (>>, t)  silent transition t fired (never a misalignment)
 
 Move costs come from a CostScheme; the optimal alignment minimizes total
-cost. The search is A* over the synchronous product of trace positions and
-reachable markings. The heuristic is admissible: remaining events whose
-activity no transition carries must each pay a log move, and the model still
-needs at least its minimum visible completion distance, of which at most the
-matchable remaining events can be covered by free synchronous moves. Ties
-between equal-cost alignments break by preferring synchronous, then silent,
-then visible model, then log moves, then lexicographic transition id, which
-makes the returned move sequence deterministic.
+cost. The search is uniform-cost (Dijkstra) over the synchronous product of
+trace positions and reachable markings. Ties between equal-cost alignments
+break by preferring synchronous, then silent, then visible model, then log
+moves, then lexicographic transition id, which makes the returned move
+sequence deterministic. Entries of one product state pop in (cost,
+tie-break) order, so each state settles on its minimum (cost, tie-break) path.
 """
 
 from __future__ import annotations
@@ -120,12 +118,11 @@ def _state_space(net: PetriNet, state_cap: int):
     return graph
 
 
-def _completion_tables(net: PetriNet, costs: CostScheme, state_cap: int):
-    """Per reachable marking: cheapest model-only completion cost and the
-    minimum number of visible firings to reach the final marking.
+def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
+    """Per reachable marking: cheapest model-only completion cost.
 
     Backward Dijkstra over the reachability graph. Markings that cannot reach
-    the final marking are absent from both tables.
+    the final marking cost inf.
     """
     cache_key = ("completion", costs.c_model, costs.c_silent)
     cached = net._caches.get(cache_key)
@@ -137,30 +134,22 @@ def _completion_tables(net: PetriNet, costs: CostScheme, state_cap: int):
         for t, dst in nexts:
             preds[dst].append((t, src))
     mf = net._to_key(net.final_marking)
-    n = len(keys)
-    INF = float("inf")
-    comp_cost = [INF] * n
-    vis_min = [INF] * n
+    comp_cost = [float("inf")] * len(keys)
     if mf in index:
-        for weights, table in (
-            ({True: costs.c_model, False: costs.c_silent}, comp_cost),
-            ({True: 1.0, False: 0.0}, vis_min),
-        ):
-            start = index[mf]
-            table[start] = 0.0
-            heap = [(0.0, start)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if d > table[node]:
-                    continue
-                for t, prev in preds[node]:
-                    w = weights[net.labels[t] is not None]
-                    if d + w < table[prev]:
-                        table[prev] = d + w
-                        heapq.heappush(heap, (d + w, prev))
-    tables = (comp_cost, vis_min)
-    net._caches[cache_key] = tables
-    return tables
+        start = index[mf]
+        comp_cost[start] = 0.0
+        heap = [(0.0, start)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > comp_cost[node]:
+                continue
+            for t, prev in preds[node]:
+                w = costs.c_silent if net.labels[t] is None else costs.c_model
+                if d + w < comp_cost[prev]:
+                    comp_cost[prev] = d + w
+                    heapq.heappush(heap, (d + w, prev))
+    net._caches[cache_key] = comp_cost
+    return comp_cost
 
 
 def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
@@ -173,45 +162,35 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     """
     sigma = _events(trace)
     index, succ, keys = _state_space(net, state_cap)
-    comp_cost, vis_min = _completion_tables(net, costs, state_cap)
+    comp_cost = _completion_costs(net, costs, state_cap)
+    INF = float("inf")
     m0_idx = index[net._to_key(net.initial_marking)]
-    mf_key = net._to_key(net.final_marking)
-    if mf_key not in index or comp_cost[m0_idx] == float("inf"):
+    if comp_cost[m0_idx] == INF:
         raise AlignmentError(
             f"net {net.name}: final marking unreachable from initial marking")
-    mf_idx = index[mf_key]
+    mf_idx = index[net._to_key(net.final_marking)]
     n_events = len(sigma)
-    matchable = net.visible_labels
+    width = n_events + 1
+    labels = net.labels
+    c_log, c_model, c_silent = costs.c_log, costs.c_model, costs.c_silent
 
-    # unmatchable[i] = events in sigma[i:] that no transition can mirror
-    unmatchable = [0] * (n_events + 1)
-    for i in range(n_events - 1, -1, -1):
-        unmatchable[i] = unmatchable[i + 1] + (0 if sigma[i] in matchable else 1)
-
-    def heuristic(m_idx: int, pos: int) -> float:
-        v = vis_min[m_idx]
-        if v == float("inf"):
-            return v
-        unmatched = unmatchable[pos]
-        usable = (n_events - pos) - unmatched
-        return costs.c_log * unmatched + costs.c_model * max(0.0, v - usable)
-
-    # Heap entries: (f, path key, g, marking idx, pos). The path key is a str
+    # Heap entries: (g, path key, marking idx, pos). The path key is a str
     # with one character per move, whose code point is the move's rank in
     # (kind, transition id) order, so str comparison is the tie-break order,
     # prefixes included: equal-cost candidates pop in tie-break order and the
     # first settled goal is the canonical result. Its moves are rebuilt from
     # the key. A path is pushed at most once, so no two entries share a key.
+    # Markings that cannot reach the final marking are never pushed.
     _, sync, free, log = _move_codes(net)
-    h0 = heuristic(m0_idx, 0)
-    heap = [(h0, "", 0.0, m0_idx, 0)]
+    heap = [(0.0, "", m0_idx, 0)]
     settled = set()
     expanded = 0
     while heap:
-        f, key, g, m_idx, pos = heapq.heappop(heap)
-        if (m_idx, pos) in settled:
+        g, key, m_idx, pos = heapq.heappop(heap)
+        state = m_idx * width + pos
+        if state in settled:
             continue
-        settled.add((m_idx, pos))
+        settled.add(state)
         if m_idx == mf_idx and pos == n_events:
             return Alignment(_moves(net, sigma, key), g)
         expanded += 1
@@ -221,26 +200,16 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
         if pos < n_events:
             act = sigma[pos]
             for t, nxt in succ[m_idx]:
-                if net.labels[t] == act and (nxt, pos + 1) not in settled:
-                    h = heuristic(nxt, pos + 1)
-                    if h != float("inf"):
-                        heapq.heappush(heap, (
-                            g + costs.c_sync + h, key + sync[t],
-                            g + costs.c_sync, nxt, pos + 1))
-            if (m_idx, pos + 1) not in settled:
-                h = heuristic(m_idx, pos + 1)
-                if h != float("inf"):
-                    heapq.heappush(heap, (
-                        g + costs.c_log + h, key + log,
-                        g + costs.c_log, m_idx, pos + 1))
+                if (labels[t] == act and nxt * width + pos + 1 not in settled
+                        and comp_cost[nxt] != INF):
+                    heapq.heappush(heap, (g, key + sync[t], nxt, pos + 1))
+            if state + 1 not in settled:
+                heapq.heappush(heap, (g + c_log, key + log, m_idx, pos + 1))
         for t, nxt in succ[m_idx]:
-            if (nxt, pos) in settled:
+            if nxt * width + pos in settled or comp_cost[nxt] == INF:
                 continue
-            h = heuristic(nxt, pos)
-            if h == float("inf"):
-                continue
-            step = costs.c_silent if net.labels[t] is None else costs.c_model
-            heapq.heappush(heap, (g + step + h, key + free[t], g + step, nxt, pos))
+            step = c_silent if labels[t] is None else c_model
+            heapq.heappush(heap, (g + step, key + free[t], nxt, pos))
     raise AlignmentError(f"no alignment found for trace against net {net.name}")
 
 
@@ -295,7 +264,7 @@ def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     cheapest model-only run from the initial to the final marking."""
     sigma = _events(trace)
     index, _, _ = _state_space(net, state_cap)
-    comp_cost, _ = _completion_tables(net, costs, state_cap)
+    comp_cost = _completion_costs(net, costs, state_cap)
     m0_idx = index[net._to_key(net.initial_marking)]
     best = comp_cost[m0_idx]
     if best == float("inf"):

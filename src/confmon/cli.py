@@ -341,6 +341,10 @@ def run_experiment(cfg: ExperimentConfig):
         raise ConfmonError("experiment needs at least one seed")
     if not cfg.detectors:
         raise ConfmonError("experiment needs at least one detector")
+    for what, values in (("seed", cfg.seeds), ("detector", cfg.detectors)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ConfmonError(f"experiment lists {what} {repeated!r} more than once")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     workers = _worker_count(len(cfg.seeds))

@@ -294,7 +294,8 @@ def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
     succeeds, each emitted event is independently dropped with probability
     noise.p_drop, and a kept event is duplicated in place with probability
     noise.p_dup. Deterministic for a given seed. Raises ModelError on an
-    unbounded net and PlayoutError over DEFAULT_STATE_CAP markings.
+    unbounded net, and PlayoutError over DEFAULT_STATE_CAP markings or when
+    the final marking is not reachable.
     """
     if n_traces < 0:
         raise PlayoutError(f"n_traces must be >= 0, got {n_traces}")
@@ -305,6 +306,11 @@ def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
         raise PlayoutError(f"net {net.name} has more than {DEFAULT_STATE_CAP} reachable markings")
     index, succ, keys = graph
     final = index.get(net._to_key(net.final_marking))
+    if final is None:
+        dead = next((key for key, nexts in zip(keys, succ) if not nexts), None)
+        where = "" if dead is None else f"; deadlock at marking {net._from_key(dead)}"
+        raise PlayoutError(f"net {net.name}: final marking {net.final_marking} is not "
+                           f"reachable from the initial marking{where}")
     rng = random.Random(seed)
     traces = []
     discards = 0

@@ -13,6 +13,7 @@ from confmon.alignment import (Alignment, CostScheme, SKIP, misalignments,
 from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import AlignmentError, LogError
 from confmon.eventlog import EventLog, Trace
+from confmon.inject import build_eval_sets
 from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
                            playout)
 from conftest import random_workflow_net
@@ -344,6 +345,63 @@ def test_move_alphabet_wider_than_one_byte():
     assert move_digest(net, traces) == (
         "9026e9b09a17188b2274243c0da4034c599ac2599a12a654719c2fb74362829a")
 
+
+
+def test_injected_traces_keep_pinned_moves(fn1, som):
+    """The all-injected sets carry unknown activities, deletions and swaps;
+    pinned under both cost schemes."""
+    alt = CostScheme(c_log=2.0, c_model=3.0, c_silent=0.5)
+    expected = {
+        "som": ("17daf1a247317fcd7a58d6f26b47dc356d2b2f4ddfd3e452912a2a13bf7c4874",
+                "53dd3549f835df396bc9c8f83902932d59f82a25e9284a5c1141bca537b7b6a1"),
+        "fn1": ("5279f7217db54e14dd7bd6f52dd14b5beff20e6ad217cac55b4e727ed15dcb03",
+                "afee02e69411b3223a65c1f418dd1a7f2b724647712ffff9bcd43ae558abae53"),
+    }
+    for net in (som, fn1):
+        injected = build_eval_sets(playout(net, 50, seed=0), seed=0)["all"]
+        traces = [tr.events for tr in injected]
+        assert len(traces) == 150
+        assert sum(ev not in net.visible_labels for tr in traces for ev in tr) == 170
+        assert (move_digest(net, traces), move_digest(net, traces, alt)) == expected[net.name]
+
+
+def trap_net() -> PetriNet:
+    """source -a-> p -b-> q -c-> sink, plus a trap entered from p by e or
+    silently, where d loops; no marking with a token in the trap reaches the
+    final marking. The trap's ids sort before t_*, so the tie-break would
+    take them if they could complete."""
+    labels = {"t_a": "a", "t_b": "b", "t_c": "c", "d_e": "e", "d_d": "d", "d_tau": None}
+    arcs = [("source", "t_a"), ("t_a", "p"), ("p", "t_b"), ("t_b", "q"), ("q", "t_c"),
+            ("t_c", "sink"), ("p", "d_e"), ("d_e", "trap"), ("trap", "d_d"), ("d_d", "trap"),
+            ("p", "d_tau"), ("d_tau", "trap")]
+    return PetriNet(["source", "p", "q", "trap", "sink"], list(labels), arcs,
+                    {"source": 1}, {"sink": 1}, labels, name="trap")
+
+
+def test_markings_that_cannot_finish_are_skipped():
+    """Sync moves on e and d lead into the trap; the search must not end
+    there, and the moves stay as pinned."""
+    net = trap_net()
+    traces = [(), ("a", "b", "c"), ("a", "e", "d", "d"), ("a", "d", "d", "c"),
+              ("a", "e", "b", "c"), ("e", "d"), ("a", "d", "b", "c"), ("a", "x", "d")]
+    alt = CostScheme(c_log=2.0, c_model=3.0, c_silent=0.5)
+    for costs in (CostScheme(), alt):
+        for trace in traces:
+            a = optimal_alignment(net, trace, costs)
+            assert a.cost == oracle_alignment_cost(net, trace, costs.c_log, costs.c_model,
+                                                   costs.c_silent)
+            assert not any(mv.transition in ("d_e", "d_d", "d_tau") for mv in a.moves)
+    assert [(mv.kind, mv.transition or mv.activity)
+            for mv in optimal_alignment(net, ("a", "e", "d", "d")).moves] == [
+        ("sync", "t_a"), ("model", "t_b"), ("model", "t_c"),
+        ("log", "e"), ("log", "d"), ("log", "d")]
+    assert [(mv.kind, mv.transition or mv.activity)
+            for mv in optimal_alignment(net, ("a", "d", "d", "c")).moves] == [
+        ("sync", "t_a"), ("model", "t_b"), ("log", "d"), ("log", "d"), ("sync", "t_c")]
+    assert move_digest(net, traces) == (
+        "4a21d41f00e6489e42916e2ea7f18bc4cf2e8e606b38ed782bf0d755ea7d3ed5")
+    assert move_digest(net, traces, alt) == (
+        "cf3718f4f2d7c7a41911732f176a2d2b3f6784136e2610a405f315dd26a778d5")
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())

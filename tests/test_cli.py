@@ -259,6 +259,23 @@ def test_experiment_rejects_pool_overlap(tmp_path):
         run_experiment(bad)
 
 
+def test_experiment_rejects_duplicate_seeds_and_detectors(tmp_path, capsys):
+    from dataclasses import replace
+
+    with pytest.raises(ConfmonError, match="experiment lists seed 1 more than once"):
+        run_experiment(replace(MINI, seeds=(1, 0, 1), outdir=str(tmp_path / "s")))
+    with pytest.raises(ConfmonError, match="experiment lists detector 'ft' more than once"):
+        run_experiment(replace(MINI, detectors=("ft", "ae", "ft"), outdir=str(tmp_path / "d")))
+    assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
+    cfg_path = tmp_path / "exp.cfg"
+    for line, message in (("seeds = 0,0", "seed 0"), ("detectors = ft,ft", "detector 'ft'")):
+        cfg_path.write_text(f"model = fn1\nn_traces = 20\n{line}\n", encoding="utf-8")
+        assert run("experiment", "--config", str(cfg_path),
+                   "--outdir", str(tmp_path / "cfg")) == 1
+        assert f"experiment lists {message} more than once" in capsys.readouterr().err
+    assert not (tmp_path / "cfg").exists()
+
+
 def test_experiment_validates_threads(tmp_path, monkeypatch):
     from dataclasses import replace
 

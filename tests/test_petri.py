@@ -255,6 +255,28 @@ def test_playout_deadlock_reported():
         playout(net, 1)
 
 
+def test_playout_with_unreachable_final_marking():
+    """A cycle p1 -> t1 -> p2 -> t2 -> p1 never marks p3: no walk can end, so
+    playout says so before walking instead of blaming the step budget."""
+    net = PetriNet(["p1", "p2", "p3"], ["t1", "t2"],
+                   [("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p1")],
+                   {"p1": 1}, {"p3": 1}, {"t1": "a", "t2": "b"}, name="cycle")
+    with pytest.raises(PlayoutError) as exc:
+        playout(net, 1)
+    assert str(exc.value) == (
+        "net cycle: final marking {'p3': 1} is not reachable from the initial marking")
+    with pytest.raises(PlayoutError, match="not reachable"):
+        playout(net, 0)
+    # a reachable dead marking is named too
+    net = PetriNet(["p1", "p2", "p3"], ["t1"], [("p1", "t1"), ("t1", "p2")],
+                   {"p1": 1}, {"p3": 1}, {"t1": "a"}, name="dead")
+    with pytest.raises(PlayoutError) as exc:
+        playout(net, 1)
+    assert str(exc.value) == (
+        "net dead: final marking {'p3': 1} is not reachable from the initial marking; "
+        "deadlock at marking {'p2': 1}")
+
+
 @pytest.mark.parametrize("model", ["fn1", "som"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(0.03, 0.03)])
