@@ -106,7 +106,9 @@ def _events(trace) -> tuple[str, ...]:
 
 
 def _state_space(net: PetriNet, state_cap: int):
-    """The net's reachability graph (see petri.reachability_graph)."""
+    """The net's reachability graph (see petri.reachability_graph) as
+    (succ, start, final): the nodes of the initial and the final marking,
+    final None when it is unreachable. Both are cached next to the graph."""
     try:
         graph = reachability_graph(net, state_cap)
     except ModelError as exc:  # unbounded
@@ -115,7 +117,12 @@ def _state_space(net: PetriNet, state_cap: int):
         raise AlignmentError(
             f"alignment state-space exhausted: net {net.name} has more than "
             f"{state_cap} reachable markings")
-    return graph
+    index, succ, _ = graph
+    ends = net._caches.get("ends")
+    if ends is None:
+        ends = net._caches["ends"] = (index[net._to_key(net.initial_marking)],
+                                      index.get(net._to_key(net.final_marking)))
+    return (succ, *ends)
 
 
 def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
@@ -128,17 +135,15 @@ def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
     cached = net._caches.get(cache_key)
     if cached is not None:
         return cached
-    index, succ, keys = _state_space(net, state_cap)
-    preds: list[list[tuple[str, int]]] = [[] for _ in keys]
+    succ, _, final = _state_space(net, state_cap)
+    preds: list[list[tuple[str, int]]] = [[] for _ in succ]
     for src, nexts in enumerate(succ):
         for t, dst in nexts:
             preds[dst].append((t, src))
-    mf = net._to_key(net.final_marking)
-    comp_cost = [float("inf")] * len(keys)
-    if mf in index:
-        start = index[mf]
-        comp_cost[start] = 0.0
-        heap = [(0.0, start)]
+    comp_cost = [float("inf")] * len(succ)
+    if final is not None:
+        comp_cost[final] = 0.0
+        heap = [(0.0, final)]
         while heap:
             d, node = heapq.heappop(heap)
             if d > comp_cost[node]:
@@ -161,14 +166,12 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     marking is unreachable or the search exceeds state_cap expanded states.
     """
     sigma = _events(trace)
-    index, succ, keys = _state_space(net, state_cap)
+    succ, m0_idx, mf_idx = _state_space(net, state_cap)
     comp_cost = _completion_costs(net, costs, state_cap)
     INF = float("inf")
-    m0_idx = index[net._to_key(net.initial_marking)]
     if comp_cost[m0_idx] == INF:
         raise AlignmentError(
             f"net {net.name}: final marking unreachable from initial marking")
-    mf_idx = index[net._to_key(net.final_marking)]
     n_events = len(sigma)
     width = n_events + 1
     labels = net.labels
@@ -263,10 +266,8 @@ def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     """Reference cost of aligning nothing: every event as a log move plus the
     cheapest model-only run from the initial to the final marking."""
     sigma = _events(trace)
-    index, _, _ = _state_space(net, state_cap)
-    comp_cost = _completion_costs(net, costs, state_cap)
-    m0_idx = index[net._to_key(net.initial_marking)]
-    best = comp_cost[m0_idx]
+    _, m0_idx, _ = _state_space(net, state_cap)
+    best = _completion_costs(net, costs, state_cap)[m0_idx]
     if best == float("inf"):
         raise AlignmentError(
             f"net {net.name}: final marking unreachable from initial marking")

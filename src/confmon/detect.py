@@ -8,7 +8,9 @@ threshold. Higher scores mean more anomalous.
 
   ft      score = 1 - fitness; no learned state beyond the threshold
   dbscan  density model: core points of the training rows; score = Euclidean
-          distance to the nearest core point
+          distance to the nearest core point. It fits on the distinct
+          training rows weighted by their multiplicity and scores against the
+          distinct cores, so its memory is O(distinct rows²), not O(rows²).
   ae      autoencoder: small tanh multilayer perceptron trained to reconstruct
           training rows; score = mean squared reconstruction error
 
@@ -200,24 +202,35 @@ def _pairwise(a: np.ndarray, b: np.ndarray, nearest: bool = False) -> np.ndarray
 
 
 def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
+    """(eps, core rows in training-row order, cluster count) of DBSCAN over
+    the rows of x. It runs on the distinct rows weighted by how often each
+    occurs, which gives the same result as over every row: copies of a row
+    share its neighbours and lie at distance 0 from each other."""
+    if min_pts < 1:
+        raise DetectError(f"min_pts must be >= 1, got {min_pts}")
     n = x.shape[0]
-    dist = _pairwise(x, x)
+    distinct, inverse, counts = np.unique(x, axis=0, return_inverse=True,
+                                          return_counts=True)
+    dist = _pairwise(distinct, distinct)
     if eps is None:
         if n <= min_pts:
             raise DetectError(
                 f"need more than {min_pts} training rows to estimate epsilon, got {n}")
-        # distance to the min_pts-th nearest other row, 90th percentile
-        kdist = np.sort(dist + np.diag([np.inf] * n), axis=1)[:, min_pts - 1]
-        eps = float(np.percentile(kdist, DBSCAN_EPS_QUANTILE))
-    neighbor_counts = (dist <= eps).sum(axis=1)  # self included
-    core_mask = neighbor_counts >= min_pts
-    if not core_mask.any():
+        # distance to the min_pts-th nearest other row, 90th percentile over
+        # rows: the smallest distance within which more than min_pts rows
+        # lie, counting the row itself and its copies at distance 0
+        order = np.argsort(dist, axis=1)
+        reached = np.cumsum(counts[order], axis=1) > min_pts
+        rows = np.arange(len(counts))
+        kdist = dist[rows, order[rows, reached.argmax(axis=1)]]
+        eps = float(np.percentile(np.repeat(kdist, counts), DBSCAN_EPS_QUANTILE))
+    core = (dist <= eps) @ counts >= min_pts  # weighted neighbour counts, self included
+    if not core.any():
         raise DetectError(
             f"dbscan found no core points (eps={eps:g}, min_pts={min_pts}); increase epsilon")
-    cores = x[core_mask]
     # cluster count: connected components of the core-to-core eps graph
-    core_dist = dist[np.ix_(core_mask, core_mask)]
-    m = cores.shape[0]
+    core_dist = dist[np.ix_(core, core)]
+    m = core_dist.shape[0]
     labels = [-1] * m
     n_clusters = 0
     for i in range(m):
@@ -232,7 +245,7 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
                     labels[j] = n_clusters
                     stack.append(j)
         n_clusters += 1
-    return float(eps), cores, n_clusters
+    return float(eps), x[core[inverse.reshape(-1)]], n_clusters
 
 
 # -- training / scoring ------------------------------------------------------
@@ -295,7 +308,8 @@ def score_matrix(det: Detector, diag: DiagnosesMatrix) -> np.ndarray:
     distinct, inverse = np.unique(diag.to_array(), axis=0, return_inverse=True)
     xn = _normalize(det.mins, det.maxs, distinct)
     if det.kind == "dbscan":
-        scores = _pairwise(xn, det.state["cores"], nearest=True)
+        # copies of a core cannot change a row's nearest distance
+        scores = _pairwise(xn, np.unique(det.state["cores"], axis=0), nearest=True)
     else:
         # One row per call: a batched matrix product may round differently,
         # which would make a row's score depend on its batch.

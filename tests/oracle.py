@@ -173,6 +173,11 @@ def oracle_auc(labels, scores):
     return total / (len(pos) * len(neg))
 
 
+def _min_max(x, mins, maxs):
+    ranges = np.where(maxs > mins, maxs - mins, 1.0)
+    return np.clip((x - mins) / ranges, -0.5, 1.5)
+
+
 def oracle_score(det, values):
     """Anomaly score of one diagnoses row, given as floats in det.columns
     order, computed from that row alone: 1 - fitness for ft, the distance to
@@ -182,8 +187,7 @@ def oracle_score(det, values):
     vec = np.asarray(values, dtype=float)
     if det.kind == "ft":
         return 1.0 - float(vec[det.columns.index("fitness")])
-    ranges = np.where(det.maxs > det.mins, det.maxs - det.mins, 1.0)
-    vec = np.clip((vec - det.mins) / ranges, -0.5, 1.5)
+    vec = _min_max(vec, det.mins, det.maxs)
     if det.kind == "dbscan":
         diffs = det.state["cores"] - vec
         return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
@@ -194,3 +198,46 @@ def oracle_score(det, values):
         if i < last:
             out = np.tanh(out)
     return float(np.mean((out - vec[None, :]) ** 2, axis=1)[0])
+
+
+def oracle_fit_dbscan(rows, min_pts=4, eps=None):
+    """(eps, core rows, cluster count) of DBSCAN over every training row.
+
+    The rows are min-max normalized with their own statistics and clamped to
+    [-0.5, 1.5]. The full (n, n) distance matrix is built in one broadcast;
+    eps, when not given, is the 90th percentile of each row's distance to
+    its min_pts-th nearest other row; core rows keep their training order;
+    clusters are the connected components of the core-to-core eps graph.
+    """
+    x = np.asarray(rows, dtype=float)
+    x = _min_max(x, x.min(axis=0), x.max(axis=0))
+    n = x.shape[0]
+    d = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((d * d).sum(axis=2))
+    if eps is None:
+        if n <= min_pts:
+            raise ValueError(f"need more than {min_pts} rows")
+        kdist = np.sort(dist + np.diag([np.inf] * n), axis=1)[:, min_pts - 1]
+        eps = float(np.percentile(kdist, 90.0))
+    neighbor_counts = (dist <= eps).sum(axis=1)  # self included
+    core_mask = neighbor_counts >= min_pts
+    if not core_mask.any():
+        raise ValueError("no core points")
+    cores = x[core_mask]
+    core_dist = dist[np.ix_(core_mask, core_mask)]
+    m = cores.shape[0]
+    labels = [-1] * m
+    n_clusters = 0
+    for i in range(m):
+        if labels[i] != -1:
+            continue
+        stack = [i]
+        labels[i] = n_clusters
+        while stack:
+            cur = stack.pop()
+            for j in np.nonzero(core_dist[cur] <= eps)[0]:
+                if labels[j] == -1:
+                    labels[j] = n_clusters
+                    stack.append(j)
+        n_clusters += 1
+    return float(eps), cores, n_clusters

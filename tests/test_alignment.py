@@ -210,6 +210,23 @@ def test_unreachable_final_marking_is_an_error():
         worst_case_cost(net, ("a",))
 
 
+def test_marking_nodes_are_looked_up_once_per_net(monkeypatch):
+    net = bundled_model("fn1")
+    optimal_alignment(net, LOOP_TRACE)
+    calls = []
+    to_key = PetriNet._to_key
+
+    def counted(self, marking):
+        calls.append(marking)
+        return to_key(self, marking)
+
+    monkeypatch.setattr(PetriNet, "_to_key", counted)
+    for events in (LOOP_TRACE, ("t1", "t5"), ()):
+        optimal_alignment(net, events)
+        worst_case_cost(net, events, CostScheme(2.0, 3.0))
+    assert calls == []
+
+
 def test_coverage_and_log_fitness_on_clean_playout(fn1):
     log = playout(fn1, 30, seed=9)
     assert coverage(fn1, log) == 1.0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,17 @@ from hypothesis import strategies as st
 
 import confmon.detect
 from confmon.alignment import CostScheme
-from confmon.detect import (DETECTOR_KINDS, _pairwise, ae_gradient_check,
+from confmon.cli import main
+from confmon.detect import (DETECTOR_KINDS, Detector, _pairwise, ae_gradient_check,
                             classify, default_ae_layers, load_detector,
                             save_detector, score_matrix, train)
 from confmon.diagnoses import DiagnosesMatrix, build_diagnoses
 from confmon.errors import DetectError
-from confmon.eventlog import split_log
+from confmon.eventlog import EventLog, split_log, write_log
 from confmon.inject import build_eval_sets
 from confmon.petri import NoiseParams, playout
 
-from oracle import oracle_score
+from oracle import oracle_fit_dbscan, oracle_score
 
 COLS = ("a", "UNKNOWN", "fitness")
 
@@ -130,6 +133,11 @@ def test_dbscan_needs_rows_to_estimate_eps(line_val):
     # an explicit epsilon sidesteps the estimate
     det = train("dbscan", tiny, line_val, {"min_pts": 5, "eps": 5.0})
     assert det.state["cores"].shape[0] == 5
+
+
+def test_dbscan_min_pts_must_be_positive(line_train, line_val):
+    with pytest.raises(DetectError, match="min_pts must be >= 1"):
+        train("dbscan", line_train, line_val, {"min_pts": 0})
 
 
 def test_default_ae_layers():
@@ -356,3 +364,110 @@ def test_small_block_budgets_keep_distances(m, budget, monkeypatch):
     a, b, one_shot = _one_shot_distances(m)
     assert _pairwise(a, b).tobytes() == one_shot.tobytes()
     assert _pairwise(a, b, nearest=True).tobytes() == one_shot.min(axis=1).tobytes()
+
+
+def assert_fit_matches_oracle(d_train, d_val, params=None):
+    """train("dbscan") equals the (n, n) reference fit bit for bit: eps, the
+    cores in training-row order, the cluster count and the saved text."""
+    det = train("dbscan", d_train, d_val, params)
+    params = {"min_pts": 4, **(params or {})}
+    x = d_train.to_array()
+    eps, cores, n_clusters = oracle_fit_dbscan(x, **params)
+    assert det.state["eps"] == eps
+    assert det.state["cores"].shape == cores.shape
+    assert det.state["cores"].tobytes() == cores.tobytes()
+    assert det.state["n_clusters"] == n_clusters
+    expected = Detector("dbscan", d_train.columns, x.min(axis=0), x.max(axis=0), 0.0,
+                        95.0, 0, d_train.model_id,
+                        {"eps": eps, "min_pts": params["min_pts"], "cores": cores,
+                         "n_clusters": n_clusters})
+    expected.threshold = float(np.percentile(_oracle_scores(expected, d_val), 95.0))
+    assert save_detector(det) == save_detector(expected)
+    return det
+
+
+def test_dbscan_fit_matches_oracle_on_noisy_som(som):
+    log = playout(som, 500, seed=21, noise=NoiseParams(0.03, 0.03))
+    train_log, val_log, _ = split_log(log, seed=21)
+    d_train, d_val = build_diagnoses(som, train_log), build_diagnoses(som, val_log)
+    assert len(np.unique(d_train.to_array(), axis=0)) < len(d_train) // 2  # rows repeat
+    det = assert_fit_matches_oracle(d_train, d_val)
+    assert det.state["n_clusters"] > 1
+
+
+def test_dbscan_fit_matches_oracle_on_small_cases(line_train, line_val):
+    assert_fit_matches_oracle(line_train, line_val)
+    # every row identical: all distances are 0, and so is eps
+    same = toy_matrix([(2, 1, 0.5)] * 8)
+    assert assert_fit_matches_oracle(same, line_val).state["eps"] == 0.0
+    # one variant repeated more than min_pts times among singletons
+    crowd = toy_matrix([(0, 0, 1.0)] * 6 + [(3 * i, i % 2, 1.0) for i in range(1, 7)])
+    assert_fit_matches_oracle(crowd, line_val)
+    assert_fit_matches_oracle(crowd, line_val, {"min_pts": 2})
+    # an explicit epsilon
+    assert_fit_matches_oracle(line_train, line_val, {"eps": 0.15, "min_pts": 3})
+    assert_fit_matches_oracle(crowd, line_val, {"eps": 0.3, "min_pts": 3})
+
+
+_repeating_rows = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                     st.sampled_from([1.0, 0.5])),
+                           min_size=6, max_size=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(train_rows=_repeating_rows, val_rows=_repeating_rows,
+       min_pts=st.integers(1, 5))
+def test_dbscan_fit_matches_oracle_on_repeated_rows(train_rows, val_rows, min_pts):
+    assert_fit_matches_oracle(toy_matrix(train_rows), toy_matrix(val_rows),
+                              {"min_pts": min_pts})
+
+
+def test_dbscan_distance_arrays_grow_with_distinct_rows(monkeypatch):
+    """20 000 training rows drawn from 40 vectors: training builds only the
+    (distinct, distinct) matrix, and scoring only (distinct rows, distinct
+    cores) arrays. The (n, n) matrix would take 3.2 GB; the spy refuses any
+    call that large before it allocates."""
+    vectors = [(a, unk, fit) for a in range(10) for unk in range(2) for fit in (1.0, 0.75)]
+    pick = np.random.default_rng(0).integers(0, len(vectors), size=20_000)
+    d_train = toy_matrix(vectors[i] for i in pick)
+    probe = toy_matrix([vectors[i] for i in pick[:5000]] + [(20, 3, 0.25)] * 100)
+    calls = []
+
+    def spy(a, b, nearest=False):
+        assert a.shape[0] * b.shape[0] <= 50 * 50
+        out = _pairwise(a, b, nearest)
+        calls.append((a.shape[0], b.shape[0], out.shape))
+        return out
+
+    monkeypatch.setattr(confmon.detect, "_pairwise", spy)
+    det = train("dbscan", d_train, d_train)
+    score_matrix(det, probe)
+    n_cores = len(np.unique(det.state["cores"], axis=0))
+    assert calls[0] == (len(vectors), len(vectors), (len(vectors), len(vectors)))
+    assert calls[1:] == [(len(vectors), n_cores, (len(vectors),)),
+                         (len(vectors) + 1, n_cores, (len(vectors) + 1,))]
+
+
+# Digests of `confmon train --detector dbscan` on a noisy 2000-trace som log
+# (default split) and of `confmon detect` on a small injected log. They were
+# recorded with the (n, n) fit that oracle_fit_dbscan keeps, so they hold the
+# distinct-row fit to the same files.
+DBSCAN_DETECTOR_SHA256 = "bee9223250e5aa32d8275d21f770cb7f4d23e683dc2f42441c978bd88ec886ee"
+DBSCAN_PREDICTIONS_SHA256 = "b1925f13ab98fdb4fdf2d5b728c5fe6bedf94c70779516b671f483e00c526bdc"
+
+
+def test_cli_dbscan_outputs_are_pinned(som, tmp_path):
+    normal = tmp_path / "normal.log"
+    normal.write_text(write_log(playout(som, 2000, seed=0, noise=NoiseParams(0.03, 0.03))),
+                      encoding="utf-8")
+    probe = tmp_path / "probe.log"
+    source = playout(som, 40, seed=1, noise=NoiseParams(0.03, 0.03))
+    probe.write_text(write_log(EventLog(list(source) + list(
+        build_eval_sets(source, 3.0, seed=1)["all"]))), encoding="utf-8")
+    det, preds = tmp_path / "dbscan.det", tmp_path / "pred.csv"
+    assert main(["train", "--detector", "dbscan", "--model", "som", "--log", str(normal),
+                 "-o", str(det)]) == 0
+    assert main(["detect", "--detector", str(det), "--model", "som", "--log", str(probe),
+                 "-o", str(preds)]) == 0
+    assert hashlib.sha256(det.read_bytes()).hexdigest() == DBSCAN_DETECTOR_SHA256
+    assert hashlib.sha256(preds.read_bytes()).hexdigest() == DBSCAN_PREDICTIONS_SHA256
