@@ -15,12 +15,29 @@ break by preferring synchronous, then silent, then visible model, then log
 moves, then lexicographic transition id, which makes the returned move
 sequence deterministic. Entries of one product state pop in (cost,
 tie-break) order, so each state settles on its minimum (cost, tie-break) path.
+
+The search is pruned with the exact cost-to-go h*(m, pos): the cheapest cost
+of aligning the events from pos on, starting in marking m, to the final
+marking. cost_to_go computes it for a chunk of traces at once, in one
+backward pass over positions: h*(., n) is the model-only completion cost, and
+h*(., pos) is the model-move closure of the cheaper of a log move on
+sigma[pos] (c_log + h*(., pos + 1)) and a sync move on it. A push whose cost
+plus the h* of its state exceeds h* of the start state lies on no optimal
+alignment and is skipped. Every prefix of every optimal alignment passes that
+test, the canonical one included, and the heap still pops in (cost,
+tie-break) order, so pruning cannot change which alignment is returned. A
+trace whose table would not fit _CHUNK_ELEMENTS is searched with a bound
+that prunes nothing. state_cap counts expansions of the pruned search, so a
+trace that used to exhaust the cap may now align. A sync move, free and
+first in the tie-break, is followed without a round trip through the heap.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AlignmentError, ModelError
 from .eventlog import Trace
@@ -31,6 +48,16 @@ UNKNOWN = "UNKNOWN"
 
 _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
+
+INF = float("inf")
+# Elements of each array and temporary of one chunk's cost-to-go pass, and so
+# also the largest (markings x positions) table of a single trace and the
+# largest (markings x markings) distance table of a net that is pruned.
+_CHUNK_ELEMENTS = 1 << 16
+# Relative slack of the pruning bound, far above the rounding error of a sum
+# of move costs: it can keep a push the exact bound would skip, never the
+# reverse.
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,7 +167,7 @@ def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
     for src, nexts in enumerate(succ):
         for t, dst in nexts:
             preds[dst].append((t, src))
-    comp_cost = [float("inf")] * len(succ)
+    comp_cost = [INF] * len(succ)
     if final is not None:
         comp_cost[final] = 0.0
         heap = [(0.0, final)]
@@ -158,24 +185,30 @@ def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
 
 
 def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
-                      state_cap: int = DEFAULT_STATE_CAP) -> Alignment:
+                      state_cap: int = DEFAULT_STATE_CAP, *, h=None) -> Alignment:
     """Minimum-cost alignment of one trace against the net.
 
     Deterministic: among equal-cost alignments the move-kind/transition-id
     tie-break picks a unique sequence. Raises AlignmentError when the final
     marking is unreachable or the search exceeds state_cap expanded states.
+    h is the trace's cost-to-go table as cost_to_go yields it; when None it
+    is computed for this trace alone.
     """
     sigma = _events(trace)
-    succ, m0_idx, mf_idx = _state_space(net, state_cap)
-    comp_cost = _completion_costs(net, costs, state_cap)
-    INF = float("inf")
-    if comp_cost[m0_idx] == INF:
+    _, m0_idx, mf_idx = _state_space(net, state_cap)
+    if _completion_costs(net, costs, state_cap)[m0_idx] == INF:
         raise AlignmentError(
             f"net {net.name}: final marking unreachable from initial marking")
+    if h is None:
+        h = next(cost_to_go(net, [sigma], costs, state_cap))
+    sync_arcs, free_arcs = _arcs(net, costs, state_cap)
     n_events = len(sigma)
     width = n_events + 1
-    labels = net.labels
-    c_log, c_model, c_silent = costs.c_log, costs.c_model, costs.c_silent
+    c_log = costs.c_log
+    # A push is kept while g + h*(its state) <= bound. h*(m0, 0) is the
+    # optimal cost; with no table, h and so bound read inf, and g + inf <=
+    # inf keeps every push.
+    bound = h[m0_idx * width] * _BOUND_SLACK
 
     # Heap entries: (g, path key, marking idx, pos). The path key is a str
     # with one character per move, whose code point is the move's rank in
@@ -183,8 +216,14 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     # prefixes included: equal-cost candidates pop in tie-break order and the
     # first settled goal is the canonical result. Its moves are rebuilt from
     # the key. A path is pushed at most once, so no two entries share a key.
-    # Markings that cannot reach the final marking are never pushed.
-    _, sync, free, log = _move_codes(net)
+    # A product state (m, pos) is the int m * width + pos, which also indexes h.
+    #
+    # The entry of a sync move would be the very next pop, so the loop takes
+    # it without the heap. It costs nothing, and sync codes rank below every
+    # other move's, so (g, key + its code) ranks below every entry pushed
+    # while expanding key's state. Every older entry has a larger g, or a key
+    # above key that does not extend it and so ranks above its extensions.
+    log = _move_codes(net)[3]
     heap = [(0.0, "", m0_idx, 0)]
     settled = set()
     expanded = 0
@@ -193,27 +232,171 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
         state = m_idx * width + pos
         if state in settled:
             continue
-        settled.add(state)
-        if m_idx == mf_idx and pos == n_events:
-            return Alignment(_moves(net, sigma, key), g)
-        expanded += 1
-        if expanded > state_cap:
-            raise AlignmentError(
-                f"alignment state-space exhausted after {state_cap} expansions")
-        if pos < n_events:
-            act = sigma[pos]
-            for t, nxt in succ[m_idx]:
-                if (labels[t] == act and nxt * width + pos + 1 not in settled
-                        and comp_cost[nxt] != INF):
-                    heapq.heappush(heap, (g, key + sync[t], nxt, pos + 1))
-            if state + 1 not in settled:
+        while True:
+            settled.add(state)
+            if m_idx == mf_idx and pos == n_events:
+                return Alignment(_moves(net, sigma, key), g)
+            expanded += 1
+            if expanded > state_cap:
+                raise AlignmentError(
+                    f"alignment state-space exhausted after {state_cap} expansions")
+            for code, nxt, step in free_arcs[m_idx]:
+                nstate = nxt * width + pos
+                if g + step + h[nstate] <= bound and nstate not in settled:
+                    heapq.heappush(heap, (g + step, key + code, nxt, pos))
+            if pos == n_events:
+                break
+            if g + c_log + h[state + 1] <= bound and state + 1 not in settled:
                 heapq.heappush(heap, (g + c_log, key + log, m_idx, pos + 1))
-        for t, nxt in succ[m_idx]:
-            if nxt * width + pos in settled or comp_cost[nxt] == INF:
-                continue
-            step = c_silent if labels[t] is None else c_model
-            heapq.heappush(heap, (g + step, key + free[t], nxt, pos))
+            arc = sync_arcs[m_idx].get(sigma[pos])
+            if arc is None:
+                break
+            code, m_idx = arc
+            state = m_idx * width + pos + 1
+            if g + h[state] > bound or state in settled:
+                break
+            key += code
+            pos += 1
     raise AlignmentError(f"no alignment found for trace against net {net.name}")
+
+
+def _arcs(net: PetriNet, costs: CostScheme, state_cap: int):
+    """Per-marking move tables, cached on the net per cost scheme: (sync, free).
+
+    sync[m] maps an activity to the (code, next marking) of its sync move in
+    marking m; free[m] lists the (code, next marking, cost) of its silent and
+    model moves. Codes are those of _move_codes. Moves into markings that
+    cannot reach the final marking are left out, so the search never enters
+    them.
+    """
+    cache_key = ("arcs", costs.c_model, costs.c_silent)
+    arcs = net._caches.get(cache_key)
+    if arcs is None:
+        succ, _, _ = _state_space(net, state_cap)
+        comp_cost = _completion_costs(net, costs, state_cap)
+        _, sync_code, free_code, _ = _move_codes(net)
+        labels = net.labels
+        sync, free = [], []
+        for nexts in succ:
+            live = [(t, nxt) for t, nxt in nexts if comp_cost[nxt] != INF]
+            sync.append({labels[t]: (sync_code[t], nxt)
+                         for t, nxt in live if labels[t] is not None})
+            free.append(tuple((free_code[t], nxt,
+                               costs.c_silent if labels[t] is None else costs.c_model)
+                              for t, nxt in live))
+        arcs = net._caches[cache_key] = (sync, free)
+    return arcs
+
+
+class _Unbounded:
+    """The cost-to-go table of a trace that gets none: inf everywhere."""
+
+    def __getitem__(self, state):
+        return INF
+
+
+_NO_TABLE = _Unbounded()
+
+
+def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme(),
+               state_cap: int = DEFAULT_STATE_CAP):
+    """Yield the exact cost-to-go table of each event sequence, in order.
+
+    For a sequence of n events the table h is a list with h[m * (n + 1) +
+    pos] the cheapest cost of aligning events[pos:] from marking node m (of
+    the reachability graph) to the final marking, inf when there is none.
+    Sequences go in chunks, in order, and one backward pass computes a
+    chunk's tables; each array of a pass holds at most _CHUNK_ELEMENTS
+    elements. A sequence whose table alone would exceed that, or any
+    sequence on a net whose markings² exceed it, gets a table that reads inf
+    everywhere, which makes optimal_alignment prune nothing.
+    """
+    n_nodes = len(_completion_costs(net, costs, state_cap))
+    tables = None
+    if n_nodes * n_nodes <= _CHUNK_ELEMENTS:
+        tables = _distance_tables(net, costs, state_cap)
+    chunk, longest = [], 0
+    for sigma in map(_events, sequences):
+        size = (len(sigma) + 1) * (n_nodes + 1)
+        fits = tables is not None and size <= _CHUNK_ELEMENTS
+        grown = len(chunk) + 1
+        if chunk and (not fits or max(longest, size) * grown > _CHUNK_ELEMENTS
+                      or n_nodes * n_nodes * grown > _CHUNK_ELEMENTS):
+            yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
+            chunk, longest = [], 0
+        if fits:
+            chunk.append(sigma)
+            longest = max(longest, size)
+        else:
+            yield _NO_TABLE
+    if chunk:
+        yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
+
+
+def _distance_tables(net: PetriNet, costs: CostScheme, state_cap: int):
+    """(dist, sync_next, columns, comp_cost) of the cost-to-go pass, cached
+    on the net per cost scheme, for N markings and A visible activities.
+
+    dist is the (N, N) array of cheapest model-only runs between markings
+    (Floyd-Warshall over the reachability graph). columns maps an activity
+    to a column of the (N, A + 1) int32 array sync_next, whose entry is the
+    marking a sync move on that activity leads to, or N where there is none;
+    column A stands for every activity the net does not know. comp_cost is
+    the completion cost as an array. int32 suffices: a pass indexes at most
+    (N + 1) * B < 2 * _CHUNK_ELEMENTS entries of a slice.
+    """
+    cache_key = ("distances", costs.c_model, costs.c_silent)
+    tables = net._caches.get(cache_key)
+    if tables is None:
+        succ, _, _ = _state_space(net, state_cap)
+        n_nodes = len(succ)
+        columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
+        sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.int32)
+        dist = np.full((n_nodes, n_nodes), INF)
+        np.fill_diagonal(dist, 0.0)
+        for src, nexts in enumerate(succ):
+            for t, dst in nexts:
+                act = net.labels[t]
+                if act is not None:
+                    sync_next[src, columns[act]] = dst
+                step = costs.c_silent if act is None else costs.c_model
+                dist[src, dst] = min(dist[src, dst], step)
+        for k in range(n_nodes):
+            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+        comp_cost = np.array(_completion_costs(net, costs, state_cap))
+        tables = net._caches[cache_key] = (dist, sync_next, columns, comp_cost)
+    return tables
+
+
+def _chunk_cost_to_go(tables, chunk, c_log: float):
+    """Yield the cost-to-go table of each sequence of the chunk.
+
+    The sequences are right-aligned on a (positions, N + 1, B) array whose
+    row N is inf, the target of missing sync moves; positions before a
+    shorter sequence's start only pad and are never read.
+    """
+    dist, sync_next, columns, comp_cost = tables
+    n_nodes = len(comp_cost)
+    width = max(map(len, chunk)) + 1
+    unknown = sync_next.shape[1] - 1
+    events = np.full((width - 1, len(chunk)), unknown)
+    for b, sigma in enumerate(chunk):
+        events[width - 1 - len(sigma):, b] = [columns.get(a, unknown) for a in sigma]
+    h = np.empty((width, n_nodes + 1, len(chunk)))
+    h[:, n_nodes] = INF
+    h[-1, :n_nodes] = comp_cost[:, None]
+    # synced[:, pos] holds, per (marking, sequence), the flat index of its
+    # sync successor into the (N + 1, B) slice after pos
+    synced = sync_next[:, events]
+    synced *= len(chunk)
+    synced += np.arange(len(chunk))
+    dist = dist[:, :, None]
+    for pos in range(width - 2, -1, -1):
+        after = h[pos + 1]
+        step = np.minimum(after[:n_nodes] + c_log, after.take(synced[:, pos]))
+        np.minimum.reduce(dist + step, axis=1, out=h[pos, :n_nodes])
+    for b, sigma in enumerate(chunk):
+        yield h[width - 1 - len(sigma):, :n_nodes, b].T.ravel().tolist()
 
 
 def _move_codes(net: PetriNet):
@@ -268,7 +451,7 @@ def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     sigma = _events(trace)
     _, m0_idx, _ = _state_space(net, state_cap)
     best = _completion_costs(net, costs, state_cap)[m0_idx]
-    if best == float("inf"):
+    if best == INF:
         raise AlignmentError(
             f"net {net.name}: final marking unreachable from initial marking")
     return costs.c_log * len(sigma) + best

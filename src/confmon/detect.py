@@ -27,6 +27,7 @@ is scored once.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -208,6 +209,8 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
     share its neighbours and lie at distance 0 from each other."""
     if min_pts < 1:
         raise DetectError(f"min_pts must be >= 1, got {min_pts}")
+    if eps is not None and not (isinstance(eps, numbers.Real) and math.isfinite(eps)):
+        raise DetectError(f"dbscan eps must be a finite number, got {eps!r}")
     n = x.shape[0]
     distinct, inverse, counts = np.unique(x, axis=0, return_inverse=True,
                                           return_counts=True)

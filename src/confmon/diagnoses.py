@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (CostScheme, UNKNOWN, fitness_from_cost, misalignments,
-                        optimal_alignment)
+from .alignment import (CostScheme, UNKNOWN, cost_to_go, fitness_from_cost,
+                        misalignments, optimal_alignment)
 from .errors import LogError
 from .eventlog import EventLog
 from .petri import PetriNet
@@ -90,22 +90,25 @@ def build_diagnoses(net: PetriNet, log: EventLog,
     Each distinct event sequence is aligned once per call: with the net and
     cost scheme fixed, a trace's alignment depends only on its events, so
     traces of one variant share (counts, fitness, alignment length), and
-    moves sums every trace's length.
+    moves sums every trace's length. The variants are aligned in chunks:
+    one cost_to_go pass per chunk, then each variant's search.
     """
     columns = diagnosis_columns(net)
+    # one trace per distinct event sequence, shortest first: traces of
+    # similar length share a chunk, so its right-aligned table carries
+    # little padding
+    distinct = sorted({tr.events: tr for tr in log}.values(), key=lambda tr: len(tr.events))
+    variants: dict[tuple[str, ...], tuple[list, float, int]] = {}
+    for tr, h in zip(distinct, cost_to_go(net, distinct, costs)):
+        alignment = optimal_alignment(net, tr, costs, h=h)
+        per_activity = misalignments(alignment, net.visible_labels)
+        variants[tr.events] = ([per_activity[col] for col in columns[:-1]],
+                               fitness_from_cost(net, tr, alignment.cost, costs),
+                               len(alignment))
     case_ids, counts, fitness = [], [], []
     moves = 0
-    variants: dict[tuple[str, ...], tuple[list, float, int]] = {}
     for tr in log:
-        aligned = variants.get(tr.events)
-        if aligned is None:
-            alignment = optimal_alignment(net, tr, costs)
-            per_activity = misalignments(alignment, net.visible_labels)
-            aligned = ([per_activity[col] for col in columns[:-1]],
-                       fitness_from_cost(net, tr, alignment.cost, costs),
-                       len(alignment))
-            variants[tr.events] = aligned
-        row, fit, length = aligned
+        row, fit, length = variants[tr.events]
         case_ids.append(tr.case_id)
         counts.append(row)
         fitness.append(fit)

@@ -42,17 +42,20 @@ def _enabled_key(key, places, pre):
 
 
 def oracle_alignment_cost(net, events, c_log=1.0, c_model=1.0, c_silent=0.0,
-                          c_sync=0.0, max_states=2_000_000):
+                          c_sync=0.0, max_states=2_000_000, initial=None):
     """Minimum alignment cost by exhaustive uniform-cost search.
 
     Plain Dijkstra over (marking, trace position) with no heuristic and no
-    pruning beyond visited-state dedup. Returns None when no alignment exists
-    within the state budget.
+    pruning beyond visited-state dedup, from the initial marking or from the
+    marking key initial (token counts in sorted place order). Returns None when
+    no alignment exists within the state budget.
     """
     events = tuple(events)
     places = tuple(sorted(net.places))
     pre, post = _structure(net)
-    m0 = tuple(net.initial_marking.get(p, 0) for p in places)
+    m0 = initial
+    if m0 is None:
+        m0 = tuple(net.initial_marking.get(p, 0) for p in places)
     mf = tuple(net.final_marking.get(p, 0) for p in places)
     start = (m0, 0)
     dist = {start: 0.0}
@@ -82,6 +85,21 @@ def oracle_alignment_cost(net, events, c_log=1.0, c_model=1.0, c_silent=0.0,
                 dist[(nkey, npos)] = nd
                 heapq.heappush(heap, (nd, next(tick), nkey, npos))
     return None
+
+
+def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
+    """{(marking key, pos): h*} over every reachable marking and position:
+    the cheapest cost of aligning events[pos:] from that marking to the
+    final marking, inf when there is none, each by oracle_alignment_cost."""
+    events = tuple(events)
+    markings = oracle_reachability(net)[0]
+    out = {}
+    for key in markings:
+        for pos in range(len(events) + 1):
+            cost = oracle_alignment_cost(net, events[pos:], c_log, c_model, c_silent,
+                                         initial=key)
+            out[key, pos] = float("inf") if cost is None else cost
+    return out
 
 
 def oracle_reachability(net, cap=100_000):

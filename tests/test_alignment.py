@@ -1,23 +1,26 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmon.alignment import (Alignment, CostScheme, SKIP, misalignments,
+import confmon.alignment
+from confmon.alignment import (Alignment, CostScheme, SKIP, cost_to_go, misalignments,
                                optimal_alignment, trace_fitness,
                                worst_case_cost)
-from confmon.diagnoses import coverage, log_fitness
+from confmon.diagnoses import build_diagnoses, coverage, log_fitness
 from confmon.errors import AlignmentError, LogError
 from confmon.eventlog import EventLog, Trace
 from confmon.inject import build_eval_sets
-from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
-                           playout)
+from confmon.petri import (DEFAULT_STATE_CAP, NoiseParams, PetriNet, bundled_model,
+                           check_soundness, playout, reachability_graph)
 from conftest import random_workflow_net
-from oracle import oracle_alignment_cost
+from oracle import oracle_alignment_cost, oracle_cost_to_go
 
 LOOP_TRACE = ("t1", "t2", "t4", "t5", "t3", "t4", "t5", "t6")
 
@@ -445,3 +448,147 @@ def test_unknown_activity_adds_c_log_property(data, c_log):
     longer = tuple(trace[:at]) + ("x9",) + tuple(trace[at:])
     assert (optimal_alignment(net, longer, costs).cost
             == optimal_alignment(net, tuple(trace), costs).cost + c_log)
+
+
+def non_dyadic_corpus(fn1, som):
+    """Noisy and injected playouts of som and fn1, and 50-300-event fn1 loops."""
+    rng = random.Random(17)
+    corpus = {}
+    for net in (som, fn1):
+        noisy = playout(net, 100, seed=6, noise=NoiseParams(0.05, 0.05))
+        injected = build_eval_sets(playout(net, 40, seed=6), seed=6)["all"]
+        corpus[net.name] = [tr.events for tr in noisy] + [tr.events for tr in injected]
+    corpus["fn1 loops"] = [noisy_fn1_loop(rng, rng.randrange(50, 301)) for _ in range(12)]
+    return corpus
+
+
+def test_non_dyadic_costs_keep_pinned_moves(fn1, som):
+    """Costs whose sums round differently along different paths: the pruning
+    bound must keep every prefix of the canonical alignment. Recorded with
+    the search without the bound."""
+    expected = {
+        "som": ("62dbbc5bed044a5539d5193cdd2f33c91337cc8314b14ea919d97bfefb3ae596",
+                "41098e407a4938fb1ac0c1c26676eba1af18602f6948fb72a320eb76189bea64"),
+        "fn1": ("b0fc90f8f2da1c9a8907bbd754a88c7c48b102e725b78ffbc3e9451bde59aaa8",
+                "8beb2584a2dd561efa2c1e49fe1ca7f1a4f89503086774a1dbf2949248d55ce3"),
+        "fn1 loops": ("f73ec05bd59bc733e9681a42b49d2e2570daed27432b81de72285fdf2825cc28",
+                      "0d7db05fb4dcee2d6bd1b1ab4c4de9130f36cdcb33eb11dcaa480e9185b953f9"),
+    }
+    schemes = (CostScheme(0.7, 1.3, 0.1), CostScheme(1.0, 1.0, 0.3))
+    for name, traces in non_dyadic_corpus(fn1, som).items():
+        net = som if name == "som" else fn1
+        assert tuple(move_digest(net, traces, costs) for costs in schemes) == expected[name]
+
+
+def test_chunked_tables_align_like_single_ones(fn1, som):
+    """A table computed with a chunk of traces equals the one computed alone,
+    bit for bit, and so gives the same alignment."""
+    costs = CostScheme(0.7, 1.3, 0.1)
+    for name, traces in non_dyadic_corpus(fn1, som).items():
+        net = som if name == "som" else fn1
+        for trace, h in zip(traces, cost_to_go(net, traces, costs)):
+            assert h == next(cost_to_go(net, [trace], costs))
+            assert optimal_alignment(net, trace, costs, h=h) == optimal_alignment(
+                net, trace, costs)
+
+
+COST_TO_GO_NETS = {"fn1": lambda: bundled_model("fn1"), "som": lambda: bundled_model("som"),
+                   "trap": trap_net, "rand21": lambda: random_workflow_net(21, budget=5),
+                   "rand23": lambda: random_workflow_net(23, budget=5)}
+
+
+@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(0.7, 1.3, 0.1)])
+@pytest.mark.parametrize("name", sorted(COST_TO_GO_NETS))
+def test_cost_to_go_matches_oracle(name, costs):
+    """h*(m, pos) equals the oracle's alignment cost of events[pos:] started
+    in m, for every reachable marking, those that cannot finish included
+    (inf), on the empty trace, unknown activities and random traces."""
+    net = COST_TO_GO_NETS[name]()
+    rng = random.Random(len(name))
+    alphabet = sorted(net.visible_labels) + ["x1"]
+    traces = [(), ("x1",), tuple(sorted(net.visible_labels))[:4] + ("x2",)]
+    traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
+               for _ in range(3)]
+    keys = reachability_graph(net, DEFAULT_STATE_CAP)[2]
+    for trace, h in zip(traces, cost_to_go(net, traces, costs)):
+        want = oracle_cost_to_go(net, trace, costs.c_log, costs.c_model, costs.c_silent)
+        width = len(trace) + 1
+        got = {(key, pos): h[m * width + pos] for m, key in enumerate(keys)
+               for pos in range(width)}
+        assert got == pytest.approx(want, rel=1e-12)
+    if name == "trap":
+        assert any(v == float("inf") for v in want.values())
+
+
+def test_pinned_moves_hold_with_a_bound_that_prunes_nothing(fn1, som, monkeypatch):
+    """With a one-element chunk cap no trace gets a table, so the bound is
+    inf and the search prunes nothing; every pinned alignment stays."""
+    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    assert next(cost_to_go(fn1, [LOOP_TRACE]))[0] == float("inf")
+    test_long_traces_keep_pinned_moves(fn1, som)
+    test_many_distinct_unknown_activities(fn1)
+    test_move_alphabet_wider_than_one_byte()
+    test_injected_traces_keep_pinned_moves(fn1, som)
+    test_markings_that_cannot_finish_are_skipped()
+    test_non_dyadic_costs_keep_pinned_moves(fn1, som)
+
+
+def count_pops(monkeypatch, net, traces) -> int:
+    """heapq.heappop calls in confmon.alignment while aligning the traces."""
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(confmon.alignment, "heapq",
+                        SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    for trace in traces:
+        optimal_alignment(net, trace)
+    return len(pops)
+
+
+def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
+    """Work guard without timing: the 10 pinned long fn1 traces (1533 events)
+    take 14 130 heap pops without the bound and its sync chase, 12 153 with
+    the chase alone, and 891 with both."""
+    rng = random.Random(5)
+    long = [noisy_fn1_loop(rng, 60 + 190 * i // 9) for i in range(10)]
+    assert count_pops(monkeypatch, fn1, long) <= 2000
+    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    assert count_pops(monkeypatch, fn1, long) > 10_000
+
+
+@pytest.mark.parametrize("cap", [1 << 12, None])
+def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
+    """Every array of a chunk's pass, the (positions, N + 1, B) table and
+    the (N, N, B) min-plus temporary, holds at most _CHUNK_ELEMENTS elements;
+    the spy refuses a larger chunk before it allocates. Traces too long for
+    a chunk of their own are never passed in, and the diagnoses match those
+    built without any table."""
+    if cap is not None:
+        monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", cap)
+    limit = confmon.alignment._CHUNK_ELEMENTS
+    real = confmon.alignment._chunk_cost_to_go
+    chunks = []
+
+    def spy(tables, chunk, c_log):
+        n_nodes = len(tables[3])
+        width = max(map(len, chunk)) + 1
+        assert width * (n_nodes + 1) * len(chunk) <= limit
+        assert n_nodes * n_nodes * len(chunk) <= limit
+        chunks.append(len(chunk))
+        yield from real(tables, chunk, c_log)
+
+    rng = random.Random(3)
+    loops = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, rng.randrange(50, 700)))
+                      for i in range(30)])
+    noisy = playout(som, 300, seed=2, noise=NoiseParams(0.05, 0.05))
+    monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
+    pruned = [build_diagnoses(fn1, loops), build_diagnoses(som, noisy)]
+    assert len(chunks) > 2
+    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    for got, want in zip(pruned, [build_diagnoses(fn1, loops), build_diagnoses(som, noisy)]):
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.fitness.tobytes() == want.fitness.tobytes()
+        assert got.moves == want.moves

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,12 @@ def test_dbscan_needs_rows_to_estimate_eps(line_val):
     # an explicit epsilon sidesteps the estimate
     det = train("dbscan", tiny, line_val, {"min_pts": 5, "eps": 5.0})
     assert det.state["cores"].shape[0] == 5
+
+
+@pytest.mark.parametrize("eps", [float("inf"), -float("inf"), float("nan"), "0.5", [0.5]])
+def test_dbscan_eps_must_be_a_finite_number(line_train, line_val, eps):
+    with pytest.raises(DetectError, match=f"eps must be a finite number, got {re.escape(repr(eps))}"):
+        train("dbscan", line_train, line_val, {"eps": eps})
 
 
 def test_dbscan_min_pts_must_be_positive(line_train, line_val):
