@@ -21,7 +21,9 @@ normalization and reads the fitness column directly.
 
 score_matrix is the one scorer and classify the one decision rule. A score
 depends on its row alone, the same bits in any batch, so each distinct row
-is scored once.
+is scored once. The ae scores of a block of rows come from one stacked
+matmul in which each row is its own (1, k) product, the same product a
+one-row call runs, so no row's bits depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -98,54 +100,68 @@ def _ae_forward(weights, biases, x: np.ndarray) -> list:
     return acts
 
 
-def _ae_loss_and_grads(weights, biases, x: np.ndarray):
-    """Mean squared reconstruction error and its gradients w.r.t. all
-    weights and biases (loss averaged over every matrix entry)."""
+def _ae_loss_and_grads(weights, biases, x: np.ndarray, grads_w, grads_b) -> float:
+    """Mean squared reconstruction error (averaged over every matrix entry).
+    Its gradients w.r.t. the weights and biases are written into grads_w
+    and grads_b, arrays of the same shapes."""
     acts = _ae_forward(weights, biases, x)
     out = acts[-1]
     diff = out - x
     loss = float(np.mean(diff * diff))
     delta = 2.0 * diff / diff.size
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
             delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
-    return loss, grads_w, grads_b
+    return loss
 
 
 def _ae_errors(weights, biases, x: np.ndarray) -> np.ndarray:
+    """Mean squared reconstruction error of each row of x. The rows run as a
+    stack of (1, k) products, each the same product a one-row call runs, so
+    a row's error does not depend on the other rows."""
+    x = x[:, None, :]
     out = _ae_forward(weights, biases, x)[-1]
-    return np.mean((out - x) ** 2, axis=1)
+    return np.mean((out - x) ** 2, axis=-1)[:, 0]
 
 
 def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seed: int):
+    """Adam on one flat parameter vector theta, with its gradient g and the
+    moments m and v as flat vectors alike. The per-layer weights and biases
+    are views into theta, their gradients views into g, so each step is one
+    elementwise update, with the same operations on every element as a
+    per-array update."""
     rng = np.random.default_rng(seed)
     weights, biases = _ae_init(layers, rng)
-    mw = [np.zeros_like(w) for w in weights]
-    vw = [np.zeros_like(w) for w in weights]
-    mb = [np.zeros_like(b) for b in biases]
-    vb = [np.zeros_like(b) for b in biases]
+    params = [a for pair in zip(weights, biases) for a in pair]
+    theta = np.concatenate([a.reshape(-1) for a in params])
+    g = np.zeros_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    views, grads = [], []
+    lo = 0
+    for a in params:
+        views.append(theta[lo:lo + a.size].reshape(a.shape))
+        grads.append(g[lo:lo + a.size].reshape(a.shape))
+        lo += a.size
+    weights, biases = views[0::2], views[1::2]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history = []
     for step in range(1, epochs + 1):
-        loss, gw, gb = _ae_loss_and_grads(weights, biases, x)
+        loss = _ae_loss_and_grads(weights, biases, x, grads[0::2], grads[1::2])
         if not math.isfinite(loss):
-            raise DetectError(
-                "autoencoder training diverged (non-finite loss); lower the learning rate")
+            raise DetectError(f"autoencoder training diverged at epoch {step} "
+                              "(non-finite loss); lower the learning rate")
         history.append(loss)
         c1 = 1.0 - beta1 ** step
         c2 = 1.0 - beta2 ** step
-        for i in range(len(weights)):
-            mw[i] = beta1 * mw[i] + (1 - beta1) * gw[i]
-            vw[i] = beta2 * vw[i] + (1 - beta2) * gw[i] * gw[i]
-            weights[i] = weights[i] - lr * (mw[i] / c1) / (np.sqrt(vw[i] / c2) + eps)
-            mb[i] = beta1 * mb[i] + (1 - beta1) * gb[i]
-            vb[i] = beta2 * vb[i] + (1 - beta2) * gb[i] * gb[i]
-            biases[i] = biases[i] - lr * (mb[i] / c1) / (np.sqrt(vb[i] / c2) + eps)
-    return weights, biases, tuple(history)
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return [w.copy() for w in weights], [b.copy() for b in biases], tuple(history)
 
 
 def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
@@ -158,10 +174,14 @@ def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
     rng = np.random.default_rng(seed)
     weights, biases = _ae_init(layers, rng)
     x = rng.uniform(0.0, 1.0, size=(3, layers[0]))
-    _, gw, gb = _ae_loss_and_grads(weights, biases, x)
+    gw = [np.zeros_like(w) for w in weights]
+    gb = [np.zeros_like(b) for b in biases]
+    _ae_loss_and_grads(weights, biases, x, gw, gb)
+    scratch_w = [np.zeros_like(w) for w in weights]
+    scratch_b = [np.zeros_like(b) for b in biases]
 
     def loss_at() -> float:
-        return _ae_loss_and_grads(weights, biases, x)[0]
+        return _ae_loss_and_grads(weights, biases, x, scratch_w, scratch_b)
 
     worst = 0.0
     for params, grads in ((weights, gw), (biases, gb)):
@@ -181,12 +201,19 @@ def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
     return worst
 
 
-# -- dbscan -----------------------------------------------------------------
-
-
-# Elements of one (rows, m, d) difference block: rows of a are taken as many
-# at a time as fit, so temporaries stay bounded whatever n, m and d are.
+# Elements of one block of temporaries: rows are taken as many at a time as
+# fit, so temporaries stay bounded whatever the row count and widths are.
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(n: int, per_row: int):
+    """Slices covering range(n), each of as many rows (at least one) as keep
+    rows * per_row elements within _BLOCK_ELEMENTS."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, per_row))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+# -- dbscan -----------------------------------------------------------------
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, nearest: bool = False) -> np.ndarray:
@@ -194,11 +221,10 @@ def _pairwise(a: np.ndarray, b: np.ndarray, nearest: bool = False) -> np.ndarray
     nearest, only each row's distance to its nearest row of b, as an (n,)
     array, without ever holding the (n, m) matrix."""
     out = np.empty(a.shape[0] if nearest else (a.shape[0], b.shape[0]))
-    step = max(1, _BLOCK_ELEMENTS // max(1, b.size))
-    for lo in range(0, a.shape[0], step):
-        d = a[lo:lo + step, None, :] - b[None, :, :]
+    for rows in _row_blocks(a.shape[0], b.size):
+        d = a[rows, None, :] - b[None, :, :]
         dist = np.sqrt((d * d).sum(axis=2))
-        out[lo:lo + step] = dist.min(axis=1) if nearest else dist
+        out[rows] = dist.min(axis=1) if nearest else dist
     return out
 
 
@@ -314,10 +340,11 @@ def score_matrix(det: Detector, diag: DiagnosesMatrix) -> np.ndarray:
         # copies of a core cannot change a row's nearest distance
         scores = _pairwise(xn, np.unique(det.state["cores"], axis=0), nearest=True)
     else:
-        # One row per call: a batched matrix product may round differently,
-        # which would make a row's score depend on its batch.
+        # a block holds every layer's activations for each of its rows
         weights, biases = det.state["weights"], det.state["biases"]
-        scores = np.array([_ae_errors(weights, biases, v[None, :])[0] for v in xn])
+        scores = np.empty(len(xn))
+        for rows in _row_blocks(len(xn), sum(det.state["layers"])):
+            scores[rows] = _ae_errors(weights, biases, xn[rows])
     return scores[inverse.reshape(-1)]
 
 

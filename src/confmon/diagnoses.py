@@ -130,11 +130,17 @@ def coverage(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()) -> 
     return build_diagnoses(net, log, costs).coverage()
 
 
+def _fmt_cost(value: float) -> str:
+    """The short :g form when it reads back as the same float, else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_diagnoses(diag: DiagnosesMatrix) -> str:
     """Render as CSV with a comment line naming the model and cost scheme."""
     c = diag.costs
-    head = (f"# {_MAGIC} model={diag.model_id} "
-            f"costs={c.c_log:g},{c.c_model:g},{c.c_silent:g},{c.c_sync:g}")
+    costs = ",".join(_fmt_cost(v) for v in (c.c_log, c.c_model, c.c_silent, c.c_sync))
+    head = f"# {_MAGIC} model={diag.model_id} costs={costs}"
     lines = [head, "case," + ",".join(diag.columns)]
     for case_id, row, fit in zip(diag.case_ids, diag.counts.tolist(), diag.fitness.tolist()):
         lines.append(",".join([case_id, *map(str, row), f"{fit:.6f}"]))

@@ -2,7 +2,7 @@
 
 Everything here recomputes results from the raw net structure (places, arcs,
 labels) or a detector's saved state on purpose, without calling the package's
-firing, search, metric, or scoring code paths, so a bug in the production
+firing, search, metric, scoring or training code paths, so a bug in the production
 code cannot hide in its own oracle.
 """
 
@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 
 import numpy as np
+
+from confmon.errors import DetectError
 
 
 def _structure(net):
@@ -216,6 +219,62 @@ def oracle_score(det, values):
         if i < last:
             out = np.tanh(out)
     return float(np.mean((out - vec[None, :]) ** 2, axis=1)[0])
+
+
+def oracle_train_ae(rows, layers, lr=1e-3, epochs=500, seed=0):
+    """(weights, biases, loss history) of the autoencoder trained on rows.
+
+    The rows are min-max normalized with their own statistics and clamped to
+    [-0.5, 1.5]. Glorot-uniform weights and zero biases are drawn layer by
+    layer from np.random.default_rng(seed); hidden layers apply tanh and the
+    output layer is linear. Each epoch is one full-batch step of Adam on the
+    mean squared reconstruction error, updating every weight and bias array
+    on its own. A non-finite loss raises DetectError naming its epoch.
+    """
+    x = np.asarray(rows, dtype=float)
+    x = _min_max(x, x.min(axis=0), x.max(axis=0))
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layers[:-1], layers[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    mw = [np.zeros_like(w) for w in weights]
+    vw = [np.zeros_like(w) for w in weights]
+    mb = [np.zeros_like(b) for b in biases]
+    vb = [np.zeros_like(b) for b in biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    last = len(weights) - 1
+    history = []
+    for step in range(1, epochs + 1):
+        acts = [x]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            z = acts[-1] @ w + b
+            acts.append(z if i == last else np.tanh(z))
+        diff = acts[-1] - x
+        loss = float(np.mean(diff * diff))
+        if not math.isfinite(loss):
+            raise DetectError(f"autoencoder training diverged at epoch {step} "
+                              "(non-finite loss); lower the learning rate")
+        history.append(loss)
+        delta = 2.0 * diff / diff.size
+        gw = [None] * len(weights)
+        gb = [None] * len(biases)
+        for i in range(last, -1, -1):
+            gw[i] = acts[i].T @ delta
+            gb[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
+        c1 = 1.0 - beta1 ** step
+        c2 = 1.0 - beta2 ** step
+        for i in range(len(weights)):
+            mw[i] = beta1 * mw[i] + (1 - beta1) * gw[i]
+            vw[i] = beta2 * vw[i] + (1 - beta2) * gw[i] * gw[i]
+            weights[i] = weights[i] - lr * (mw[i] / c1) / (np.sqrt(vw[i] / c2) + eps)
+            mb[i] = beta1 * mb[i] + (1 - beta1) * gb[i]
+            vb[i] = beta2 * vb[i] + (1 - beta2) * gb[i] * gb[i]
+            biases[i] = biases[i] - lr * (mb[i] / c1) / (np.sqrt(vb[i] / c2) + eps)
+    return weights, biases, tuple(history)
 
 
 def oracle_fit_dbscan(rows, min_pts=4, eps=None):

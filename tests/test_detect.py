@@ -20,7 +20,7 @@ from confmon.eventlog import EventLog, split_log, write_log
 from confmon.inject import build_eval_sets
 from confmon.petri import NoiseParams, playout
 
-from oracle import oracle_fit_dbscan, oracle_score
+from oracle import oracle_fit_dbscan, oracle_score, oracle_train_ae
 
 COLS = ("a", "UNKNOWN", "fitness")
 
@@ -187,6 +187,35 @@ def test_ae_is_seed_deterministic(fn1_diagnoses):
     assert score_matrix(a, probe)[0] != score_matrix(c, probe)[0]
 
 
+def assert_ae_matches_oracle(d_train, d_val, params=None, seed=0):
+    """train("ae") equals the per-array Adam reference bit for bit: every
+    weight and bias array and the loss history."""
+    det = train("ae", d_train, d_val, params, seed=seed)
+    weights, biases, history = oracle_train_ae(d_train.to_array(), det.state["layers"],
+                                               seed=seed)
+    assert det.state["loss_history"] == history
+    got, want = det.state["weights"] + det.state["biases"], weights + biases
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_ae_training_matches_oracle(fn1_diagnoses, som_diagnoses):
+    assert_ae_matches_oracle(*fn1_diagnoses)
+    assert_ae_matches_oracle(*som_diagnoses[:2], seed=11)
+    # three columns give the default layers (3, 2, 2, 2, 3)
+    toy = toy_matrix((i % 4, i % 3, 1.0 - (i % 5) / 10.0) for i in range(24))
+    assert_ae_matches_oracle(toy, toy, seed=4)
+    assert_ae_matches_oracle(*fn1_diagnoses, {"layers": (8, 5, 8)}, seed=2)
+    # so large a rate overflows the loss at the third epoch, in both
+    d_train, d_val = fn1_diagnoses
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DetectError, match="diverged at epoch 3 ") as got:
+            train("ae", d_train, d_val, {"lr": 4e152})
+        with pytest.raises(DetectError) as want:
+            oracle_train_ae(d_train.to_array(), default_ae_layers(8), 4e152)
+    assert str(got.value) == str(want.value)
+
+
 def test_ae_layer_mismatch_rejected(line_train, line_val):
     with pytest.raises(DetectError, match="feature columns"):
         train("ae", line_train, line_val, {"layers": (4, 2, 4)})
@@ -240,29 +269,37 @@ def _oracle_scores(det, diag):
 
 
 @pytest.fixture(scope="module")
-def som_scoring(som):
+def som_diagnoses(som):
+    """Training, validation and test diagnoses of a noisy som log."""
+    normal = playout(som, 120, seed=11, noise=NoiseParams(0.05, 0.05))
+    return tuple(build_diagnoses(som, part) for part in split_log(normal, seed=11))
+
+
+@pytest.fixture(scope="module")
+def som_scoring(som, som_diagnoses):
     """Detectors of every kind trained on a noisy som log, and two matrices
     to score: the noisy normal rows and the all-injected set."""
-    normal = playout(som, 120, seed=11, noise=NoiseParams(0.05, 0.05))
-    train_log, val_log, test_log = split_log(normal, seed=11)
-    d_train, d_val = build_diagnoses(som, train_log), build_diagnoses(som, val_log)
+    d_train, d_val, d_test = som_diagnoses
     injected = build_eval_sets(playout(som, 60, seed=1011), 3.0, seed=11)["all"]
-    targets = (build_diagnoses(som, test_log), build_diagnoses(som, injected))
+    targets = (d_test, build_diagnoses(som, injected))
     dets = {kind: train(kind, d_train, d_val, seed=11) for kind in DETECTOR_KINDS}
     return dets, targets
 
 
-def test_score_matrix_matches_row_scores(fn1_diagnoses, som_scoring):
+def test_score_matrix_matches_row_scores(fn1_diagnoses, som_scoring, monkeypatch):
     """score_matrix equals the per-row reference bit for bit: dbscan on fn1,
-    and every kind on a noisy som log and its all-injected set."""
+    and every kind on a noisy som log and its all-injected set, under the
+    default block budget and one of three ae rows (one dbscan row) a block."""
     d_train, d_val = fn1_diagnoses
     det = train("dbscan", d_train, d_val)
     assert score_matrix(det, d_val).tolist() == _oracle_scores(det, d_val)
     dets, targets = som_scoring
-    for diag in targets:
-        assert len(np.unique(diag.to_array(), axis=0)) < len(diag)  # rows repeat
-        for det in dets.values():
-            assert score_matrix(det, diag).tolist() == _oracle_scores(det, diag)
+    for budget in (confmon.detect._BLOCK_ELEMENTS, 3 * sum(dets["ae"].state["layers"])):
+        monkeypatch.setattr(confmon.detect, "_BLOCK_ELEMENTS", budget)
+        for diag in targets:
+            assert len(np.unique(diag.to_array(), axis=0)) < len(diag)  # rows repeat
+            for det in dets.values():
+                assert score_matrix(det, diag).tolist() == _oracle_scores(det, diag)
 
 
 @pytest.mark.parametrize("kind", DETECTOR_KINDS)

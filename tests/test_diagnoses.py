@@ -86,10 +86,18 @@ def test_csv_round_trip(fn1):
 
 
 def test_csv_carries_costs(fn1):
-    costs = CostScheme(c_log=2.0, c_model=3.0)
-    diag = build_diagnoses(fn1, MIXED, costs)
-    back = read_diagnoses(write_diagnoses(diag))
-    assert back.costs == costs
+    # costs that :g renders exactly are written short; seven significant
+    # digits do not survive :g, so they are written in full
+    for costs, field in ((CostScheme(), "costs=1,1,0,0"),
+                         (CostScheme(c_log=2.0, c_model=3.0), "costs=2,3,0,0"),
+                         (CostScheme(0.1234567, 1.0, 0.7654321),
+                          "costs=0.1234567,1,0.7654321,0")):
+        diag = build_diagnoses(fn1, MIXED, costs)
+        text = write_diagnoses(diag)
+        assert text.splitlines()[0].endswith(f" {field}")
+        back = read_diagnoses(text)
+        assert back.costs == costs
+        assert write_diagnoses(back) == text
 
 
 def test_read_rejects_malformed_header():
