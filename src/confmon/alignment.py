@@ -405,8 +405,12 @@ def _move_codes(net: PetriNet):
     moves lists every move in (kind, id) order: one sync move per visible
     transition, one silent or model move per transition and, last as _LOG is
     the largest kind, one log move with id None. A move's code is chr of its
-    index. sync and free map a transition id to the code of its sync move and
-    of its silent or model move; log is the code of the log move.
+    index, and moves[index] is that move decoded. Each net move is decoded
+    once, into a Move shared by every alignment on the net: it compares equal
+    to a fresh one, and its identity means nothing. The log move's entry is
+    None, as each log Move carries its own event. sync and free map a
+    transition id to the code of its sync move and of its silent or model
+    move; log is the code of the log move.
 
     One log code serves every event: keys that share a prefix share the
     state after it, and a state has a single log move, so the event of a log
@@ -414,33 +418,36 @@ def _move_codes(net: PetriNet):
     """
     codes = net._caches.get("move_codes")
     if codes is None:
-        moves = sorted([(_SYNC, t) for t, label in net.labels.items() if label is not None]
-                       + [(_SILENT if label is None else _MODEL, t)
-                          for t, label in net.labels.items()]
-                       + [(_LOG, None)])
-        code = {move: chr(i) for i, move in enumerate(moves)}
+        ranked = sorted([(_SYNC, t) for t, label in net.labels.items() if label is not None]
+                        + [(_SILENT if label is None else _MODEL, t)
+                           for t, label in net.labels.items()]
+                        + [(_LOG, None)])
+        code = {move: chr(i) for i, move in enumerate(ranked)}
+        moves = [Move(_KIND_NAMES[kind], net.labels[t], t) for kind, t in ranked[:-1]]
         sync = {t: code[_SYNC, t] for t, label in net.labels.items() if label is not None}
         free = {t: code[_SILENT if label is None else _MODEL, t]
                 for t, label in net.labels.items()}
-        codes = net._caches["move_codes"] = (moves, sync, free, code[_LOG, None])
+        codes = net._caches["move_codes"] = (moves + [None], sync, free, code[_LOG, None])
     return codes
 
 
 def _moves(net: PetriNet, sigma, key: str) -> tuple[Move, ...]:
     """Moves of a path key, decoded through the net's move list. Sync and log
     moves consume the trace in order; a log move's activity is the event at
-    its position."""
-    moves = _move_codes(net)[0]
+    its position. Every move but a log move is the net's shared instance
+    (see _move_codes), so only log moves are built here."""
+    moves, _, _, log = _move_codes(net)
     out = []
     pos = 0
     for code in key:
-        kind, t = moves[ord(code)]
-        if kind == _LOG:
+        if code == log:
             out.append(Move("log", sigma[pos], None))
-        else:
-            out.append(Move(_KIND_NAMES[kind], net.labels[t], t))
-        if kind == _SYNC or kind == _LOG:
             pos += 1
+        else:
+            move = moves[ord(code)]
+            out.append(move)
+            if move.kind == "sync":
+                pos += 1
     return tuple(out)
 
 

@@ -148,19 +148,23 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seed: int):
     weights, biases = views[0::2], views[1::2]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history = []
-    for step in range(1, epochs + 1):
-        loss = _ae_loss_and_grads(weights, biases, x, grads[0::2], grads[1::2])
-        if not math.isfinite(loss):
-            raise DetectError(f"autoencoder training diverged at epoch {step} "
-                              "(non-finite loss); lower the learning rate")
-        history.append(loss)
-        c1 = 1.0 - beta1 ** step
-        c2 = 1.0 - beta2 ** step
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    # A diverging rate overflows before the loss turns non-finite; the named
+    # DetectError below reports that, not numpy's warnings. errstate only
+    # changes what is reported, never a computed bit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, epochs + 1):
+            loss = _ae_loss_and_grads(weights, biases, x, grads[0::2], grads[1::2])
+            if not math.isfinite(loss):
+                raise DetectError(f"autoencoder training diverged at epoch {step} "
+                                  "(non-finite loss); lower the learning rate")
+            history.append(loss)
+            c1 = 1.0 - beta1 ** step
+            c2 = 1.0 - beta2 ** step
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return [w.copy() for w in weights], [b.copy() for b in biases], tuple(history)
 
 

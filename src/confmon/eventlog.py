@@ -21,6 +21,8 @@ LABELS = ("normal", "anomalous")
 
 
 def _check_token(value: str, what: str) -> None:
+    if not isinstance(value, str):
+        raise LogError(f"{what} must be a str: {value!r}")
     if value.split() != [value]:  # empty, or holds whitespace anywhere
         raise LogError(f"{what} must be a non-empty token without whitespace: {value!r}")
     if "|" in value:
@@ -42,9 +44,27 @@ class Trace:
         _check_token(self.case_id, "case id")
         if ":" in self.case_id:
             raise LogError(f"case id may not contain ':': {self.case_id!r}")
-        object.__setattr__(self, "events", tuple(self.events))
-        for ev in self.events:
-            _check_token(ev, "activity")
+        if isinstance(self.events, str):
+            raise LogError(f"trace events must be a sequence of activities, "
+                           f"not the str {self.events!r}")
+        try:
+            events = tuple(self.events)
+        except TypeError:
+            raise LogError(f"trace events must be a sequence of activities: "
+                           f"{self.events!r}") from None
+        object.__setattr__(self, "events", events)
+        # The events are all tokens exactly when joining them with spaces
+        # and splitting again gives them back: str.split drops an empty event
+        # and breaks one that holds whitespace. Only a failed check walks the
+        # events one by one, to name the first bad one.
+        try:
+            joined = " ".join(events)
+            valid = "|" not in joined and joined.split() == list(events)
+        except TypeError:  # an event is not a str
+            valid = False
+        if not valid:
+            for ev in events:
+                _check_token(ev, "activity")
         if self.label is not None and self.label not in LABELS:
             raise LogError(f"trace label must be one of {LABELS}: {self.label!r}")
 

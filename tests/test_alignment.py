@@ -548,15 +548,41 @@ def count_pops(monkeypatch, net, traces) -> int:
     return len(pops)
 
 
-def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
-    """Work guard without timing: the 10 pinned long fn1 traces (1533 events)
-    take 14 130 heap pops without the bound and its sync chase, 12 153 with
-    the chase alone, and 891 with both."""
+def long_fn1_traces() -> list:
+    """The 10 pinned long fn1 traces (1533 events)."""
     rng = random.Random(5)
-    long = [noisy_fn1_loop(rng, 60 + 190 * i // 9) for i in range(10)]
+    return [noisy_fn1_loop(rng, 60 + 190 * i // 9) for i in range(10)]
+
+
+def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
+    """Work guard without timing: the 10 pinned long fn1 traces take 14 130
+    heap pops without the bound and its sync chase, 12 153 with the chase
+    alone, and 891 with both."""
+    long = long_fn1_traces()
     assert count_pops(monkeypatch, fn1, long) <= 2000
     monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
     assert count_pops(monkeypatch, fn1, long) > 10_000
+
+
+def test_net_moves_are_decoded_once_per_net(monkeypatch):
+    """Work guard without timing: aligning the pinned long fn1 traces builds
+    one Move per log move, plus the net's move alphabet once (a sync move per
+    visible transition, a silent or model move per transition), not one Move
+    per move of every alignment."""
+    net = bundled_model("fn1")
+    built = []
+    real = confmon.alignment.Move
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(confmon.alignment, "Move", spy)
+    alignments = [optimal_alignment(net, trace) for trace in long_fn1_traces()]
+    log_moves = sum(mv.kind == "log" for a in alignments for mv in a.moves)
+    alphabet = len(net.labels) + sum(label is not None for label in net.labels.values())
+    assert len(built) <= log_moves + alphabet
+    assert sum(map(len, alignments)) > 10 * (log_moves + alphabet)
 
 
 @pytest.mark.parametrize("cap", [1 << 12, None])

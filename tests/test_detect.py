@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,14 +207,18 @@ def test_ae_training_matches_oracle(fn1_diagnoses, som_diagnoses):
     toy = toy_matrix((i % 4, i % 3, 1.0 - (i % 5) / 10.0) for i in range(24))
     assert_ae_matches_oracle(toy, toy, seed=4)
     assert_ae_matches_oracle(*fn1_diagnoses, {"layers": (8, 5, 8)}, seed=2)
-    # so large a rate overflows the loss at the third epoch, in both
+    # rates this large overflow the loss at the same epoch in both; train
+    # reports it by its DetectError alone, with no numpy RuntimeWarning
     d_train, d_val = fn1_diagnoses
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DetectError, match="diverged at epoch 3 ") as got:
-            train("ae", d_train, d_val, {"lr": 4e152})
-        with pytest.raises(DetectError) as want:
-            oracle_train_ae(d_train.to_array(), default_ae_layers(8), 4e152)
-    assert str(got.value) == str(want.value)
+    for lr, epoch in [(4e152, 3), (1e153, 2), (1e154, 2), (1e155, 2)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DetectError, match=f"diverged at epoch {epoch} ") as got:
+                train("ae", d_train, d_val, {"lr": lr})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DetectError) as want:
+                oracle_train_ae(d_train.to_array(), default_ae_layers(8), lr)
+        assert str(got.value) == str(want.value)
 
 
 def test_ae_layer_mismatch_rejected(line_train, line_val):

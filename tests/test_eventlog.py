@@ -80,6 +80,56 @@ def test_trace_validation():
         Trace("c1", ("a",), "maybe")
 
 
+def test_trace_rejects_values_of_the_wrong_type():
+    with pytest.raises(LogError, match="case id must be a str: 7$"):
+        Trace(7, ("a",))
+    with pytest.raises(LogError, match="activity must be a str: 5$"):
+        Trace("c1", ("a", 5))
+    with pytest.raises(LogError, match="not the str 'ab'$"):
+        Trace("c1", "ab")
+    with pytest.raises(LogError, match="sequence of activities: None$"):
+        Trace("c1", None)
+
+
+BAD_TOKENS = ["", " ", "a b", "a\tb", "a\x1cb", "a\xa0b", "a\u2028b", "a|b", " a", "a "]
+
+
+@pytest.mark.parametrize("bad", BAD_TOKENS)
+def test_trace_names_the_bad_event_as_check_token_does(bad):
+    """Events are checked in one pass over their joined text; a bad event,
+    alone or among valid ones, still fails with _check_token's message."""
+    with pytest.raises(LogError) as want:
+        _check_token(bad, "activity")
+    for events in [(bad,), ("x", bad), (bad, "y"), ("x", bad, "y"), ("x", bad, bad, "|")]:
+        with pytest.raises(LogError) as got:
+            Trace("c1", events)
+        assert str(got.value) == str(want.value)
+
+
+def test_trace_accepts_tokens_that_only_look_odd():
+    events = ("é", "a:b", "a\u200bb", "x-y", "日本", "a\x00b", "a,b")
+    assert Trace("c1", events).events == events
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(st.text(alphabet="ab |\t\x1c\xa0\u2028\u200b", max_size=3),
+                       max_size=4))
+def test_trace_accepts_exactly_what_check_token_accepts(events):
+    first_bad = None
+    for ev in events:
+        try:
+            _check_token(ev, "activity")
+        except LogError as exc:
+            first_bad = str(exc)
+            break
+    if first_bad is None:
+        assert Trace("c1", events).events == tuple(events)
+    else:
+        with pytest.raises(LogError) as got:
+            Trace("c1", events)
+        assert str(got.value) == first_bad
+
+
 def test_duplicate_case_ids_rejected():
     with pytest.raises(LogError, match="duplicate case id"):
         EventLog([Trace("c1", ("a",)), Trace("c1", ("b",))])
