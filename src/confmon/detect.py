@@ -12,7 +12,11 @@ threshold. Higher scores mean more anomalous.
           training rows weighted by their multiplicity and scores against the
           distinct cores, so its memory is O(distinct rows²), not O(rows²).
   ae      autoencoder: small tanh multilayer perceptron trained to reconstruct
-          training rows; score = mean squared reconstruction error
+          training rows; score = mean squared reconstruction error. It trains
+          by full-batch Adam on buffers allocated once per training call, so
+          an epoch writes its activations, gradients and moments in place.
+          ae_gradient_check runs the same loss-and-gradient pass, and
+          scoring the same forward routine.
 
 Feature rows are min-max normalized per column with statistics learned on the
 training rows (a constant column maps its training values to 0, and deviating
@@ -79,6 +83,32 @@ def default_ae_layers(d: int) -> tuple[int, ...]:
 # -- autoencoder ------------------------------------------------------------
 
 
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DetectError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise DetectError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _ae_layers(sizes) -> tuple[int, ...]:
+    """The layer sizes as a tuple of ints; DetectError unless there are at
+    least two and each is an integer >= 1."""
+    try:
+        layers = tuple(sizes)
+    except TypeError:
+        raise DetectError(
+            f"autoencoder layers must be a sequence of sizes, got {sizes!r}") from None
+    if len(layers) < 2:
+        raise DetectError(f"autoencoder layers need at least input and output sizes, got {layers}")
+    return tuple(_count("autoencoder layer size", s) for s in layers)
+
+
 def _ae_init(layers, rng) -> tuple[list, list]:
     weights = []
     biases = []
@@ -89,32 +119,73 @@ def _ae_init(layers, rng) -> tuple[list, list]:
     return weights, biases
 
 
-def _ae_forward(weights, biases, x: np.ndarray) -> list:
-    """Returns the list of layer activations, input first, output last.
-    Hidden layers apply tanh; the output layer is linear."""
-    acts = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if i == last else np.tanh(z))
-    return acts
+def _split(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of the flat array, one of each given shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[lo:lo + size].reshape(shape))
+        lo += size
+    return views
 
 
-def _ae_loss_and_grads(weights, biases, x: np.ndarray, grads_w, grads_b) -> float:
-    """Mean squared reconstruction error (averaged over every matrix entry).
-    Its gradients w.r.t. the weights and biases are written into grads_w
-    and grads_b, arrays of the same shapes."""
-    acts = _ae_forward(weights, biases, x)
-    out = acts[-1]
-    diff = out - x
-    loss = float(np.mean(diff * diff))
-    delta = 2.0 * diff / diff.size
-    for i in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
-        if i > 0:
-            delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
-    return loss
+def _ae_hidden(weights, lead: tuple) -> tuple[np.ndarray, list]:
+    """One flat array for the activations of every hidden layer over rows of
+    leading shape lead, and each layer's view into it, in layer order."""
+    shapes = [lead + (w.shape[1],) for w in weights[:-1]]
+    flat = np.empty(sum(math.prod(s) for s in shapes))
+    return flat, _split(flat, shapes)
+
+
+def _ae_forward(weights, biases, x: np.ndarray, hidden, out: np.ndarray) -> None:
+    """Writes the tanh activations of each hidden layer into its array of
+    hidden and the linear output layer into out. The products are matmuls,
+    so a stack of rows of shape (rows, 1, k) runs one (1, k) product per
+    row."""
+    a = x
+    for w, b, h in zip(weights, biases, hidden):
+        np.matmul(a, w, out=h)
+        h += b
+        np.tanh(h, out=h)
+        a = h
+    np.matmul(a, weights[-1], out=out)
+    out += biases[-1]
+
+
+def _ae_pass(weights, biases, x: np.ndarray, grads_w, grads_b):
+    """The loss-and-gradient pass over the rows of x, with every array it
+    uses allocated here, once. Returns a function that runs the pass on the
+    current weights and biases: it writes the gradients of the mean squared
+    reconstruction error (averaged over every matrix entry) into grads_w and
+    grads_b, arrays of the same shapes, and returns that error."""
+    hidden_flat, hidden = _ae_hidden(weights, x.shape[:-1])
+    slope_flat = np.empty_like(hidden_flat)  # tanh' = 1 - a*a of each hidden activation
+    slopes = _split(slope_flat, [h.shape for h in hidden])
+    deltas = _split(np.empty_like(hidden_flat), [h.shape for h in hidden])
+    out = np.empty_like(x)  # the output, then its difference from x, then its delta
+    squares = np.empty_like(x)
+    inputs_t = [x.T] + [h.T for h in hidden]
+    weights_t = [w.T for w in weights]
+
+    def run() -> float:
+        _ae_forward(weights, biases, x, hidden, out)
+        np.multiply(hidden_flat, hidden_flat, out=slope_flat)
+        np.subtract(1.0, slope_flat, out=slope_flat)
+        np.subtract(out, x, out=out)
+        np.multiply(out, out, out=squares)
+        loss = float(np.add.reduce(squares, axis=None)) / squares.size
+        np.multiply(out, 2.0, out=out)
+        np.divide(out, out.size, out=out)
+        delta = out
+        for i in range(len(weights) - 1, -1, -1):
+            np.matmul(inputs_t[i], delta, out=grads_w[i])
+            np.add.reduce(delta, axis=0, out=grads_b[i])
+            if i > 0:
+                np.matmul(delta, weights_t[i], out=deltas[i - 1])
+                delta = np.multiply(deltas[i - 1], slopes[i - 1], out=deltas[i - 1])
+        return loss
+
+    return run
 
 
 def _ae_errors(weights, biases, x: np.ndarray) -> np.ndarray:
@@ -122,86 +193,92 @@ def _ae_errors(weights, biases, x: np.ndarray) -> np.ndarray:
     stack of (1, k) products, each the same product a one-row call runs, so
     a row's error does not depend on the other rows."""
     x = x[:, None, :]
-    out = _ae_forward(weights, biases, x)[-1]
+    out = np.empty(x.shape)
+    _ae_forward(weights, biases, x, _ae_hidden(weights, x.shape[:-1])[1], out)
     return np.mean((out - x) ** 2, axis=-1)[:, 0]
 
 
 def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seed: int):
-    """Adam on one flat parameter vector theta, with its gradient g and the
-    moments m and v as flat vectors alike. The per-layer weights and biases
-    are views into theta, their gradients views into g, so each step is one
-    elementwise update, with the same operations on every element as a
-    per-array update."""
+    """Adam on one flat parameter vector theta, with its gradient g as a flat
+    vector alike and the moments m and v as the two rows of one (2, P)
+    array. The per-layer weights and biases are views into theta, their
+    gradients views into g, so each step is one elementwise update of both
+    moments at once, with the same operations on every element as a
+    per-array update. Every array an epoch touches, the loss-and-gradient
+    pass's included, is allocated once per call and written in place; the
+    pass is the one ae_gradient_check runs, and its forward routine the one
+    scoring runs."""
     rng = np.random.default_rng(seed)
     weights, biases = _ae_init(layers, rng)
     params = [a for pair in zip(weights, biases) for a in pair]
+    shapes = [a.shape for a in params]
     theta = np.concatenate([a.reshape(-1) for a in params])
     g = np.zeros_like(theta)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    views, grads = [], []
-    lo = 0
-    for a in params:
-        views.append(theta[lo:lo + a.size].reshape(a.shape))
-        grads.append(g[lo:lo + a.size].reshape(a.shape))
-        lo += a.size
+    views, grads = _split(theta, shapes), _split(g, shapes)
     weights, biases = views[0::2], views[1::2]
+    run = _ae_pass(weights, biases, x, grads[0::2], grads[1::2])
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    betas = np.array([[beta1], [beta2]])
+    rates = np.array([[1 - beta1], [1 - beta2]])
+    corrections = np.empty((2, 1))
+    moments = np.zeros((2, theta.size))  # m, v
+    scaled = np.empty_like(moments)
+    m_hat, v_hat = scaled
     history = []
     # A diverging rate overflows before the loss turns non-finite; the named
     # DetectError below reports that, not numpy's warnings. errstate only
     # changes what is reported, never a computed bit.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, epochs + 1):
-            loss = _ae_loss_and_grads(weights, biases, x, grads[0::2], grads[1::2])
+            loss = run()
             if not math.isfinite(loss):
                 raise DetectError(f"autoencoder training diverged at epoch {step} "
                                   "(non-finite loss); lower the learning rate")
             history.append(loss)
-            c1 = 1.0 - beta1 ** step
-            c2 = 1.0 - beta2 ** step
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            corrections[:, 0] = (1.0 - beta1 ** step, 1.0 - beta2 ** step)
+            # m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g
+            moments *= betas
+            np.multiply(g, rates, out=scaled)
+            v_hat *= g
+            moments += scaled
+            # theta -= lr*(m/c1) / (sqrt(v/c2) + eps)
+            np.divide(moments, corrections, out=scaled)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += eps
+            m_hat *= lr
+            m_hat /= v_hat
+            theta -= m_hat
     return [w.copy() for w in weights], [b.copy() for b in biases], tuple(history)
 
 
 def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
     """Max relative error between analytic and central finite-difference
-    gradients on random parameters and inputs. Small (< 1e-4) when the
-    backpropagation is implemented correctly."""
-    layers = tuple(int(s) for s in layer_sizes)
-    if len(layers) < 2:
-        raise DetectError("layer_sizes needs at least input and output sizes")
+    gradients on random parameters and inputs, both from the pass training
+    runs. Small (< 1e-4) when the backpropagation is implemented correctly."""
+    layers = _ae_layers(layer_sizes)
+    step = _positive("gradient check step", step)
     rng = np.random.default_rng(seed)
     weights, biases = _ae_init(layers, rng)
     x = rng.uniform(0.0, 1.0, size=(3, layers[0]))
-    gw = [np.zeros_like(w) for w in weights]
-    gb = [np.zeros_like(b) for b in biases]
-    _ae_loss_and_grads(weights, biases, x, gw, gb)
-    scratch_w = [np.zeros_like(w) for w in weights]
-    scratch_b = [np.zeros_like(b) for b in biases]
-
-    def loss_at() -> float:
-        return _ae_loss_and_grads(weights, biases, x, scratch_w, scratch_b)
+    grads = [np.zeros_like(a) for a in weights + biases]
+    loss_at = _ae_pass(weights, biases, x, grads[:len(weights)], grads[len(weights):])
+    loss_at()
+    analytic = [a.copy() for a in grads]
 
     worst = 0.0
-    for params, grads in ((weights, gw), (biases, gb)):
-        for arr, grad in zip(params, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                hi = loss_at()
-                flat[j] = orig - step
-                lo = loss_at()
-                flat[j] = orig
-                fd = (hi - lo) / (2.0 * step)
-                rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-6)
-                worst = max(worst, rel)
+    for arr, grad in zip(weights + biases, analytic):
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            hi = loss_at()
+            flat[j] = orig - step
+            lo = loss_at()
+            flat[j] = orig
+            fd = (hi - lo) / (2.0 * step)
+            rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-6)
+            worst = max(worst, rel)
     return worst
 
 
@@ -313,12 +390,12 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
         eps, cores, n_clusters = _fit_dbscan(xn, min_pts, eps)
         state = {"eps": eps, "min_pts": min_pts, "cores": cores, "n_clusters": n_clusters}
     elif kind == "ae":
-        layers = tuple(params.pop("layers", default_ae_layers(len(train_d.columns))))
+        layers = _ae_layers(params.pop("layers", default_ae_layers(len(train_d.columns))))
         if layers[0] != len(train_d.columns) or layers[-1] != len(train_d.columns):
             raise DetectError(f"autoencoder layers {layers} do not match "
                               f"{len(train_d.columns)} feature columns")
-        lr = float(params.pop("lr", AE_LEARNING_RATE))
-        epochs = int(params.pop("epochs", AE_EPOCHS))
+        lr = _positive("autoencoder lr", params.pop("lr", AE_LEARNING_RATE))
+        epochs = _count("autoencoder epochs", params.pop("epochs", AE_EPOCHS))
         xn = _normalize(mins, maxs, x_train)
         weights, biases, history = _train_ae(xn, layers, lr, epochs, seed)
         state = {"layers": layers, "weights": weights, "biases": biases,

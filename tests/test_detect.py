@@ -157,8 +157,26 @@ def test_default_ae_layers():
 
 def test_ae_gradient_check_small():
     assert ae_gradient_check([4, 2, 4], seed=0) < 1e-4
+    # the widest network training builds, and one with no hidden layer
+    assert ae_gradient_check(default_ae_layers(16), seed=0) < 1e-4
+    assert ae_gradient_check([3, 3], seed=0) < 1e-4
     with pytest.raises(DetectError, match="at least"):
         ae_gradient_check([4])
+
+
+@pytest.mark.parametrize("layers, step, named", [
+    ([3, 2, 3], float("nan"), "step must be a finite number > 0, got nan"),
+    ([3, 2, 3], float("inf"), "step must be a finite number > 0, got inf"),
+    ([3, 2, 3], 0, "step must be a finite number > 0, got 0"),
+    ([0, 0], 1e-5, "layer size must be an integer >= 1, got 0"),
+    ([4, -1, 4], 1e-5, "layer size must be an integer >= 1, got -1"),
+    ([2.5, 2], 1e-5, "layer size must be an integer >= 1, got 2.5"),
+])
+def test_ae_gradient_check_rejects_bad_input(layers, step, named):
+    # a nan step used to return 0.0, passing any gradient; the others
+    # returned 1.0, truncated a size or raised a bare Python error
+    with pytest.raises(DetectError, match=re.escape(named)):
+        ae_gradient_check(layers, step=step)
 
 
 def test_ae_gradient_error_shrinks_with_step():
@@ -188,12 +206,22 @@ def test_ae_is_seed_deterministic(fn1_diagnoses):
     assert score_matrix(a, probe)[0] != score_matrix(c, probe)[0]
 
 
+def wide_matrix(n, width, seed):
+    """n rows of width - 1 random counters and a fitness column."""
+    rng = np.random.default_rng(seed)
+    columns = tuple(f"c{j}" for j in range(width - 2)) + ("UNKNOWN", "fitness")
+    return DiagnosesMatrix(columns, tuple(f"r{i}" for i in range(n)),
+                           rng.integers(0, 5, size=(n, width - 1)),
+                           rng.uniform(0.4, 1.0, size=n), "toy", CostScheme())
+
+
 def assert_ae_matches_oracle(d_train, d_val, params=None, seed=0):
     """train("ae") equals the per-array Adam reference bit for bit: every
     weight and bias array and the loss history."""
     det = train("ae", d_train, d_val, params, seed=seed)
+    rate = {k: v for k, v in (params or {}).items() if k in ("lr", "epochs")}
     weights, biases, history = oracle_train_ae(d_train.to_array(), det.state["layers"],
-                                               seed=seed)
+                                               seed=seed, **rate)
     assert det.state["loss_history"] == history
     got, want = det.state["weights"] + det.state["biases"], weights + biases
     assert [a.shape for a in got] == [a.shape for a in want]
@@ -207,6 +235,12 @@ def test_ae_training_matches_oracle(fn1_diagnoses, som_diagnoses):
     toy = toy_matrix((i % 4, i % 3, 1.0 - (i % 5) / 10.0) for i in range(24))
     assert_ae_matches_oracle(toy, toy, seed=4)
     assert_ae_matches_oracle(*fn1_diagnoses, {"layers": (8, 5, 8)}, seed=2)
+    # no hidden layer, so the flat buffer of hidden activations is empty
+    assert_ae_matches_oracle(*fn1_diagnoses, {"layers": (8, 8)}, seed=3)
+    assert_ae_matches_oracle(*fn1_diagnoses, {"epochs": 1}, seed=5)
+    # 16 columns at the monitor's training size, over fewer epochs
+    wide = wide_matrix(1200, 16, seed=7)
+    assert_ae_matches_oracle(wide, wide, {"epochs": 20}, seed=6)
     # rates this large overflow the loss at the same epoch in both; train
     # reports it by its DetectError alone, with no numpy RuntimeWarning
     d_train, d_val = fn1_diagnoses
@@ -224,6 +258,25 @@ def test_ae_training_matches_oracle(fn1_diagnoses, som_diagnoses):
 def test_ae_layer_mismatch_rejected(line_train, line_val):
     with pytest.raises(DetectError, match="feature columns"):
         train("ae", line_train, line_val, {"layers": (4, 2, 4)})
+
+
+@pytest.mark.parametrize("params, named", [
+    ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+    ({"epochs": -3}, "epochs must be an integer >= 1, got -3"),
+    ({"epochs": 2.7}, "epochs must be an integer >= 1, got 2.7"),
+    ({"lr": 0}, "lr must be a finite number > 0, got 0"),
+    ({"lr": -1e-3}, "lr must be a finite number > 0, got -0.001"),
+    ({"lr": float("nan")}, "lr must be a finite number > 0, got nan"),
+    ({"layers": (4, 0, 4)}, "layer size must be an integer >= 1, got 0"),
+    ({"layers": (4, -2, 4)}, "layer size must be an integer >= 1, got -2"),
+    ({"layers": 4}, "layers must be a sequence of sizes, got 4"),
+])
+def test_ae_rejects_bad_params(params, named):
+    # each used to train silently (no epochs, a truncated count, no or
+    # uphill steps, a zero-width layer) or fail without naming the value
+    rows = wide_matrix(20, 4, seed=1)
+    with pytest.raises(DetectError, match=re.escape(named)):
+        train("ae", rows, rows, params)
 
 
 def test_unknown_params_rejected(line_train, line_val):
