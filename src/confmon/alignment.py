@@ -27,9 +27,10 @@ alignment and is skipped. Every prefix of every optimal alignment passes that
 test, the canonical one included, and the heap still pops in (cost,
 tie-break) order, so pruning cannot change which alignment is returned. A
 trace whose table would not fit _CHUNK_ELEMENTS is searched with a bound
-that prunes nothing. state_cap counts expansions of the pruned search, so a
-trace that used to exhaust the cap may now align. A sync move, free and
-first in the tie-break, is followed without a round trip through the heap.
+that prunes nothing. petri.DEFAULT_STATE_CAP, read at call time, bounds the
+markings of the graph and the expansions of the pruned search. A sync move,
+free and first in the tie-break, is followed without a round trip through
+the heap.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 
 from .errors import AlignmentError, ModelError
 from .eventlog import Trace
-from .petri import DEFAULT_STATE_CAP, PetriNet, reachability_graph
+from . import petri
+from .petri import PetriNet, reachability_graph
 
 SKIP = ">>"
 UNKNOWN = "UNKNOWN"
@@ -132,27 +134,27 @@ def _events(trace) -> tuple[str, ...]:
     return tuple(trace)
 
 
-def _state_space(net: PetriNet, state_cap: int):
-    """The net's reachability graph (see petri.reachability_graph) as
-    (succ, start, final): the nodes of the initial and the final marking,
-    final None when it is unreachable. Both are cached next to the graph."""
+def _state_space(net: PetriNet):
+    """(succ, final) of the net's reachability graph (see
+    petri.reachability_graph); the initial marking is node 0. Raises
+    AlignmentError when the graph is unbounded, over the cap, or does not
+    reach the final marking."""
     try:
-        graph = reachability_graph(net, state_cap)
+        graph = reachability_graph(net)
     except ModelError as exc:  # unbounded
         raise AlignmentError(f"{exc}; alignments need a bounded net") from exc
     if graph is None:
         raise AlignmentError(
             f"alignment state-space exhausted: net {net.name} has more than "
-            f"{state_cap} reachable markings")
-    index, succ, _ = graph
-    ends = net._caches.get("ends")
-    if ends is None:
-        ends = net._caches["ends"] = (index[net._to_key(net.initial_marking)],
-                                      index.get(net._to_key(net.final_marking)))
-    return (succ, *ends)
+            f"{petri.DEFAULT_STATE_CAP} reachable markings")
+    succ, _, final = graph
+    if final is None:
+        raise AlignmentError(
+            f"net {net.name}: final marking unreachable from initial marking")
+    return succ, final
 
 
-def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
+def _completion_costs(net: PetriNet, costs: CostScheme):
     """Per reachable marking: cheapest model-only completion cost.
 
     Backward Dijkstra over the reachability graph. Markings that cannot reach
@@ -162,53 +164,50 @@ def _completion_costs(net: PetriNet, costs: CostScheme, state_cap: int):
     cached = net._caches.get(cache_key)
     if cached is not None:
         return cached
-    succ, _, final = _state_space(net, state_cap)
+    succ, final = _state_space(net)
     preds: list[list[tuple[str, int]]] = [[] for _ in succ]
     for src, nexts in enumerate(succ):
         for t, dst in nexts:
             preds[dst].append((t, src))
     comp_cost = [INF] * len(succ)
-    if final is not None:
-        comp_cost[final] = 0.0
-        heap = [(0.0, final)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > comp_cost[node]:
-                continue
-            for t, prev in preds[node]:
-                w = costs.c_silent if net.labels[t] is None else costs.c_model
-                if d + w < comp_cost[prev]:
-                    comp_cost[prev] = d + w
-                    heapq.heappush(heap, (d + w, prev))
+    comp_cost[final] = 0.0
+    heap = [(0.0, final)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > comp_cost[node]:
+            continue
+        for t, prev in preds[node]:
+            w = costs.c_silent if net.labels[t] is None else costs.c_model
+            if d + w < comp_cost[prev]:
+                comp_cost[prev] = d + w
+                heapq.heappush(heap, (d + w, prev))
     net._caches[cache_key] = comp_cost
     return comp_cost
 
 
 def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
-                      state_cap: int = DEFAULT_STATE_CAP, *, h=None) -> Alignment:
+                      *, h=None) -> Alignment:
     """Minimum-cost alignment of one trace against the net.
 
     Deterministic: among equal-cost alignments the move-kind/transition-id
     tie-break picks a unique sequence. Raises AlignmentError when the final
-    marking is unreachable or the search exceeds state_cap expanded states.
-    h is the trace's cost-to-go table as cost_to_go yields it; when None it
-    is computed for this trace alone.
+    marking is unreachable or the search expands more than
+    petri.DEFAULT_STATE_CAP states. h is the trace's cost-to-go table as
+    cost_to_go yields it; when None it is computed for this trace alone.
     """
     sigma = _events(trace)
-    _, m0_idx, mf_idx = _state_space(net, state_cap)
-    if _completion_costs(net, costs, state_cap)[m0_idx] == INF:
-        raise AlignmentError(
-            f"net {net.name}: final marking unreachable from initial marking")
+    _, mf_idx = _state_space(net)
     if h is None:
-        h = next(cost_to_go(net, [sigma], costs, state_cap))
-    sync_arcs, free_arcs = _arcs(net, costs, state_cap)
+        h = next(cost_to_go(net, [sigma], costs))
+    sync_arcs, free_arcs = _arcs(net, costs)
+    state_limit = petri.DEFAULT_STATE_CAP
     n_events = len(sigma)
     width = n_events + 1
     c_log = costs.c_log
     # A push is kept while g + h*(its state) <= bound. h*(m0, 0) is the
     # optimal cost; with no table, h and so bound read inf, and g + inf <=
     # inf keeps every push.
-    bound = h[m0_idx * width] * _BOUND_SLACK
+    bound = h[0] * _BOUND_SLACK
 
     # Heap entries: (g, path key, marking idx, pos). The path key is a str
     # with one character per move, whose code point is the move's rank in
@@ -224,7 +223,7 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     # while expanding key's state. Every older entry has a larger g, or a key
     # above key that does not extend it and so ranks above its extensions.
     log = _move_codes(net)[3]
-    heap = [(0.0, "", m0_idx, 0)]
+    heap = [(0.0, "", 0, 0)]
     settled = set()
     expanded = 0
     while heap:
@@ -237,9 +236,9 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
             if m_idx == mf_idx and pos == n_events:
                 return Alignment(_moves(net, sigma, key), g)
             expanded += 1
-            if expanded > state_cap:
+            if expanded > state_limit:
                 raise AlignmentError(
-                    f"alignment state-space exhausted after {state_cap} expansions")
+                    f"alignment state-space exhausted after {state_limit} expansions")
             for code, nxt, step in free_arcs[m_idx]:
                 nstate = nxt * width + pos
                 if g + step + h[nstate] <= bound and nstate not in settled:
@@ -260,7 +259,7 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     raise AlignmentError(f"no alignment found for trace against net {net.name}")
 
 
-def _arcs(net: PetriNet, costs: CostScheme, state_cap: int):
+def _arcs(net: PetriNet, costs: CostScheme):
     """Per-marking move tables, cached on the net per cost scheme: (sync, free).
 
     sync[m] maps an activity to the (code, next marking) of its sync move in
@@ -272,8 +271,8 @@ def _arcs(net: PetriNet, costs: CostScheme, state_cap: int):
     cache_key = ("arcs", costs.c_model, costs.c_silent)
     arcs = net._caches.get(cache_key)
     if arcs is None:
-        succ, _, _ = _state_space(net, state_cap)
-        comp_cost = _completion_costs(net, costs, state_cap)
+        succ, _ = _state_space(net)
+        comp_cost = _completion_costs(net, costs)
         _, sync_code, free_code, _ = _move_codes(net)
         labels = net.labels
         sync, free = [], []
@@ -298,8 +297,7 @@ class _Unbounded:
 _NO_TABLE = _Unbounded()
 
 
-def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme(),
-               state_cap: int = DEFAULT_STATE_CAP):
+def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     """Yield the exact cost-to-go table of each event sequence, in order.
 
     For a sequence of n events the table h is a list with h[m * (n + 1) +
@@ -311,10 +309,10 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme(),
     sequence on a net whose markings² exceed it, gets a table that reads inf
     everywhere, which makes optimal_alignment prune nothing.
     """
-    n_nodes = len(_completion_costs(net, costs, state_cap))
+    n_nodes = len(_completion_costs(net, costs))
     tables = None
     if n_nodes * n_nodes <= _CHUNK_ELEMENTS:
-        tables = _distance_tables(net, costs, state_cap)
+        tables = _distance_tables(net, costs)
     chunk, longest = [], 0
     for sigma in map(_events, sequences):
         size = (len(sigma) + 1) * (n_nodes + 1)
@@ -333,7 +331,7 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme(),
         yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
 
 
-def _distance_tables(net: PetriNet, costs: CostScheme, state_cap: int):
+def _distance_tables(net: PetriNet, costs: CostScheme):
     """(dist, sync_next, columns, comp_cost) of the cost-to-go pass, cached
     on the net per cost scheme, for N markings and A visible activities.
 
@@ -348,7 +346,7 @@ def _distance_tables(net: PetriNet, costs: CostScheme, state_cap: int):
     cache_key = ("distances", costs.c_model, costs.c_silent)
     tables = net._caches.get(cache_key)
     if tables is None:
-        succ, _, _ = _state_space(net, state_cap)
+        succ, _ = _state_space(net)
         n_nodes = len(succ)
         columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
         sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.int32)
@@ -363,7 +361,7 @@ def _distance_tables(net: PetriNet, costs: CostScheme, state_cap: int):
                 dist[src, dst] = min(dist[src, dst], step)
         for k in range(n_nodes):
             np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        comp_cost = np.array(_completion_costs(net, costs, state_cap))
+        comp_cost = np.array(_completion_costs(net, costs))
         tables = net._caches[cache_key] = (dist, sync_next, columns, comp_cost)
     return tables
 
@@ -451,31 +449,21 @@ def _moves(net: PetriNet, sigma, key: str) -> tuple[Move, ...]:
     return tuple(out)
 
 
-def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme(),
-                    state_cap: int = DEFAULT_STATE_CAP) -> float:
+def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:
     """Reference cost of aligning nothing: every event as a log move plus the
     cheapest model-only run from the initial to the final marking."""
-    sigma = _events(trace)
-    _, m0_idx, _ = _state_space(net, state_cap)
-    best = _completion_costs(net, costs, state_cap)[m0_idx]
-    if best == INF:
-        raise AlignmentError(
-            f"net {net.name}: final marking unreachable from initial marking")
-    return costs.c_log * len(sigma) + best
+    return costs.c_log * len(_events(trace)) + _completion_costs(net, costs)[0]
 
 
-def trace_fitness(net: PetriNet, trace, costs: CostScheme = CostScheme(),
-                  state_cap: int = DEFAULT_STATE_CAP) -> float:
+def trace_fitness(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:
     """1 - optimal cost / worst-case cost, in [0, 1]. 1 means perfect replay."""
-    alignment = optimal_alignment(net, trace, costs, state_cap)
-    return fitness_from_cost(net, trace, alignment.cost, costs, state_cap)
+    alignment = optimal_alignment(net, trace, costs)
+    return fitness_from_cost(net, trace, alignment.cost, costs)
 
 
 def fitness_from_cost(net: PetriNet, trace, cost: float,
-                      costs: CostScheme = CostScheme(),
-                      state_cap: int = DEFAULT_STATE_CAP) -> float:
-    worst = worst_case_cost(net, trace, costs, state_cap)
-    return 1.0 - cost / worst
+                      costs: CostScheme = CostScheme()) -> float:
+    return 1.0 - cost / worst_case_cost(net, trace, costs)
 
 
 def misalignments(alignment: Alignment, labels) -> dict:

@@ -59,6 +59,14 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _emit(path, text: str) -> None:
+    """Write the text to the --out path, or to stdout when there is none."""
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -66,11 +74,7 @@ def cmd_simulate(args) -> None:
     net = _resolve_model(args.model)
     noise = NoiseParams(args.p_drop, args.p_dup)
     log = playout(net, args.n, max_steps=args.max_steps, seed=args.seed, noise=noise)
-    text = write_log(log)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, write_log(log))
 
 
 def cmd_check(args) -> None:
@@ -94,11 +98,7 @@ def cmd_inject(args) -> None:
     pool = tuple(args.pool.split(",")) if args.pool else DEFAULT_UNKNOWN_POOL
     spec = InjectionSpec(args.type, args.lam, pool, args.seed)
     out = inject_log(log, spec)
-    text = write_log(out)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, write_log(out))
 
 
 def _parse_split(text: str):
@@ -139,11 +139,7 @@ def cmd_detect(args) -> None:
     lines = ["case,score,prediction"]
     for case_id, s, pred in zip(diag.case_ids, scores, classify(det, scores)):
         lines.append(f"{case_id},{repr(s)},{pred}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
 
 
 def _read_predictions(path: str):
@@ -200,11 +196,7 @@ def cmd_evaluate(args) -> None:
     if len(set(labels)) == 2:
         roc = roc_auc(labels, scores)
         lines.append(f"auc,{roc.auc:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     if args.roc:
         if roc is None:
             raise LogError("ROC curve needs both classes in the ground truth")

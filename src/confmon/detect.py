@@ -40,7 +40,9 @@ import numpy as np
 from .diagnoses import DiagnosesMatrix
 from .errors import DetectError
 
-DETECTOR_KINDS = ("ft", "dbscan", "ae")
+# The training parameters each detector kind accepts.
+_PARAMS = {"ft": (), "dbscan": ("min_pts", "eps"), "ae": ("layers", "lr", "epochs")}
+DETECTOR_KINDS = tuple(_PARAMS)
 
 _MAGIC = "confmon-detector v1"
 
@@ -376,7 +378,10 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
         raise DetectError("validation diagnoses are empty")
     if not 0.0 <= quantile <= 100.0:
         raise DetectError(f"quantile must be in [0, 100], got {quantile}")
-    params = dict(params or {})
+    params = params or {}
+    unknown = sorted(set(params) - set(_PARAMS[kind]))
+    if unknown:
+        raise DetectError(f"unknown {kind} parameters: {unknown}")
 
     x_train = train_d.to_array()
     mins = x_train.min(axis=0)
@@ -384,24 +389,22 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
 
     state: dict = {}
     if kind == "dbscan":
-        min_pts = int(params.pop("min_pts", DBSCAN_MIN_PTS))
-        eps = params.pop("eps", None)
+        min_pts = int(params.get("min_pts", DBSCAN_MIN_PTS))
+        eps = params.get("eps")
         xn = _normalize(mins, maxs, x_train)
         eps, cores, n_clusters = _fit_dbscan(xn, min_pts, eps)
         state = {"eps": eps, "min_pts": min_pts, "cores": cores, "n_clusters": n_clusters}
     elif kind == "ae":
-        layers = _ae_layers(params.pop("layers", default_ae_layers(len(train_d.columns))))
+        layers = _ae_layers(params.get("layers", default_ae_layers(len(train_d.columns))))
         if layers[0] != len(train_d.columns) or layers[-1] != len(train_d.columns):
             raise DetectError(f"autoencoder layers {layers} do not match "
                               f"{len(train_d.columns)} feature columns")
-        lr = _positive("autoencoder lr", params.pop("lr", AE_LEARNING_RATE))
-        epochs = _count("autoencoder epochs", params.pop("epochs", AE_EPOCHS))
+        lr = _positive("autoencoder lr", params.get("lr", AE_LEARNING_RATE))
+        epochs = _count("autoencoder epochs", params.get("epochs", AE_EPOCHS))
         xn = _normalize(mins, maxs, x_train)
         weights, biases, history = _train_ae(xn, layers, lr, epochs, seed)
         state = {"layers": layers, "weights": weights, "biases": biases,
                  "loss_history": history}
-    if params:
-        raise DetectError(f"unknown {kind} parameters: {sorted(params)}")
 
     det = Detector(kind, train_d.columns, mins, maxs, 0.0, quantile, seed,
                    train_d.model_id, state)

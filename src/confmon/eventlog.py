@@ -255,8 +255,9 @@ def split_log(log: EventLog, ratios=(0.6, 0.2, 0.2), seed: int = 0):
     """
     if len(ratios) != 3:
         raise LogError("split ratios must be a triple (train, val, test)")
-    if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise LogError(f"split ratios must be positive and sum to 1: {ratios}")
+    # every comparison with nan is false, so a nan ratio fails 0 < r <= 1
+    if not all(0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise LogError(f"split ratios must be positive, finite and sum to 1: {ratios}")
     n = len(log)
     # floor(r * n), with a nudge so 0.2 * 45 style float dust cannot round down
     n_val = int(ratios[1] * n + 1e-9)

@@ -10,10 +10,13 @@ normally but emit nothing during playout.
 Markings are plain dicts mapping place id to a positive token count.
 
 The module covers parsing of the line-oriented .net model format, firing
-semantics, workflow-net structure checks, and the one reachability graph,
-capped at DEFAULT_STATE_CAP markings, that alignments, bounded relaxed
-soundness and stochastic playout with drop/duplicate noise all read. Playout
-raises the graph's ModelError on an unbounded net and PlayoutError over the cap.
+semantics, workflow-net structure checks, and the one reachability graph that
+alignments, bounded relaxed soundness and stochastic playout with
+drop/duplicate noise all read. The graph records the node of the final
+marking. DEFAULT_STATE_CAP is the one resource cap: it is read at call time
+and bounds both the markings of a graph and the expansions of an alignment
+search. Playout raises the graph's ModelError on an unbounded net and
+PlayoutError over the cap.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ Marking = dict
 # skip moves, and the last two are reserved diagnosis column names.
 RESERVED_ACTIVITY_NAMES = ("tau", ">>", "UNKNOWN", "fitness")
 
-# Most reachable markings any reader of the reachability graph accepts.
+# The one resource cap: the most markings a reachability graph may hold, and
+# the most states one alignment search may expand. Read at call time.
 DEFAULT_STATE_CAP = 1_000_000
 
 
@@ -183,15 +187,16 @@ class SoundnessReport:
     inconclusive: bool
 
 
-def reachability_graph(net: PetriNet, state_cap: int):
+def reachability_graph(net: PetriNet):
     """Forward reachability graph of the net, or None when more than
-    state_cap markings are reachable.
+    DEFAULT_STATE_CAP markings are reachable.
 
-    Returns (index, succ, keys): keys lists the reachable marking keys
-    (net._to_key) in breadth-first order from the initial marking, index maps
-    a key to its position, and succ[i] holds (transition, successor position)
-    pairs sorted by transition id. Only complete graphs are cached on the net,
-    so every caller reads the same graph whatever cap built it.
+    Returns (succ, keys, final): keys lists the reachable marking keys
+    (net._to_key) in breadth-first order, so the initial marking is node 0;
+    succ[i] holds (transition, successor node) pairs sorted by transition id;
+    final is the node of the final marking, or None when it is unreachable.
+    Only complete graphs are cached on the net, so every caller reads the
+    same graph whatever the cap was when it was built.
 
     Raises ModelError naming a place when the net is unbounded: a new marking
     that strictly covers one of its breadth-first ancestors can repeat the
@@ -211,16 +216,16 @@ def reachability_graph(net: PetriNet, state_cap: int):
                 nxt = net._to_key(fire(net, marking, t))
                 if nxt not in index:
                     _check_not_pumped(net, keys, parent, i, nxt)
-                    if len(keys) >= state_cap:
+                    if len(keys) >= DEFAULT_STATE_CAP:
                         return None
                     index[nxt] = len(keys)
                     keys.append(nxt)
                     parent.append(i)
                 nexts.append((t, index[nxt]))
             succ.append(tuple(nexts))
-        graph = (index, tuple(succ), keys)
-        net._caches["graph"] = graph
-    return graph if len(graph[2]) <= state_cap else None
+        final = index.get(net._to_key(net.final_marking))
+        graph = net._caches["graph"] = (tuple(succ), keys, final)
+    return graph
 
 
 def _check_not_pumped(net: PetriNet, keys, parent, i: int, new) -> None:
@@ -235,27 +240,26 @@ def _check_not_pumped(net: PetriNet, keys, parent, i: int, new) -> None:
         i = parent[i]
 
 
-def check_soundness(net: PetriNet, state_cap: int = DEFAULT_STATE_CAP) -> SoundnessReport:
+def check_soundness(net: PetriNet) -> SoundnessReport:
     """Relaxed soundness via the reachability graph.
 
     Checks (a) that the final marking stays reachable from every reachable
     marking and (b) that every transition is enabled somewhere. When more
-    than state_cap markings are reachable, or the net is unbounded, the
-    report says inconclusive rather than failing.
+    than DEFAULT_STATE_CAP markings are reachable, or the net is unbounded,
+    the report says inconclusive rather than failing.
     """
     try:
-        graph = reachability_graph(net, state_cap)
+        graph = reachability_graph(net)
     except ModelError:  # unbounded
         graph = None
     if graph is None:
-        return SoundnessReport(False, False, (), state_cap, True)
-    index, succ, keys = graph
+        return SoundnessReport(False, False, (), DEFAULT_STATE_CAP, True)
+    succ, keys, final = graph
     preds: list[list[int]] = [[] for _ in keys]
     for src, nexts in enumerate(succ):
         for _, dst in nexts:
             preds[dst].append(src)
-    mf = index.get(net._to_key(net.final_marking))
-    covered = set() if mf is None else {mf}
+    covered = set() if final is None else {final}
     stack = list(covered)
     while stack:
         for prev in preds[stack.pop()]:
@@ -301,11 +305,10 @@ def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
         raise PlayoutError(f"n_traces must be >= 0, got {n_traces}")
     if max_steps < 1:
         raise PlayoutError(f"max_steps must be >= 1, got {max_steps}")
-    graph = reachability_graph(net, DEFAULT_STATE_CAP)
+    graph = reachability_graph(net)
     if graph is None:
         raise PlayoutError(f"net {net.name} has more than {DEFAULT_STATE_CAP} reachable markings")
-    index, succ, keys = graph
-    final = index.get(net._to_key(net.final_marking))
+    succ, keys, final = graph
     if final is None:
         dead = next((key for key, nexts in zip(keys, succ) if not nexts), None)
         where = "" if dead is None else f"; deadlock at marking {net._from_key(dead)}"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmon.alignment
+import confmon.petri
 from confmon.alignment import (Alignment, CostScheme, SKIP, cost_to_go, misalignments,
                                optimal_alignment, trace_fitness,
                                worst_case_cost)
@@ -17,8 +18,8 @@ from confmon.diagnoses import build_diagnoses, coverage, log_fitness
 from confmon.errors import AlignmentError, LogError
 from confmon.eventlog import EventLog, Trace
 from confmon.inject import build_eval_sets
-from confmon.petri import (DEFAULT_STATE_CAP, NoiseParams, PetriNet, bundled_model,
-                           check_soundness, playout, reachability_graph)
+from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
+                           playout, reachability_graph)
 from conftest import random_workflow_net
 from oracle import oracle_alignment_cost, oracle_cost_to_go
 
@@ -179,17 +180,39 @@ def test_cost_scheme_validation():
         CostScheme(c_silent=-1.0)
 
 
-def test_state_cap_is_enforced(fn1):
-    with pytest.raises(AlignmentError, match="state-space exhausted"):
-        optimal_alignment(fn1, LOOP_TRACE, state_cap=3)
+def test_state_cap_is_enforced(monkeypatch):
+    """fn1 has 7 markings: under a cap of 3 its graph is refused and not
+    cached, so the same net aligns once the cap is raised again."""
+    net = bundled_model("fn1")
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(AlignmentError, match="more than 3 reachable markings"):
+        optimal_alignment(net, LOOP_TRACE)
+    with pytest.raises(AlignmentError, match="more than 3 reachable markings"):
+        worst_case_cost(net, LOOP_TRACE)
+    monkeypatch.undo()
+    assert optimal_alignment(net, LOOP_TRACE).cost == 0.0
 
 
-def test_state_cap_is_enforced_on_a_cached_graph():
+def test_state_cap_is_enforced_on_a_cached_graph(monkeypatch):
+    """A graph built under the cap stays cached and is read whatever the cap
+    is later, while the cap still bounds the expansions of every search."""
     net = bundled_model("fn1")
     optimal_alignment(net, LOOP_TRACE)  # caches the complete graph
-    with pytest.raises(AlignmentError, match="more than 3 reachable markings"):
-        optimal_alignment(net, LOOP_TRACE, state_cap=3)
-    assert check_soundness(net, state_cap=3).inconclusive
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 3)
+    assert check_soundness(net).markings_explored == 7
+    with pytest.raises(AlignmentError, match="exhausted after 3 expansions"):
+        optimal_alignment(net, LOOP_TRACE)
+
+
+def test_expansion_cap_is_enforced(monkeypatch):
+    """With the cap at fn1's 7 markings the graph fits, but aligning a trace
+    of 16 events needs more than 7 expansions."""
+    net = bundled_model("fn1")
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 7)
+    assert optimal_alignment(net, ("t1", "t2", "t4", "t5", "t6")).cost == 0.0
+    with pytest.raises(AlignmentError,
+                       match="alignment state-space exhausted after 7 expansions"):
+        optimal_alignment(net, LOOP_TRACE + LOOP_TRACE)
 
 
 def test_soundness_and_alignment_share_one_graph(enabled_calls):
@@ -207,10 +230,17 @@ def test_soundness_and_alignment_share_one_graph(enabled_calls):
 def test_unreachable_final_marking_is_an_error():
     net = PetriNet(["p1", "p2", "p3"], ["t1"], [("p1", "t1"), ("t1", "p2")],
                    {"p1": 1}, {"p3": 1}, {"t1": "a"})
-    with pytest.raises(AlignmentError, match="unreachable"):
+    unreachable = "final marking unreachable from initial marking"
+    with pytest.raises(AlignmentError, match=unreachable):
         optimal_alignment(net, ("a",))
-    with pytest.raises(AlignmentError, match="unreachable"):
+    with pytest.raises(AlignmentError, match=unreachable):
         worst_case_cost(net, ("a",))
+    with pytest.raises(AlignmentError, match=unreachable):
+        trace_fitness(net, ("a",))
+    with pytest.raises(AlignmentError, match=unreachable):
+        next(cost_to_go(net, [("a",)]))
+    with pytest.raises(AlignmentError, match=unreachable):
+        build_diagnoses(net, EventLog([Trace("c1", ("a",))]))
 
 
 def test_marking_nodes_are_looked_up_once_per_net(monkeypatch):
@@ -509,7 +539,7 @@ def test_cost_to_go_matches_oracle(name, costs):
     traces = [(), ("x1",), tuple(sorted(net.visible_labels))[:4] + ("x2",)]
     traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
                for _ in range(3)]
-    keys = reachability_graph(net, DEFAULT_STATE_CAP)[2]
+    keys = reachability_graph(net)[1]
     for trace, h in zip(traces, cost_to_go(net, traces, costs)):
         want = oracle_cost_to_go(net, trace, costs.c_log, costs.c_model, costs.c_silent)
         width = len(trace) + 1

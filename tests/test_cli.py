@@ -75,6 +75,21 @@ def test_empty_log_exits_one(normal_log_file, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", ["0.5,nan,0.5", "nan,0.5,0.5", "0.5,0.5,inf",
+                                   "inf,0.5,0.5"])
+def test_non_finite_split_exits_one(split, normal_log_file, tmp_path, capsys):
+    # a nan split used to end in a bare ValueError traceback
+    assert run("train", "--detector", "ft", "--model", "fn1", "--log", str(normal_log_file),
+               "--split", split, "-o", str(tmp_path / "det.txt")) == 1
+    assert "split ratios must be positive, finite" in capsys.readouterr().err
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"model = fn1\nseeds = 0\nn_traces = 20\nsplit = {split}\n"
+                      "detectors = ft\n", encoding="utf-8")
+    assert run("experiment", "--config", str(config),
+               "--outdir", str(tmp_path / "out")) == 1
+    assert "split ratios must be positive, finite" in capsys.readouterr().err
+
+
 def test_inject_all_triples_the_log(normal_log_file, tmp_path):
     out = tmp_path / "anomalous.log"
     assert run("inject", "--log", str(normal_log_file), "--type", "all",

@@ -284,6 +284,23 @@ def test_unknown_params_rejected(line_train, line_val):
         train("ft", line_train, line_val, {"bogus": 1})
 
 
+@pytest.mark.parametrize("kind, params, named", [
+    ("ae", {"epoch": 5}, "unknown ae parameters: ['epoch']"),
+    ("ae", {"epochs": 5, "min_pts": 3}, "unknown ae parameters: ['min_pts']"),
+    ("dbscan", {"epochs": 5}, "unknown dbscan parameters: ['epochs']"),
+])
+def test_unknown_params_rejected_before_fitting(kind, params, named, monkeypatch):
+    # a misspelt "epoch" used to train the default 500 epochs, then raise
+    def never(*args):
+        raise AssertionError("fitting started before the parameters were checked")
+
+    monkeypatch.setattr(confmon.detect, "_train_ae", never)
+    monkeypatch.setattr(confmon.detect, "_fit_dbscan", never)
+    rows = wide_matrix(20, 4, seed=1)
+    with pytest.raises(DetectError, match=re.escape(named)):
+        train(kind, rows, rows, params)
+
+
 def test_train_input_validation(line_train, line_val):
     with pytest.raises(DetectError, match="unknown detector kind"):
         train("svm", line_train, line_val)

@@ -194,6 +194,11 @@ def test_split_log_errors():
         split_log(log, (0.5, 0.3, 0.3))
     with pytest.raises(LogError, match="positive"):
         split_log(log, (1.0, 0.0, 0.0))
+    # a nan used to escape as a bare ValueError, or as a misleading empty part
+    nan, inf = float("nan"), float("inf")
+    for ratios in ((0.5, nan, 0.5), (nan, 0.5, 0.5), (0.5, 0.5, inf), (inf, 0.5, 0.5)):
+        with pytest.raises(LogError, match="finite"):
+            split_log(log, ratios)
 
 
 def test_split_log_floor_rounding_is_float_safe():

@@ -163,10 +163,15 @@ def pump_net() -> PetriNet:
                     {"p1": 1}, {"p2": 1}, {"t1": "a", "t2": "b"})
 
 
-def test_soundness_inconclusive_on_cap():
-    rep = check_soundness(pump_net(), state_cap=50)
+def test_soundness_inconclusive_on_cap(monkeypatch):
+    """fn1 is bounded with 7 markings, so only the cap makes it inconclusive."""
+    import confmon.petri
+
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 3)
+    rep = check_soundness(bundled_model("fn1"))
     assert rep.inconclusive
     assert not rep.sound
+    assert rep.markings_explored == 3
 
 
 def test_unbounded_net_is_inconclusive_at_the_default_cap(enabled_calls):
