@@ -26,8 +26,10 @@ plus the h* of its state exceeds h* of the start state lies on no optimal
 alignment and is skipped. Every prefix of every optimal alignment passes that
 test, the canonical one included, and the heap still pops in (cost,
 tie-break) order, so pruning cannot change which alignment is returned. A
-trace whose table would not fit _CHUNK_ELEMENTS is searched with a bound
-that prunes nothing. petri.DEFAULT_STATE_CAP, read at call time, bounds the
+table is a read-only buffer of floats, one per (marking, position), indexed
+like a list. Each array of a pass holds at most _CHUNK_ELEMENTS (2^17)
+elements; a trace whose table would not fit is searched with a bound that
+prunes nothing. petri.DEFAULT_STATE_CAP, read at call time, bounds the
 markings of the graph and the expansions of the pruned search. A sync move,
 free and first in the tie-break, is followed without a round trip through
 the heap.
@@ -36,6 +38,7 @@ the heap.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +55,11 @@ _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
 
 INF = float("inf")
-# Elements of each array and temporary of one chunk's cost-to-go pass, and so
-# also the largest (markings x positions) table of a single trace and the
-# largest (markings x markings) distance table of a net that is pruned.
-_CHUNK_ELEMENTS = 1 << 16
+# Elements of one chunk's cost-to-go table, and also of the per-sequence
+# arrays of its pass taken together; so also the largest (markings x
+# positions) table of a single trace, and the largest markings x (2 x
+# markings + activities + 1) of a net that is pruned.
+_CHUNK_ELEMENTS = 1 << 17
 # Relative slack of the pruning bound, far above the rounding error of a sum
 # of move costs: it can keep a push the exact bound would skip, never the
 # reverse.
@@ -73,6 +77,9 @@ class CostScheme:
     c_sync: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("c_log", "c_model", "c_silent", "c_sync"):
+            if not math.isfinite(getattr(self, name)):
+                raise AlignmentError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c_log <= 0 or self.c_model <= 0:
             raise AlignmentError("c_log and c_model must be positive")
         if self.c_silent < 0:
@@ -300,28 +307,33 @@ _NO_TABLE = _Unbounded()
 def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     """Yield the exact cost-to-go table of each event sequence, in order.
 
-    For a sequence of n events the table h is a list with h[m * (n + 1) +
-    pos] the cheapest cost of aligning events[pos:] from marking node m (of
-    the reachability graph) to the final marking, inf when there is none.
+    For a sequence of n events the table h is a read-only memoryview of
+    float64, indexed like a list: h[m * (n + 1) + pos] is a Python float,
+    the cheapest cost of aligning events[pos:] from marking node m (of the
+    reachability graph) to the final marking, inf when there is none.
     Sequences go in chunks, in order, and one backward pass computes a
-    chunk's tables; each array of a pass holds at most _CHUNK_ELEMENTS
-    elements. A sequence whose table alone would exceed that, or any
-    sequence on a net whose markings² exceed it, gets a table that reads inf
+    chunk's tables. For a chunk of B sequences on a net of N markings and A
+    visible activities, the pass's (positions, N + 1, B) table holds at
+    most _CHUNK_ELEMENTS (2^17) elements, and so do its (N, N, B) sums,
+    (N, N, B) distances and (N, A + 1, B) sync-successor index together. A
+    sequence whose table alone would exceed that, or any sequence on a net
+    whose N * (2N + A + 1) exceeds it, gets a table that reads inf
     everywhere, which makes optimal_alignment prune nothing.
     """
     n_nodes = len(_completion_costs(net, costs))
+    # elements per sequence of a pass's two (N, N, B) and one (N, A + 1, B)
+    # arrays; sharing one budget keeps the bytes of a pass near its table's
+    per_seq = n_nodes * (2 * n_nodes + len(net.visible_labels) + 1)
     tables = None
-    if n_nodes * n_nodes <= _CHUNK_ELEMENTS:
+    if per_seq <= _CHUNK_ELEMENTS:
         tables = _distance_tables(net, costs)
-    chunk, longest = [], 0
+    chunk, longest = [], per_seq
     for sigma in map(_events, sequences):
         size = (len(sigma) + 1) * (n_nodes + 1)
         fits = tables is not None and size <= _CHUNK_ELEMENTS
-        grown = len(chunk) + 1
-        if chunk and (not fits or max(longest, size) * grown > _CHUNK_ELEMENTS
-                      or n_nodes * n_nodes * grown > _CHUNK_ELEMENTS):
+        if chunk and (not fits or max(longest, size) * (len(chunk) + 1) > _CHUNK_ELEMENTS):
             yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
-            chunk, longest = [], 0
+            chunk, longest = [], per_seq
         if fits:
             chunk.append(sigma)
             longest = max(longest, size)
@@ -337,11 +349,10 @@ def _distance_tables(net: PetriNet, costs: CostScheme):
 
     dist is the (N, N) array of cheapest model-only runs between markings
     (Floyd-Warshall over the reachability graph). columns maps an activity
-    to a column of the (N, A + 1) int32 array sync_next, whose entry is the
+    to a column of the (N, A + 1) index array sync_next, whose entry is the
     marking a sync move on that activity leads to, or N where there is none;
     column A stands for every activity the net does not know. comp_cost is
-    the completion cost as an array. int32 suffices: a pass indexes at most
-    (N + 1) * B < 2 * _CHUNK_ELEMENTS entries of a slice.
+    the completion cost as an array.
     """
     cache_key = ("distances", costs.c_model, costs.c_silent)
     tables = net._caches.get(cache_key)
@@ -349,7 +360,7 @@ def _distance_tables(net: PetriNet, costs: CostScheme):
         succ, _ = _state_space(net)
         n_nodes = len(succ)
         columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
-        sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.int32)
+        sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.intp)
         dist = np.full((n_nodes, n_nodes), INF)
         np.fill_diagonal(dist, 0.0)
         for src, nexts in enumerate(succ):
@@ -374,27 +385,42 @@ def _chunk_cost_to_go(tables, chunk, c_log: float):
     shorter sequence's start only pad and are never read.
     """
     dist, sync_next, columns, comp_cost = tables
-    n_nodes = len(comp_cost)
+    n_nodes, n_seqs = len(comp_cost), len(chunk)
     width = max(map(len, chunk)) + 1
     unknown = sync_next.shape[1] - 1
-    events = np.full((width - 1, len(chunk)), unknown)
+    lanes = np.arange(n_seqs)
+    # cols[pos, b] is (the column of sequence b's event at pos) * B + b, and
+    # sync_index[m, cols[pos, b]] the flat index of marking m's sync
+    # successor on that event into the (N + 1, B) slice after pos
+    cols = np.full((width - 1, n_seqs), unknown)
     for b, sigma in enumerate(chunk):
-        events[width - 1 - len(sigma):, b] = [columns.get(a, unknown) for a in sigma]
-    h = np.empty((width, n_nodes + 1, len(chunk)))
+        cols[width - 1 - len(sigma):, b] = [columns.get(a, unknown) for a in sigma]
+    cols *= n_seqs
+    cols += lanes
+    sync_index = np.add.outer(sync_next * n_seqs, lanes).reshape(n_nodes, -1)
+    h = np.empty((width, n_nodes + 1, n_seqs))
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
-    # synced[:, pos] holds, per (marking, sequence), the flat index of its
-    # sync successor into the (N + 1, B) slice after pos
-    synced = sync_next[:, events]
-    synced *= len(chunk)
-    synced += np.arange(len(chunk))
-    dist = dist[:, :, None]
+    synced = np.empty((n_nodes, n_seqs), dtype=np.intp)
+    moved = np.empty((n_nodes, n_seqs))
+    step = np.empty((n_nodes, n_seqs))
+    # through[k, m, b] = dist[m, k] + step[k, b]: with k leading, the min
+    # over k runs over contiguous (m, b) planes
+    through = np.empty((n_nodes, n_nodes, n_seqs))
+    dist_k = np.empty_like(through)
+    dist_k[...] = dist.T[:, :, None]
+    # every index is in range; mode="clip" only lets take write into out
+    # without an intermediate buffer
     for pos in range(width - 2, -1, -1):
         after = h[pos + 1]
-        step = np.minimum(after[:n_nodes] + c_log, after.take(synced[:, pos]))
-        np.minimum.reduce(dist + step, axis=1, out=h[pos, :n_nodes])
+        sync_index.take(cols[pos], axis=1, out=synced, mode="clip")
+        after.take(synced, out=moved, mode="clip")
+        np.add(after[:n_nodes], c_log, out=step)
+        np.minimum(step, moved, out=step)
+        np.add(dist_k, step[:, None], out=through)
+        np.minimum.reduce(through, axis=0, out=h[pos, :n_nodes])
     for b, sigma in enumerate(chunk):
-        yield h[width - 1 - len(sigma):, :n_nodes, b].T.ravel().tolist()
+        yield memoryview(h[width - 1 - len(sigma):, :n_nodes, b].T.ravel()).toreadonly()
 
 
 def _move_codes(net: PetriNet):

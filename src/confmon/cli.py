@@ -186,20 +186,20 @@ def cmd_evaluate(args) -> None:
         labels.append(truth[case_id])
         predicted.append(pred)
         scores.append(s)
+    both = len(set(labels)) == 2
+    if args.roc and not both:
+        raise LogError("ROC curve needs both classes in the ground truth")
     c = confusion(labels, predicted)
     res = prf(c)
     lines = ["metric,value",
              f"tp,{c.tp}", f"tn,{c.tn}", f"fp,{c.fp}", f"fn,{c.fn}",
              f"accuracy,{res.accuracy:.6f}", f"precision,{res.precision:.6f}",
              f"recall,{res.recall:.6f}", f"f1,{res.f1:.6f}"]
-    roc = None
-    if len(set(labels)) == 2:
+    if both:
         roc = roc_auc(labels, scores)
         lines.append(f"auc,{roc.auc:.6f}")
     _emit(args.out, "\n".join(lines) + "\n")
     if args.roc:
-        if roc is None:
-            raise LogError("ROC curve needs both classes in the ground truth")
         roc_lines = ["fpr,tpr"] + [f"{x:.6f},{y:.6f}" for x, y in roc.points]
         _write_text(args.roc, "\n".join(roc_lines) + "\n")
 
@@ -482,3 +482,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -105,6 +105,39 @@ def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
     return out
 
 
+def oracle_chunk_cost_to_go(tables, chunk, c_log):
+    """The cost-to-go tables of a chunk of event sequences, as lists, by the
+    reference backward pass that the package's pass must match bit for bit.
+
+    tables is the package's (dist, sync_next, columns, comp_cost) of a net
+    and cost scheme. The sequences are right-aligned on a (positions, N + 1,
+    B) array whose row N is inf; the flat sync-successor index of every
+    (marking, position, sequence) is built up front, and each position takes
+    the min over k of dist[m, k] + step[k, b] along axis 1 of a fresh
+    (N, N, B) sum.
+    """
+    dist, sync_next, columns, comp_cost = tables
+    n_nodes = len(comp_cost)
+    width = max(map(len, chunk)) + 1
+    unknown = sync_next.shape[1] - 1
+    events = np.full((width - 1, len(chunk)), unknown)
+    for b, sigma in enumerate(chunk):
+        events[width - 1 - len(sigma):, b] = [columns.get(a, unknown) for a in sigma]
+    h = np.empty((width, n_nodes + 1, len(chunk)))
+    h[:, n_nodes] = float("inf")
+    h[-1, :n_nodes] = comp_cost[:, None]
+    synced = sync_next[:, events]
+    synced *= len(chunk)
+    synced += np.arange(len(chunk))
+    dist = dist[:, :, None]
+    for pos in range(width - 2, -1, -1):
+        after = h[pos + 1]
+        step = np.minimum(after[:n_nodes] + c_log, after.take(synced[:, pos]))
+        np.minimum.reduce(dist + step, axis=1, out=h[pos, :n_nodes])
+    return [h[width - 1 - len(sigma):, :n_nodes, b].T.ravel().tolist()
+            for b, sigma in enumerate(chunk)]
+
+
 def oracle_reachability(net, cap=100_000):
     """(all reachable markings, set of transitions enabled somewhere,
     markings from which the final marking is reachable), or None on cap."""

@@ -5,6 +5,7 @@ import heapq
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from confmon.inject import build_eval_sets
 from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
                            playout, reachability_graph)
 from conftest import random_workflow_net
-from oracle import oracle_alignment_cost, oracle_cost_to_go
+from oracle import oracle_alignment_cost, oracle_chunk_cost_to_go, oracle_cost_to_go
 
 LOOP_TRACE = ("t1", "t2", "t4", "t5", "t3", "t4", "t5", "t6")
 
@@ -178,6 +179,17 @@ def test_cost_scheme_validation():
         CostScheme(c_log=0.0)
     with pytest.raises(AlignmentError, match="c_silent"):
         CostScheme(c_silent=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [("c_log", float("nan")), ("c_model", float("inf")),
+                                          ("c_silent", float("nan")), ("c_log", float("inf")),
+                                          ("c_model", float("-inf")), ("c_sync", float("nan"))])
+def test_cost_scheme_rejects_non_finite_costs(field, value):
+    """A nan or infinite cost is refused when the scheme is built, naming
+    the cost, rather than failing the search later (nan c_log, inf c_model),
+    returning an alignment (nan c_silent) or a nan fitness (inf c_log)."""
+    with pytest.raises(AlignmentError, match=f"{field} must be finite"):
+        CostScheme(**{field: value})
 
 
 def test_state_cap_is_enforced(monkeypatch):
@@ -617,11 +629,12 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
 
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
-    """Every array of a chunk's pass, the (positions, N + 1, B) table and
-    the (N, N, B) min-plus temporary, holds at most _CHUNK_ELEMENTS elements;
-    the spy refuses a larger chunk before it allocates. Traces too long for
-    a chunk of their own are never passed in, and the diagnoses match those
-    built without any table."""
+    """A chunk's (positions, N + 1, B) table holds at most _CHUNK_ELEMENTS
+    elements, and so do its pass's (N, N, B) min-plus temporary, (N, N, B)
+    distances and (N, A + 1, B) sync-successor index together; the spy
+    refuses a larger chunk before it allocates. Traces too long for a chunk
+    of their own are never passed in, and the diagnoses match those built
+    without any table."""
     if cap is not None:
         monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", cap)
     limit = confmon.alignment._CHUNK_ELEMENTS
@@ -632,7 +645,7 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
         n_nodes = len(tables[3])
         width = max(map(len, chunk)) + 1
         assert width * (n_nodes + 1) * len(chunk) <= limit
-        assert n_nodes * n_nodes * len(chunk) <= limit
+        assert n_nodes * (2 * n_nodes + tables[1].shape[1]) * len(chunk) <= limit
         chunks.append(len(chunk))
         yield from real(tables, chunk, c_log)
 
@@ -648,3 +661,54 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
         assert got.counts.tobytes() == want.counts.tobytes()
         assert got.fitness.tobytes() == want.fitness.tobytes()
         assert got.moves == want.moves
+
+
+@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(0.7, 1.3, 0.1)])
+def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch):
+    """Every chunk's tables equal those of the reference pass in
+    tests/oracle.py entry for entry, bit for bit, on 30 noisy fn1 loops of
+    50-700 events and 300 noisy som playouts. Each table is a read-only
+    buffer of float64 whose entries read back as Python floats."""
+    real = confmon.alignment._chunk_cost_to_go
+    checked = []
+
+    def spy(tables, chunk, c_log):
+        want = oracle_chunk_cost_to_go(tables, chunk, c_log)
+        got = list(real(tables, chunk, c_log))
+        assert len(got) == len(want)
+        for h, ref in zip(got, want):
+            assert h.readonly and h.format == "d"
+            assert bytes(h) == np.array(ref, dtype=np.float64).tobytes()
+            assert type(h[len(h) - 1]) is float
+        checked.extend(chunk)
+        yield from got
+
+    monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
+    rng = random.Random(3)
+    loops = [noisy_fn1_loop(rng, rng.randrange(50, 700)) for _ in range(30)]
+    noisy = [tr.events for tr in playout(som, 300, seed=2, noise=NoiseParams(0.05, 0.05))]
+    for net, traces in ((fn1, loops), (som, noisy)):
+        assert len(list(cost_to_go(net, traces, costs))) == len(traces)
+    assert len(checked) == 330
+
+
+def test_one_pass_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
+    """Work guard without timing: build_diagnoses on 25 distinct fn1 loop
+    traces of 50-500 events runs exactly one cost-to-go pass, and every
+    entry of every table reads back as a float."""
+    rng = random.Random(11)
+    log = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, 50 + 450 * i // 24))
+                    for i in range(25)])
+    assert len({tr.events for tr in log}) == 25
+    real = confmon.alignment._chunk_cost_to_go
+    passes = []
+
+    def spy(tables, chunk, c_log):
+        passes.append(len(chunk))
+        for h in real(tables, chunk, c_log):
+            assert all(type(v) is float for v in h)
+            yield h
+
+    monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
+    build_diagnoses(fn1, log)
+    assert passes == [25]

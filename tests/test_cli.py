@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import confmon
 from confmon.cli import (ExperimentConfig, main, parse_experiment_config,
                          run_experiment)
 from confmon.diagnoses import coverage, log_fitness
@@ -168,6 +174,21 @@ def test_evaluate_rejects_unknown_case(tmp_path, capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
+def test_evaluate_roc_of_one_class_writes_nothing(tmp_path, capsys):
+    """--roc with a ground truth of one class fails before any file is
+    written: neither the metrics CSV nor the ROC points appear."""
+    log = tmp_path / "truth.log"
+    log.write_text("c1: t1 | normal\nc2: t1 | normal\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("case,score,prediction\nc1,0.0,normal\nc2,1.0,anomalous\n",
+                     encoding="utf-8")
+    out, roc = tmp_path / "m.csv", tmp_path / "roc.csv"
+    assert run("evaluate", "--preds", str(preds), "--log", str(log),
+               "-o", str(out), "--roc", str(roc)) == 1
+    assert "ROC curve needs both classes" in capsys.readouterr().err
+    assert not out.exists() and not roc.exists()
+
+
 def test_predictions_header_is_the_first_non_blank_line(tmp_path, capsys):
     log = tmp_path / "truth.log"
     log.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
@@ -194,6 +215,28 @@ def test_usage_errors_exit_two(capsys):
         run("frobnicate")
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def python_m(*argv):
+    """Run python -m <argv> in a fresh interpreter that imports this package."""
+    src = str(Path(confmon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_python_m_runs_the_cli(som, tmp_path):
+    """python -m confmon runs a command and exits 0; a bad subcommand exits
+    2. python -m confmon.cli runs the same command."""
+    path = tmp_path / "som.log"
+    log = playout(som, 20, seed=4)
+    path.write_text(write_log(log), encoding="utf-8")
+    want = f"fitness={log_fitness(som, log):.6f} coverage={coverage(som, log):.6f}\n"
+    for module in ("confmon", "confmon.cli"):
+        done = python_m(module, "check", "--model", "som", "--log", str(path))
+        assert (done.returncode, done.stdout) == (0, want), done.stderr
+    assert python_m("confmon", "frobnicate").returncode == 2
 
 
 def test_parse_experiment_config_full():
