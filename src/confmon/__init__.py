@@ -11,7 +11,7 @@ from .alignment import (Alignment, CostScheme, Move, SKIP, UNKNOWN,
                         worst_case_cost)
 from .detect import (DETECTOR_KINDS, Detector, ae_gradient_check, classify,
                      default_ae_layers, load_detector, save_detector,
-                     score_matrix, train)
+                     score_matrix, train, train_group)
 from .diagnoses import (DiagnosesMatrix, build_diagnoses, coverage,
                         diagnosis_columns, log_fitness, read_diagnoses,
                         write_diagnoses)

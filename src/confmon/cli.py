@@ -9,8 +9,12 @@ each configured detector on normal diagnoses, injects anomalies into a fresh
 noise-free playout of the same model (seed offset +1000), and scores the held
 out normal test rows (negatives) against each injected set (positives). It
 writes one numeric CSV per seed and an aggregate table of "mean ± std"
-percentages across seeds. CONFMON_THREADS caps seed-level parallelism
-(unset or 1 runs sequentially, 0 means one worker per CPU).
+percentages across seeds. The seeds run in groups: ft and dbscan train and
+score seed by seed, while ae trains once per group, every seed's autoencoder
+in one stacked pass, and then scores seed by seed. A sequential run is one
+group. CONFMON_THREADS caps seed-level parallelism (unset or 1 runs
+sequentially, 0 means one worker per CPU) and cuts the seeds into one
+contiguous group per worker. The output bytes do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .detect import (DETECTOR_KINDS, classify, load_detector, save_detector,
-                     score_matrix, train)
+                     score_matrix, train, train_group)
 from .diagnoses import build_diagnoses, write_diagnoses
 from .errors import ConfmonError, DetectError, LogError, ModelError
 from .eventlog import EventLog, parse_log, split_log, write_log
@@ -271,37 +275,57 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
-    """All metric rows for one seed: every detector against every eval set."""
-    net = _resolve_model(cfg.model)
-    overlap = set(cfg.pool) & set(net.visible_labels)
-    if overlap:
-        raise ConfmonError(f"unknown-activity pool overlaps model labels: {sorted(overlap)}")
+def _seed_diagnoses(cfg: ExperimentConfig, net: PetriNet, seed: int):
+    """(train, validation, test, {anomaly type: injected}) diagnoses of one
+    seed. Its logs are dropped on return; only the matrices are kept."""
     noise = NoiseParams(cfg.p_drop, cfg.p_dup)
-    normal = playout(net, cfg.n_traces, max_steps=cfg.max_steps, seed=seed, noise=noise)
-    train_log, val_log, test_log = split_log(normal, cfg.split, seed=seed)
-    d_train = build_diagnoses(net, train_log)
-    d_val = build_diagnoses(net, val_log)
-    d_test = build_diagnoses(net, test_log)
+    normal_log = playout(net, cfg.n_traces, max_steps=cfg.max_steps, seed=seed, noise=noise)
+    train_log, val_log, test_log = split_log(normal_log, cfg.split, seed=seed)
     source = playout(net, cfg.n_traces, max_steps=cfg.max_steps, seed=seed + 1000)
     eval_logs = build_eval_sets(source, cfg.lam, cfg.pool, seed=seed)
-    d_eval = {at: build_diagnoses(net, eval_logs[at]) for at in ANOMALY_TYPES}
+    return (build_diagnoses(net, train_log), build_diagnoses(net, val_log),
+            build_diagnoses(net, test_log),
+            {at: build_diagnoses(net, eval_logs[at]) for at in ANOMALY_TYPES})
 
+
+def _score_rows(det, seed: int, d_test, d_eval) -> list:
+    """The metric rows of one trained detector, one per eval set."""
+    normal_scores = score_matrix(det, d_test).tolist()
+    injected = {at: score_matrix(det, d_eval[at]).tolist() for at in ANOMALY_TYPES}
+    injected["all"] = [s for at in ANOMALY_TYPES for s in injected[at]]
     rows = []
-    for kind in cfg.detectors:
-        det = train(kind, d_train, d_val, quantile=cfg.quantile, seed=seed)
-        normal = score_matrix(det, d_test).tolist()
-        injected = {at: score_matrix(det, d_eval[at]).tolist() for at in ANOMALY_TYPES}
-        injected["all"] = [s for at in ANOMALY_TYPES for s in injected[at]]
-        for at in EVAL_SET_ORDER:
-            scores = normal + injected[at]
-            labels = ["normal"] * len(normal) + ["anomalous"] * len(injected[at])
-            res = prf(confusion(labels, classify(det, scores)))
-            roc = roc_auc(labels, scores)
-            rows.append({"seed": seed, "anomaly": at, "technique": kind,
-                         "accuracy": res.accuracy, "recall": res.recall,
-                         "precision": res.precision, "f1": res.f1, "auc": roc.auc})
+    for at in EVAL_SET_ORDER:
+        scores = normal_scores + injected[at]
+        labels = ["normal"] * len(normal_scores) + ["anomalous"] * len(injected[at])
+        res = prf(confusion(labels, classify(det, scores)))
+        roc = roc_auc(labels, scores)
+        rows.append({"seed": seed, "anomaly": at, "technique": det.kind,
+                     "accuracy": res.accuracy, "recall": res.recall,
+                     "precision": res.precision, "f1": res.f1, "auc": roc.auc})
     return rows
+
+
+def _run_seeds(cfg: ExperimentConfig, seeds) -> list:
+    """The metric rows of each seed of a group, one list per seed, each
+    ordered by cfg.detectors and then EVAL_SET_ORDER. ft and dbscan train
+    and score seed by seed; ae trains once for the whole group, as one
+    stack, and then scores seed by seed."""
+    net = _resolve_model(cfg.model)
+    diagnosed = []
+    rows = {}
+    for seed in seeds:
+        d_train, d_val, d_test, d_eval = _seed_diagnoses(cfg, net, seed)
+        diagnosed.append((d_train, d_val, d_test, d_eval))
+        for kind in cfg.detectors:
+            if kind != "ae":
+                det = train(kind, d_train, d_val, quantile=cfg.quantile, seed=seed)
+                rows[seed, kind] = _score_rows(det, seed, d_test, d_eval)
+    if "ae" in cfg.detectors:
+        dets = train_group("ae", [d[:2] for d in diagnosed], quantile=cfg.quantile,
+                           seeds=seeds)
+        for seed, det, (_, _, d_test, d_eval) in zip(seeds, dets, diagnosed):
+            rows[seed, "ae"] = _score_rows(det, seed, d_test, d_eval)
+    return [[r for kind in cfg.detectors for r in rows[seed, kind]] for seed in seeds]
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -317,9 +341,21 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(value, n_tasks))
 
 
-def _run_seed_task(payload):
-    cfg, seed = payload
-    return _run_seed(cfg, seed)
+def _seed_groups(seeds: tuple, n: int) -> list:
+    """The seeds cut into n contiguous groups whose sizes differ by at most
+    one, the larger groups first."""
+    size, extra = divmod(len(seeds), n)
+    groups, lo = [], 0
+    for i in range(n):
+        hi = lo + size + (i < extra)
+        groups.append(seeds[lo:hi])
+        lo = hi
+    return groups
+
+
+def _run_seeds_task(payload):
+    cfg, seeds = payload
+    return _run_seeds(cfg, seeds)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -337,14 +373,19 @@ def run_experiment(cfg: ExperimentConfig):
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ConfmonError(f"experiment lists {what} {repeated!r} more than once")
+    overlap = set(cfg.pool) & set(_resolve_model(cfg.model).visible_labels)
+    if overlap:
+        raise ConfmonError(f"unknown-activity pool overlaps model labels: {sorted(overlap)}")
+    workers = _worker_count(len(cfg.seeds))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count(len(cfg.seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed_lists = list(pool.map(_run_seed_task, [(cfg, s) for s in cfg.seeds]))
+            groups = [(cfg, g) for g in _seed_groups(tuple(cfg.seeds), workers)]
+            per_seed_lists = [rows for group in pool.map(_run_seeds_task, groups)
+                              for rows in group]
     else:
-        per_seed_lists = [_run_seed(cfg, s) for s in cfg.seeds]
+        per_seed_lists = _run_seeds(cfg, tuple(cfg.seeds))
 
     files = []
     all_rows = []

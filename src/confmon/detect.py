@@ -15,8 +15,13 @@ threshold. Higher scores mean more anomalous.
           training rows; score = mean squared reconstruction error. It trains
           by full-batch Adam on buffers allocated once per training call, so
           an epoch writes its activations, gradients and moments in place.
-          ae_gradient_check runs the same loss-and-gradient pass, and
-          scoring the same forward routine.
+          The trainer runs a stack of S autoencoders at once, one seed and
+          one training matrix per slice, with stacked matmuls and one Adam
+          update for all of them; train_group trains a group of seeds so,
+          and train is a group of one. Each slice's bits equal those of a
+          stack of that slice alone. ae_gradient_check runs the same
+          loss-and-gradient pass on a stack of one, and scoring the same
+          forward routine.
 
 Feature rows are min-max normalized per column with statistics learned on the
 training rows (a constant column maps its training values to 0, and deviating
@@ -134,7 +139,7 @@ def _split(flat: np.ndarray, shapes) -> list:
 def _ae_hidden(weights, lead: tuple) -> tuple[np.ndarray, list]:
     """One flat array for the activations of every hidden layer over rows of
     leading shape lead, and each layer's view into it, in layer order."""
-    shapes = [lead + (w.shape[1],) for w in weights[:-1]]
+    shapes = [lead + (w.shape[-1],) for w in weights[:-1]]
     flat = np.empty(sum(math.prod(s) for s in shapes))
     return flat, _split(flat, shapes)
 
@@ -155,37 +160,45 @@ def _ae_forward(weights, biases, x: np.ndarray, hidden, out: np.ndarray) -> None
 
 
 def _ae_pass(weights, biases, x: np.ndarray, grads_w, grads_b):
-    """The loss-and-gradient pass over the rows of x, with every array it
-    uses allocated here, once. Returns a function that runs the pass on the
-    current weights and biases: it writes the gradients of the mean squared
-    reconstruction error (averaged over every matrix entry) into grads_w and
-    grads_b, arrays of the same shapes, and returns that error."""
+    """The loss-and-gradient pass over a stack x of shape (S, n, d), one
+    set of rows per slice, with weights of shape (S, fan_in, fan_out) and
+    biases (S, 1, fan_out). Every array it uses is allocated here, once.
+    Returns a function that runs the pass on the current weights and biases:
+    it writes into grads_w and grads_b, arrays of the same shapes, each
+    slice's gradients of that slice's mean squared reconstruction error
+    (averaged over its n * d entries), and returns those errors as an (S,)
+    array it overwrites on the next run. Each product is a stacked matmul,
+    one product per slice, the same a one-slice stack runs."""
     hidden_flat, hidden = _ae_hidden(weights, x.shape[:-1])
     slope_flat = np.empty_like(hidden_flat)  # tanh' = 1 - a*a of each hidden activation
     slopes = _split(slope_flat, [h.shape for h in hidden])
     deltas = _split(np.empty_like(hidden_flat), [h.shape for h in hidden])
     out = np.empty_like(x)  # the output, then its difference from x, then its delta
     squares = np.empty_like(x)
-    inputs_t = [x.T] + [h.T for h in hidden]
-    weights_t = [w.T for w in weights]
+    slice_squares = squares.reshape(len(x), -1)
+    losses = np.empty(len(x))
+    entries = slice_squares.shape[1]
+    inputs_t = [a.swapaxes(1, 2) for a in [x] + hidden]
+    weights_t = [w.swapaxes(1, 2) for w in weights]
 
-    def run() -> float:
+    def run() -> np.ndarray:
         _ae_forward(weights, biases, x, hidden, out)
         np.multiply(hidden_flat, hidden_flat, out=slope_flat)
         np.subtract(1.0, slope_flat, out=slope_flat)
         np.subtract(out, x, out=out)
         np.multiply(out, out, out=squares)
-        loss = float(np.add.reduce(squares, axis=None)) / squares.size
+        np.add.reduce(slice_squares, axis=1, out=losses)
+        np.divide(losses, entries, out=losses)
         np.multiply(out, 2.0, out=out)
-        np.divide(out, out.size, out=out)
+        np.divide(out, entries, out=out)
         delta = out
         for i in range(len(weights) - 1, -1, -1):
             np.matmul(inputs_t[i], delta, out=grads_w[i])
-            np.add.reduce(delta, axis=0, out=grads_b[i])
+            np.add.reduce(delta, axis=1, out=grads_b[i], keepdims=True)
             if i > 0:
                 np.matmul(delta, weights_t[i], out=deltas[i - 1])
                 delta = np.multiply(deltas[i - 1], slopes[i - 1], out=deltas[i - 1])
-        return loss
+        return losses
 
     return run
 
@@ -200,24 +213,33 @@ def _ae_errors(weights, biases, x: np.ndarray) -> np.ndarray:
     return np.mean((out - x) ** 2, axis=-1)[:, 0]
 
 
-def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seed: int):
-    """Adam on one flat parameter vector theta, with its gradient g as a flat
+def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
+    """Trains one autoencoder per slice of the stack x, of shape (S, n, d),
+    the i-th from initial weights drawn from np.random.default_rng(seeds[i]).
+    Returns a (weights, biases, loss history) triple per slice, each
+    bit-identical to what a stack of that slice alone gives.
+
+    Adam on one flat parameter vector theta, with its gradient g as a flat
     vector alike and the moments m and v as the two rows of one (2, P)
-    array. The per-layer weights and biases are views into theta, their
-    gradients views into g, so each step is one elementwise update of both
-    moments at once, with the same operations on every element as a
+    array. Each layer's weights of all slices are one (S, fan_in, fan_out)
+    view into theta and its biases one (S, 1, fan_out) view, their gradients
+    views into g, so each step is one elementwise update of both moments of
+    every slice at once, with the same operations on every element as a
     per-array update. Every array an epoch touches, the loss-and-gradient
     pass's included, is allocated once per call and written in place; the
     pass is the one ae_gradient_check runs, and its forward routine the one
     scoring runs."""
-    rng = np.random.default_rng(seed)
-    weights, biases = _ae_init(layers, rng)
-    params = [a for pair in zip(weights, biases) for a in pair]
-    shapes = [a.shape for a in params]
-    theta = np.concatenate([a.reshape(-1) for a in params])
+    stack = len(x)
+    shapes = [(stack,) + shape for fan_in, fan_out in zip(layers[:-1], layers[1:])
+              for shape in ((fan_in, fan_out), (1, fan_out))]
+    theta = np.empty(sum(math.prod(shape) for shape in shapes))
     g = np.zeros_like(theta)
     views, grads = _split(theta, shapes), _split(g, shapes)
     weights, biases = views[0::2], views[1::2]
+    for i, seed in enumerate(seeds):
+        init_w, init_b = _ae_init(layers, np.random.default_rng(seed))
+        for view, value in zip(views, [a for pair in zip(init_w, init_b) for a in pair]):
+            view[i] = value
     run = _ae_pass(weights, biases, x, grads[0::2], grads[1::2])
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     betas = np.array([[beta1], [beta2]])
@@ -226,17 +248,18 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seed: int):
     moments = np.zeros((2, theta.size))  # m, v
     scaled = np.empty_like(moments)
     m_hat, v_hat = scaled
-    history = []
+    history = np.empty((epochs, stack))
     # A diverging rate overflows before the loss turns non-finite; the named
     # DetectError below reports that, not numpy's warnings. errstate only
     # changes what is reported, never a computed bit.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, epochs + 1):
-            loss = run()
-            if not math.isfinite(loss):
-                raise DetectError(f"autoencoder training diverged at epoch {step} "
+            losses = run()
+            if not np.isfinite(losses).all():
+                seed = "" if stack == 1 else f" of seed {seeds[np.argmin(np.isfinite(losses))]}"
+                raise DetectError(f"autoencoder training{seed} diverged at epoch {step} "
                                   "(non-finite loss); lower the learning rate")
-            history.append(loss)
+            history[step - 1] = losses
             corrections[:, 0] = (1.0 - beta1 ** step, 1.0 - beta2 ** step)
             # m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g
             moments *= betas
@@ -250,7 +273,8 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seed: int):
             m_hat *= lr
             m_hat /= v_hat
             theta -= m_hat
-    return [w.copy() for w in weights], [b.copy() for b in biases], tuple(history)
+    return [([w[i].copy() for w in weights], [b[i, 0].copy() for b in biases],
+             tuple(history[:, i].tolist())) for i in range(stack)]
 
 
 def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
@@ -262,8 +286,14 @@ def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
     rng = np.random.default_rng(seed)
     weights, biases = _ae_init(layers, rng)
     x = rng.uniform(0.0, 1.0, size=(3, layers[0]))
-    grads = [np.zeros_like(a) for a in weights + biases]
-    loss_at = _ae_pass(weights, biases, x, grads[:len(weights)], grads[len(weights):])
+    # a stack of one slice, whose views write through to weights and biases
+    stack_w, stack_b = [w[None] for w in weights], [b[None, None] for b in biases]
+    grads = [np.zeros_like(a) for a in stack_w + stack_b]
+    run = _ae_pass(stack_w, stack_b, x[None], grads[:len(weights)], grads[len(weights):])
+
+    def loss_at() -> float:
+        return float(run()[0])
+
     loss_at()
     analytic = [a.copy() for a in grads]
 
@@ -368,14 +398,28 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
           seed: int = 0) -> Detector:
     """Fit a detector on training diagnoses and set its threshold at the
     given percentile of the validation scores."""
+    return train_group(kind, [(train_d, val_d)], params, quantile=quantile, seeds=[seed])[0]
+
+
+def train_group(kind: str, pairs, params: dict | None = None, *,
+                quantile: float = 95.0, seeds) -> list[Detector]:
+    """One detector per (training, validation) pair of diagnoses, the i-th
+    fitted with seeds[i] and the same parameters, each equal to the one
+    train fits on that pair and seed alone. The ae detectors of a group
+    train as one stack, so their training matrices must share one shape."""
     if kind not in DETECTOR_KINDS:
         raise DetectError(f"unknown detector kind {kind!r}; expected one of {DETECTOR_KINDS}")
-    if train_d.columns != val_d.columns:
-        raise DetectError("training and validation diagnoses have different columns")
-    if len(train_d) < MIN_TRAIN_ROWS:
-        raise DetectError(f"need at least {MIN_TRAIN_ROWS} training rows, got {len(train_d)}")
-    if len(val_d) == 0:
-        raise DetectError("validation diagnoses are empty")
+    pairs, seeds = list(pairs), list(seeds)
+    if not pairs or len(pairs) != len(seeds):
+        raise DetectError(f"need one seed per training pair and at least one pair, "
+                          f"got {len(pairs)} pairs and {len(seeds)} seeds")
+    for train_d, val_d in pairs:
+        if train_d.columns != val_d.columns:
+            raise DetectError("training and validation diagnoses have different columns")
+        if len(train_d) < MIN_TRAIN_ROWS:
+            raise DetectError(f"need at least {MIN_TRAIN_ROWS} training rows, got {len(train_d)}")
+        if len(val_d) == 0:
+            raise DetectError("validation diagnoses are empty")
     if not 0.0 <= quantile <= 100.0:
         raise DetectError(f"quantile must be in [0, 100], got {quantile}")
     params = params or {}
@@ -383,33 +427,39 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
     if unknown:
         raise DetectError(f"unknown {kind} parameters: {unknown}")
 
-    x_train = train_d.to_array()
-    mins = x_train.min(axis=0)
-    maxs = x_train.max(axis=0)
-
-    state: dict = {}
+    x_trains = [train_d.to_array() for train_d, _ in pairs]
+    bounds = [(x.min(axis=0), x.max(axis=0)) for x in x_trains]
+    states: list = [{} for _ in pairs]
     if kind == "dbscan":
         min_pts = int(params.get("min_pts", DBSCAN_MIN_PTS))
         eps = params.get("eps")
-        xn = _normalize(mins, maxs, x_train)
-        eps, cores, n_clusters = _fit_dbscan(xn, min_pts, eps)
-        state = {"eps": eps, "min_pts": min_pts, "cores": cores, "n_clusters": n_clusters}
+        for state, x, (mins, maxs) in zip(states, x_trains, bounds):
+            fit_eps, cores, n_clusters = _fit_dbscan(_normalize(mins, maxs, x), min_pts, eps)
+            state.update(eps=fit_eps, min_pts=min_pts, cores=cores, n_clusters=n_clusters)
     elif kind == "ae":
-        layers = _ae_layers(params.get("layers", default_ae_layers(len(train_d.columns))))
-        if layers[0] != len(train_d.columns) or layers[-1] != len(train_d.columns):
+        width = len(pairs[0][0].columns)
+        layers = _ae_layers(params.get("layers", default_ae_layers(width)))
+        if layers[0] != width or layers[-1] != width:
             raise DetectError(f"autoencoder layers {layers} do not match "
-                              f"{len(train_d.columns)} feature columns")
+                              f"{width} feature columns")
         lr = _positive("autoencoder lr", params.get("lr", AE_LEARNING_RATE))
         epochs = _count("autoencoder epochs", params.get("epochs", AE_EPOCHS))
-        xn = _normalize(mins, maxs, x_train)
-        weights, biases, history = _train_ae(xn, layers, lr, epochs, seed)
-        state = {"layers": layers, "weights": weights, "biases": biases,
-                 "loss_history": history}
+        shapes = sorted({x.shape for x in x_trains})
+        if len(shapes) > 1:
+            raise DetectError(f"an autoencoder group trains one stack and needs training "
+                              f"matrices of one shape, got {shapes}")
+        xn = np.stack([_normalize(mins, maxs, x) for x, (mins, maxs) in zip(x_trains, bounds)])
+        for state, (weights, biases, history) in zip(
+                states, _train_ae(xn, layers, lr, epochs, seeds)):
+            state.update(layers=layers, weights=weights, biases=biases, loss_history=history)
 
-    det = Detector(kind, train_d.columns, mins, maxs, 0.0, quantile, seed,
-                   train_d.model_id, state)
-    det.threshold = float(np.percentile(score_matrix(det, val_d), quantile))
-    return det
+    dets = []
+    for (train_d, val_d), (mins, maxs), state, seed in zip(pairs, bounds, states, seeds):
+        det = Detector(kind, train_d.columns, mins, maxs, 0.0, quantile, seed,
+                       train_d.model_id, state)
+        det.threshold = float(np.percentile(score_matrix(det, val_d), quantile))
+        dets.append(det)
+    return dets
 
 
 def score_matrix(det: Detector, diag: DiagnosesMatrix) -> np.ndarray:

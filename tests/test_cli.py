@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import confmon
-from confmon.cli import (ExperimentConfig, main, parse_experiment_config,
+import confmon.detect
+from confmon.cli import (ExperimentConfig, _seed_groups, main, parse_experiment_config,
                          run_experiment)
 from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import ConfmonError
@@ -309,12 +311,59 @@ def test_experiment_parallel_matches_sequential(tmp_path, monkeypatch):
     assert read_outputs(tmp_path / "seq") == read_outputs(tmp_path / "par")
 
 
-def test_experiment_rejects_pool_overlap(tmp_path):
+# Digests of the files of AE_FT's run, recorded while each seed still trained
+# its own autoencoder; they hold the stacked training and the row order to
+# those bytes.
+AE_FT = ExperimentConfig(model="fn1", seeds=(0, 1, 2), n_traces=20,
+                         detectors=("ae", "ft"), outdir="")
+AE_FT_SHA256 = {
+    "aggregate.csv": "96f9bc988b87558ee3dd604e7a783cc761f7b0e7be276224946f79bf70b11a0a",
+    "seed_0.csv": "0fb6dabec182f9424282faa674a336c60171bba669196e40c0c6c068d6bf21e0",
+    "seed_1.csv": "0dbd552a980e297705b6056d3e8ba21e991eb7c599f5198e3e352cd2522495e4",
+    "seed_2.csv": "8c064bb6fb9ab8ce7b03c5713f84c63784edaae56e7f7cb51c55553c806b08e4",
+}
+
+
+def test_seed_groups_are_contiguous_and_even():
+    assert _seed_groups((0, 1, 2), 2) == [(0, 1), (2,)]
+    assert _seed_groups((0, 1, 2, 3, 4), 3) == [(0, 1), (2, 3), (4,)]
+    assert _seed_groups((5, 6), 2) == [(5,), (6,)]
+    assert _seed_groups((0, 1, 2), 1) == [(0, 1, 2)]
+
+
+def test_experiment_trains_one_ae_stack_and_keeps_pinned_bytes(tmp_path, monkeypatch):
     from dataclasses import replace
 
-    bad = replace(MINI, pool=("t1", "z2"), outdir=str(tmp_path / "bad"))
-    with pytest.raises(ConfmonError, match="pool overlaps"):
-        run_experiment(bad)
+    stacks = []
+    real = confmon.detect._train_ae
+
+    def spy(x, layers, lr, epochs, seeds):
+        stacks.append(tuple(seeds))
+        return real(x, layers, lr, epochs, seeds)
+
+    monkeypatch.setattr(confmon.detect, "_train_ae", spy)
+    monkeypatch.delenv("CONFMON_THREADS", raising=False)
+    run_experiment(replace(AE_FT, outdir=str(tmp_path / "seq")))
+    assert stacks == [(0, 1, 2)]
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in read_outputs(tmp_path / "seq").items()}
+    assert digests == AE_FT_SHA256
+    # two workers take the uneven groups (0, 1) and (2,)
+    monkeypatch.setenv("CONFMON_THREADS", "2")
+    run_experiment(replace(AE_FT, outdir=str(tmp_path / "par")))
+    assert read_outputs(tmp_path / "par") == read_outputs(tmp_path / "seq")
+
+
+def test_experiment_rejects_pool_overlap(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    # checked before the output directory is made or a worker starts
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CONFMON_THREADS", threads)
+        bad = replace(MINI, pool=("t1", "z2"), outdir=str(tmp_path / f"bad{threads}"))
+        with pytest.raises(ConfmonError, match="pool overlaps"):
+            run_experiment(bad)
+        assert not (tmp_path / f"bad{threads}").exists()
 
 
 def test_experiment_rejects_duplicate_seeds_and_detectors(tmp_path, capsys):

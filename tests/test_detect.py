@@ -14,7 +14,7 @@ from confmon.alignment import CostScheme
 from confmon.cli import main
 from confmon.detect import (DETECTOR_KINDS, Detector, _pairwise, ae_gradient_check,
                             classify, default_ae_layers, load_detector,
-                            save_detector, score_matrix, train)
+                            save_detector, score_matrix, train, train_group)
 from confmon.diagnoses import DiagnosesMatrix, build_diagnoses
 from confmon.errors import DetectError
 from confmon.eventlog import EventLog, split_log, write_log
@@ -253,6 +253,63 @@ def test_ae_training_matches_oracle(fn1_diagnoses, som_diagnoses):
             with pytest.raises(DetectError) as want:
                 oracle_train_ae(d_train.to_array(), default_ae_layers(8), lr)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seeds", [(7,), (5, 0, 12)])
+def test_stacked_ae_matches_oracle_and_one_seed_training(seeds):
+    # one matrix per slice, all of one shape, each slice with its own seed;
+    # bit-identity rests on numpy running one gemm per slice of a stack
+    pairs = [(wide_matrix(40, 6, seed=s + 1), wide_matrix(12, 6, seed=s + 100))
+             for s in seeds]
+    dets = train_group("ae", pairs, {"epochs": 150}, seeds=seeds)
+    assert [det.seed for det in dets] == list(seeds)
+    for det, (d_train, d_val), seed in zip(dets, pairs, seeds):
+        weights, biases, history = oracle_train_ae(d_train.to_array(), det.state["layers"],
+                                                   epochs=150, seed=seed)
+        assert det.state["loss_history"] == history
+        got, want = det.state["weights"] + det.state["biases"], weights + biases
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        alone = train("ae", d_train, d_val, {"epochs": 150}, seed=seed)
+        assert det.state["loss_history"] == alone.state["loss_history"]
+        assert save_detector(det) == save_detector(alone)
+
+
+def test_stacked_ae_on_the_experiment_shape_matches_one_seed_training(fn1_diagnoses):
+    # the same training rows in every slice, as seeds of one experiment share
+    # a shape; the default 500 epochs
+    d_train, d_val = fn1_diagnoses
+    dets = train_group("ae", [(d_train, d_val)] * 3, seeds=(0, 1, 2))
+    for seed, det in enumerate(dets):
+        alone = train("ae", d_train, d_val, seed=seed)
+        assert det.state["loss_history"] == alone.state["loss_history"]
+        assert save_detector(det) == save_detector(alone)
+
+
+def test_stack_diverges_at_the_first_non_finite_slice():
+    # alone at lr 4e152, seed 3 diverges at epoch 2, seed 0 at epoch 3, and
+    # seed 4 not at all
+    m = {k: wide_matrix(30, 6, seed=k) for k in (0, 3, 4)}
+    for order, message in [((4, 0, 3), "of seed 3 diverged at epoch 2 "),
+                           ((4, 0), "of seed 0 diverged at epoch 3 ")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DetectError, match=f"autoencoder training {message}"):
+                train_group("ae", [(m[k], m[k]) for k in order], {"lr": 4e152},
+                            seeds=order)
+
+
+def test_train_group_rejects_bad_groups(monkeypatch):
+    def never(*args):
+        raise AssertionError("training started before the group was checked")
+
+    monkeypatch.setattr(confmon.detect, "_train_ae", never)
+    a, b = wide_matrix(20, 4, seed=1), wide_matrix(21, 4, seed=2)
+    with pytest.raises(DetectError, match=re.escape("one shape, got [(20, 4), (21, 4)]")):
+        train_group("ae", [(a, a), (b, b)], seeds=(0, 1))
+    with pytest.raises(DetectError, match="got 1 pairs and 2 seeds"):
+        train_group("ae", [(a, a)], seeds=(0, 1))
+    with pytest.raises(DetectError, match="got 0 pairs and 0 seeds"):
+        train_group("ft", [], seeds=())
 
 
 def test_ae_layer_mismatch_rejected(line_train, line_val):
