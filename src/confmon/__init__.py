@@ -25,8 +25,21 @@ from .metrics import Confusion, PrfResult, RocCurve, confusion, prf, roc_auc
 from .petri import (NoiseParams, PetriNet, SoundnessReport, bundled_model,
                     check_soundness, enabled, fire, is_workflow_net,
                     load_model, parse_model, playout)
-from .cli import ExperimentConfig, main, parse_experiment_config, run_experiment
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# confmon.cli is imported on first use of one of these names rather than
+# here, so that `python -m confmon.cli` does not find the module already in
+# sys.modules when it runs it.
+_CLI_NAMES = ("ExperimentConfig", "main", "parse_experiment_config", "run_experiment")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["cli", *_CLI_NAMES])
+
+
+def __getattr__(name: str):
+    if name == "cli" or name in _CLI_NAMES:
+        from importlib import import_module
+
+        cli = import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

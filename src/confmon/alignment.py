@@ -33,13 +33,18 @@ prunes nothing. petri.DEFAULT_STATE_CAP, read at call time, bounds the
 markings of the graph and the expansions of the pruned search. A sync move,
 free and first in the tie-break, is followed without a round trip through
 the heap.
+
+optimal_alignment returns an Alignment that holds the search's path key (one
+character per move) and its cost; its moves are decoded from the key when
+first read, and cached. count_from_keys counts the misalignments of many
+keys in numpy passes, so a caller that only counts never builds Move objects.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -64,6 +69,8 @@ _CHUNK_ELEMENTS = 1 << 17
 # of move costs: it can keep a push the exact bound would skip, never the
 # reverse.
 _BOUND_SLACK = 1.0 + 1e-9
+# Keys per numpy pass of count_from_keys.
+_COUNT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,67 @@ class Move:
         return f"({self.log_part},{self.model_part})"
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Alignment:
-    moves: tuple[Move, ...]
-    cost: float
+    """An alignment: its moves and their total cost.
+
+    optimal_alignment returns one that holds the search's path key, one
+    character per move (see _move_codes), and decodes moves from the key
+    when they are first read; the decoded tuple is cached. Alignment(moves,
+    cost) holds decoded moves and no key. Either way it compares, hashes and
+    prints by (moves, cost), and rejects attribute assignment, like a frozen
+    dataclass.
+    """
+
+    __slots__ = ("_moves", "cost", "key", "_source")
+
+    def __init__(self, moves: tuple[Move, ...], cost: float):
+        _set(self, "_moves", moves)
+        _set(self, "cost", cost)
+        _set(self, "key", None)
+        _set(self, "_source", None)
+
+    @classmethod
+    def _from_key(cls, key: str, cost: float, net: PetriNet, sigma) -> Alignment:
+        self = object.__new__(cls)
+        _set(self, "_moves", None)
+        _set(self, "cost", cost)
+        _set(self, "key", key)
+        _set(self, "_source", (net, sigma))
+        return self
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        moves = self._moves
+        if moves is None:
+            moves = _moves(*self._source, self.key)
+            _set(self, "_moves", moves)
+        return moves
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.moves if self.key is None else self.key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.moves, self.cost) == (other.moves, other.cost)
+
+    def __hash__(self) -> int:
+        return hash((self.moves, self.cost))
+
+    def __repr__(self) -> str:
+        return f"Alignment(moves={self.moves!r}, cost={self.cost!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Alignment, (self.moves, self.cost)
 
     def render(self) -> str:
         """Two-row picture: trace on top, model below."""
@@ -220,8 +281,9 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     # with one character per move, whose code point is the move's rank in
     # (kind, transition id) order, so str comparison is the tie-break order,
     # prefixes included: equal-cost candidates pop in tie-break order and the
-    # first settled goal is the canonical result. Its moves are rebuilt from
-    # the key. A path is pushed at most once, so no two entries share a key.
+    # first settled goal is the canonical result. The result keeps the key,
+    # and its moves are decoded from it only when read. A path is pushed at
+    # most once, so no two entries share a key.
     # A product state (m, pos) is the int m * width + pos, which also indexes h.
     #
     # The entry of a sync move would be the very next pop, so the loop takes
@@ -241,7 +303,7 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
         while True:
             settled.add(state)
             if m_idx == mf_idx and pos == n_events:
-                return Alignment(_moves(net, sigma, key), g)
+                return Alignment._from_key(key, g, net, sigma)
             expanded += 1
             if expanded > state_limit:
                 raise AlignmentError(
@@ -489,7 +551,11 @@ def trace_fitness(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> flo
 
 def fitness_from_cost(net: PetriNet, trace, cost: float,
                       costs: CostScheme = CostScheme()) -> float:
-    return 1.0 - cost / worst_case_cost(net, trace, costs)
+    """1 - cost / worst-case cost; 1.0 when the worst case costs nothing (an
+    empty trace on a net that completes silently for free), whose optimal
+    cost is then 0 too."""
+    worst = worst_case_cost(net, trace, costs)
+    return 1.0 - cost / worst if worst else 1.0
 
 
 def misalignments(alignment: Alignment, labels) -> dict:
@@ -510,3 +576,45 @@ def misalignments(alignment: Alignment, labels) -> dict:
         elif mv.kind == "model":
             counts[mv.activity] += 1
     return counts
+
+
+def count_from_keys(net: PetriNet, columns, keys, sequences) -> np.ndarray:
+    """Misalignment counters of many alignments at once, from their path keys
+    (Alignment.key) and event sequences, without decoding moves.
+
+    columns lists the counter columns, UNKNOWN among them; the result is an
+    int64 array with one row per key and one column per entry of columns,
+    equal to misalignments of the decoded alignments. Every event is
+    consumed by one sync or one log move, so the log moves on an activity
+    are its events minus its sync moves: each event adds 1 on its activity's
+    column (UNKNOWN for an activity outside columns), each sync move takes 1
+    off its activity, and each visible model move adds 1 on its activity.
+    """
+    k = len(columns)
+    column = {act: i for i, act in enumerate(columns)}
+    unknown = column[UNKNOWN]
+    # slot of each move code in a row of width 2k + 1: column c for +1 on c,
+    # k + c for -1 on c, 2k for a move that counts nothing
+    width = 2 * k + 1
+    slot = np.array([2 * k if move is None or move.kind == "silent"
+                     else column[move.activity] + (k if move.kind == "sync" else 0)
+                     for move in _move_codes(net)[0]], dtype=np.intp)
+    tally = np.zeros((len(keys), width), dtype=np.int64)
+    # blocks of keys keep each temporary array to tens of kB, so counting
+    # does not raise the peak memory of a process that diagnoses a large log
+    for lo in range(0, len(keys), _COUNT_BLOCK):
+        block_keys = keys[lo:lo + _COUNT_BLOCK]
+        block_seqs = sequences[lo:lo + _COUNT_BLOCK]
+        rows = np.arange(len(block_keys)) * width
+        # surrogatepass: a net with 55 296 or more moves has codes in the
+        # surrogate range, which a plain utf-32 encode rejects
+        codes = np.frombuffer("".join(block_keys).encode("utf-32-le", "surrogatepass"),
+                              dtype="<u4")
+        moves = np.repeat(rows, list(map(len, block_keys))) + slot[codes]
+        events = np.fromiter((column.get(act, unknown) for sigma in block_seqs for act in sigma),
+                             dtype=np.intp)
+        events += np.repeat(rows, list(map(len, block_seqs)))
+        part = tally[lo:lo + _COUNT_BLOCK].reshape(-1)
+        part += np.bincount(moves, minlength=part.size)
+        part += np.bincount(events, minlength=part.size)
+    return tally[:, :k] - tally[:, k:2 * k]

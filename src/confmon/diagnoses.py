@@ -5,8 +5,11 @@ names of the model, then UNKNOWN (log moves on activities the model does not
 know), then fitness. With the default cost scheme the counter total of a row
 equals the optimal alignment cost of its trace. A matrix holds the case ids,
 an int counter array of shape (n, k) and a float fitness vector of length n.
-build_diagnoses is the one pass that aligns a log, once per distinct trace;
-log fitness and coverage are reductions of its arrays.
+build_diagnoses is the one pass that aligns a log, once per distinct trace.
+It counts the distinct traces' counters with numpy from their alignments'
+path keys and their events, without decoding moves, and gathers the rows of
+the log from them by one variant index per trace; log fitness and coverage
+are reductions of its arrays.
 
 CSV form:
 
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (CostScheme, UNKNOWN, cost_to_go, fitness_from_cost,
-                        misalignments, optimal_alignment)
+from .alignment import (CostScheme, UNKNOWN, count_from_keys, cost_to_go,
+                        optimal_alignment, worst_case_cost)
 from .errors import LogError
 from .eventlog import EventLog
 from .petri import PetriNet
@@ -92,28 +95,34 @@ def build_diagnoses(net: PetriNet, log: EventLog,
     traces of one variant share (counts, fitness, alignment length), and
     moves sums every trace's length. The variants are aligned in chunks:
     one cost_to_go pass per chunk, then each variant's search.
+
+    The counters of all variants come from their path keys and events in
+    numpy passes over blocks of variants (count_from_keys), without decoding
+    moves, and fitness from their costs. The rows of the log are then gathered from the variants' by
+    one variant index per trace.
     """
     columns = diagnosis_columns(net)
     # one trace per distinct event sequence, shortest first: traces of
     # similar length share a chunk, so its right-aligned table carries
     # little padding
     distinct = sorted({tr.events: tr for tr in log}.values(), key=lambda tr: len(tr.events))
-    variants: dict[tuple[str, ...], tuple[list, float, int]] = {}
+    keys, cost = [], []
     for tr, h in zip(distinct, cost_to_go(net, distinct, costs)):
         alignment = optimal_alignment(net, tr, costs, h=h)
-        per_activity = misalignments(alignment, net.visible_labels)
-        variants[tr.events] = ([per_activity[col] for col in columns[:-1]],
-                               fitness_from_cost(net, tr, alignment.cost, costs),
-                               len(alignment))
-    case_ids, counts, fitness = [], [], []
-    moves = 0
-    for tr in log:
-        row, fit, length = variants[tr.events]
-        case_ids.append(tr.case_id)
-        counts.append(row)
-        fitness.append(fit)
-        moves += length
-    return DiagnosesMatrix(columns, tuple(case_ids), counts, fitness, net.name, costs, moves)
+        keys.append(alignment.key)
+        cost.append(alignment.cost)
+    sequences = [tr.events for tr in distinct]
+    counts = count_from_keys(net, columns[:-1], keys, sequences)
+    # fitness_from_cost elementwise, by the same float operations, so the same
+    # bits; worst_case_cost of no events is the model-only completion cost
+    worst = costs.c_log * np.array(list(map(len, sequences)), dtype=float)
+    worst += worst_case_cost(net, (), costs)
+    fitness = 1.0 - np.divide(cost, worst, out=np.zeros_like(worst), where=worst != 0)
+    lengths = np.array(list(map(len, keys)), dtype=np.int64)
+    variant = {tr.events: i for i, tr in enumerate(distinct)}
+    index = np.array([variant[tr.events] for tr in log], dtype=np.intp)
+    return DiagnosesMatrix(columns, tuple(tr.case_id for tr in log), counts[index],
+                           fitness[index], net.name, costs, int(lengths[index].sum()))
 
 
 def log_fitness(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()) -> float:
@@ -148,11 +157,16 @@ def write_diagnoses(diag: DiagnosesMatrix) -> str:
 
 
 def read_diagnoses(text: str) -> DiagnosesMatrix:
-    """Parse a diagnoses CSV produced by write_diagnoses."""
+    """Parse a diagnoses CSV produced by write_diagnoses.
+
+    A row with a negative counter, a fitness outside [0, 1] or a case id of
+    an earlier row raises a LogError that names its line.
+    """
     model_id = "unknown"
     costs = CostScheme()
     header = None
     case_ids, counts, fitness = [], [], []
+    seen = set()
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -186,6 +200,13 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
             raise LogError(f"line {no}: non-numeric cell: {line!r}") from exc
         if not math.isfinite(fit):
             raise LogError(f"line {no}: fitness must be finite, got {cells[-1]!r}")
+        if not 0.0 <= fit <= 1.0:
+            raise LogError(f"line {no}: fitness must lie in [0, 1], got {cells[-1]!r}")
+        if min(row, default=0) < 0:
+            raise LogError(f"line {no}: counters must be non-negative: {line!r}")
+        if cells[0] in seen:
+            raise LogError(f"line {no}: repeated case id {cells[0]!r}")
+        seen.add(cells[0])
         case_ids.append(cells[0])
         counts.append(row)
         fitness.append(fit)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 import confmon.alignment
 import confmon.petri
-from confmon.alignment import (Alignment, CostScheme, SKIP, cost_to_go, misalignments,
-                               optimal_alignment, trace_fitness,
-                               worst_case_cost)
+from confmon.alignment import (Alignment, CostScheme, Move, SKIP, cost_to_go,
+                               count_from_keys, misalignments, optimal_alignment,
+                               trace_fitness, worst_case_cost)
 from confmon.diagnoses import build_diagnoses, coverage, log_fitness
 from confmon.errors import AlignmentError, LogError
 from confmon.eventlog import EventLog, Trace
@@ -304,6 +306,35 @@ def test_render_and_move_parts(fn1):
     assert str(log_move) == "(x9,>>)"
 
 
+def test_lazy_alignment_behaves_like_a_decoded_one(fn1):
+    """optimal_alignment returns an alignment that decodes its moves from
+    the path key when first read; it equals, hashes, prints and renders like
+    one built from decoded moves, and stays immutable."""
+    trace = ("t1", "x9", "t2", "t4", "t5", "t6", "t5")
+    fresh = lambda: optimal_alignment(fn1, trace)  # noqa: E731
+    eager = Alignment(fresh().moves, fresh().cost)
+    assert eager.key is None and len(fresh().key) == len(eager.moves)
+    assert fresh() == eager and eager == fresh()
+    assert hash(fresh()) == hash(eager)
+    assert fresh().render() == eager.render()
+    assert repr(fresh()) == repr(eager)
+    assert len(fresh()) == len(eager) == len(eager.moves)
+    lazy = fresh()
+    assert len(lazy) == len(lazy.moves) and lazy.moves is lazy.moves
+    assert pickle.loads(pickle.dumps(fresh())) == eager
+    assert fresh() != Alignment(eager.moves, eager.cost + 1)
+    assert fresh() != Alignment(eager.moves[:-1], eager.cost)
+    assert len({fresh(), eager}) == 1
+    for name in ("moves", "cost", "key", "_moves"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(lazy, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(lazy, name)
+    with pytest.raises(FrozenInstanceError):
+        eager.cost = 0.0
+    assert lazy == eager
+
+
 def test_alignment_works_on_trace_objects(fn1):
     tr = Trace("c1", LOOP_TRACE)
     assert optimal_alignment(fn1, tr).cost == 0.0
@@ -407,6 +438,18 @@ def test_move_alphabet_wider_than_one_byte():
     assert move_digest(net, traces) == (
         "9026e9b09a17188b2274243c0da4034c599ac2599a12a654719c2fb74362829a")
 
+
+
+def test_codes_in_the_surrogate_range_are_counted(monkeypatch):
+    """Move codes from 55 296 on are UTF-16 surrogates, which a plain UTF-32
+    encode rejects; a net with that many moves still gets its counters. The
+    alphabet here is a stand-in: a sync move on a, model moves on b up to
+    code 57 400, then the log move."""
+    moves = [Move("sync", "a", "ta")] + [Move("model", "b", "tb")] * 57_400 + [None]
+    monkeypatch.setattr(confmon.alignment, "_move_codes", lambda net: (moves, {}, {}, "?"))
+    keys = ["\x00" + chr(0xD800) + chr(0xDFFF) + chr(57_401), ""]
+    counts = count_from_keys(None, ("a", "b", "UNKNOWN"), keys, [("a", "z"), ()])
+    assert counts.tolist() == [[0, 2, 1], [0, 0, 0]]
 
 
 def test_injected_traces_keep_pinned_moves(fn1, som):

@@ -220,12 +220,14 @@ def test_usage_errors_exit_two(capsys):
 
 
 def python_m(*argv):
-    """Run python -m <argv> in a fresh interpreter that imports this package."""
+    """Run python -m <argv> in a fresh interpreter that imports this package.
+    A RuntimeWarning, such as runpy's warning that the module was imported
+    before it ran, fails the child as it would fail this suite."""
     src = str(Path(confmon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_python_m_runs_the_cli(som, tmp_path):

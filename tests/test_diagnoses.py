@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confmon.alignment
 import confmon.diagnoses
 from confmon.alignment import (CostScheme, fitness_from_cost, misalignments,
-                               optimal_alignment)
+                               optimal_alignment, trace_fitness)
 from confmon.diagnoses import (DiagnosesMatrix, build_diagnoses,
                                coverage, diagnosis_columns, log_fitness,
                                read_diagnoses, write_diagnoses)
 from confmon.errors import LogError
 from confmon.eventlog import EventLog, Trace
-from confmon.petri import NoiseParams, bundled_model, playout
+from confmon.petri import NoiseParams, bundled_model, parse_model, playout
 
 MIXED = EventLog([
     Trace("c1", ("t1", "t2", "t4", "t5", "t6")),
@@ -119,6 +120,32 @@ def test_read_rejects_non_numeric_cells():
         read_diagnoses(text)
 
 
+def test_read_rejects_negative_counters():
+    text = "case,t1,UNKNOWN,fitness\nc0,0,0,1.0\nc1,-3,0,1.0\n"
+    with pytest.raises(LogError, match="line 3: counters must be non-negative"):
+        read_diagnoses(text)
+
+
+@pytest.mark.parametrize("bad", ["7.5", "-0.5", "1.000001"])
+def test_read_rejects_fitness_outside_unit_interval(bad):
+    text = f"case,t1,UNKNOWN,fitness\nc1,0,0,{bad}\n"
+    with pytest.raises(LogError, match=r"line 2: fitness must lie in \[0, 1\]"):
+        read_diagnoses(text)
+
+
+def test_read_rejects_repeated_case_ids():
+    text = "case,t1,UNKNOWN,fitness\nc1,0,0,1.0\nc2,1,0,0.5\nc1,0,0,1.0\n"
+    with pytest.raises(LogError, match="line 4: repeated case id 'c1'"):
+        read_diagnoses(text)
+
+
+def test_read_accepts_fitness_bounds_and_negative_zero():
+    back = read_diagnoses("case,t1,UNKNOWN,fitness\nc1,0,0,0.000000\nc2,-0,0,1.000000\n"
+                          "c3,0,0,-0.000000\n")
+    assert back.fitness.tolist() == [0.0, 1.0, 0.0]
+    assert back.counts.tolist() == [[0, 0], [0, 0], [0, 0]]
+
+
 def test_read_rejects_counters_beyond_64_bits():
     text = f"case,t1,UNKNOWN,fitness\nc1,{2 ** 64},0,1.0\n"
     with pytest.raises(LogError, match="64 bits"):
@@ -172,14 +199,65 @@ def _per_trace_reference(net, log, costs):
                            net.name, costs, moves)
 
 
-@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(2.0, 3.0, 0.5)])
-def test_variant_memo_matches_per_trace_alignment(som, noisy_som_log, costs):
-    diag = build_diagnoses(som, noisy_som_log, costs)
-    ref = _per_trace_reference(som, noisy_som_log, costs)
+COST_SCHEMES = [CostScheme(), CostScheme(2.0, 3.0, 0.5), CostScheme(0.7, 1.3, 0.1)]
+
+
+def assert_matches_per_trace_reference(net, log, costs):
+    diag = build_diagnoses(net, log, costs)
+    ref = _per_trace_reference(net, log, costs)
     assert write_diagnoses(diag) == write_diagnoses(ref)
     assert diag.moves == ref.moves
     assert diag.fitness.tolist() == ref.fitness.tolist()
     assert diag.counts.tolist() == ref.counts.tolist()
+    assert diag.counts.dtype == ref.counts.dtype
+
+
+@pytest.fixture(scope="module")
+def noisy_fn1_log(fn1):
+    """Noisy fn1 playout plus the MIXED traces, which hold an unknown
+    activity and an empty trace."""
+    log = playout(fn1, 150, seed=8, noise=NoiseParams(0.1, 0.1))
+    return EventLog(list(log) + [Trace(f"m{tr.case_id}", tr.events) for tr in MIXED])
+
+
+@pytest.mark.parametrize("costs", COST_SCHEMES)
+def test_variant_memo_matches_per_trace_alignment(fn1, som, noisy_fn1_log, noisy_som_log,
+                                                  costs):
+    assert_matches_per_trace_reference(fn1, noisy_fn1_log, costs)
+    assert_matches_per_trace_reference(som, noisy_som_log, costs)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_counting_in_small_blocks_matches_per_trace_alignment(som, noisy_som_log, block,
+                                                              monkeypatch):
+    monkeypatch.setattr(confmon.alignment, "_COUNT_BLOCK", block)
+    assert_matches_per_trace_reference(som, noisy_som_log, CostScheme(0.7, 1.3, 0.1))
+
+
+EDGE_LOGS = {
+    "empty log": EventLog([]),
+    "empty traces": EventLog([Trace("c1", ()), Trace("c2", ("t1",)), Trace("c3", ())]),
+    "unknown only": EventLog([Trace("c1", ("x1", "x2", "x1")), Trace("c2", ("zz",))]),
+}
+
+
+@pytest.mark.parametrize("costs", COST_SCHEMES)
+@pytest.mark.parametrize("model", ["fn1", "som"])
+@pytest.mark.parametrize("name", sorted(EDGE_LOGS))
+def test_edge_logs_match_per_trace_alignment(name, model, costs, request):
+    assert_matches_per_trace_reference(request.getfixturevalue(model), EDGE_LOGS[name], costs)
+
+
+def test_worst_case_of_zero_gives_fitness_one():
+    """An empty trace on a net that completes by a free silent move has a
+    worst-case cost of 0, so 1 - cost / worst is undefined; its optimal cost
+    is 0 too, and it replays perfectly."""
+    net = parse_model("place a\nplace b\ntrans s silent\ntrans x label x\n"
+                      "arc a s\narc s b\narc a x\narc x b\ninit a 1\nfinal b 1\n", "skip")
+    log = EventLog([Trace("c1", ()), Trace("c2", ("x",)), Trace("c3", ("y",))])
+    assert trace_fitness(net, ()) == 1.0
+    assert build_diagnoses(net, log).fitness.tolist() == [1.0, 1.0, 0.0]
+    assert_matches_per_trace_reference(net, log, CostScheme())
 
 
 def test_one_alignment_per_distinct_trace(som, noisy_som_log, monkeypatch):
