@@ -20,6 +20,7 @@ contiguous group per worker. The output bytes do not depend on the grouping.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -152,6 +153,7 @@ def _read_predictions(path: str):
     except OSError as exc:
         raise LogError(f"cannot read predictions file {path}: {exc}") from exc
     rows = None  # until the header, the first non-blank line, is read
+    seen = set()
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -164,10 +166,17 @@ def _read_predictions(path: str):
             continue
         if len(cells) != 3:
             raise LogError(f"{path} line {no}: expected 3 cells, got {len(cells)}")
+        case_id, cell, pred = cells
         try:
-            rows.append((cells[0], float(cells[1]), cells[2]))
-        except ValueError as exc:
-            raise LogError(f"{path} line {no}: bad score: {cells[1]!r}") from exc
+            score = float(cell)
+        except ValueError:
+            score = math.nan  # not a number: rejected below with nan and inf
+        if not math.isfinite(score):
+            raise LogError(f"{path} line {no}: bad score: {cell!r}")
+        if case_id in seen:
+            raise LogError(f"{path} line {no}: repeated prediction for case {case_id!r}")
+        seen.add(case_id)
+        rows.append((case_id, score, pred))
     if not rows:
         raise LogError(f"{path}: no prediction rows")
     return rows
@@ -190,6 +199,11 @@ def cmd_evaluate(args) -> None:
         labels.append(truth[case_id])
         predicted.append(pred)
         scores.append(s)
+    if len(preds) < len(truth):  # ids are unique and known, so some are missing
+        predicted_ids = {case_id for case_id, _, _ in preds}
+        missing = [case_id for case_id in truth if case_id not in predicted_ids]
+        raise LogError(f"{len(missing)} labeled case(s) in {args.log} have no prediction, "
+                       f"first {missing[0]!r}")
     both = len(set(labels)) == 2
     if args.roc and not both:
         raise LogError("ROC curve needs both classes in the ground truth")

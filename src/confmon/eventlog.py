@@ -7,6 +7,14 @@ Two text formats are supported. The trace-per-line format is canonical:
 and a long CSV format with header ``case,activity[,label]`` and one event per
 row, grouped by case. Activity names and case ids are whitespace-free tokens;
 ``|`` is reserved as the label separator.
+
+``Trace(...)`` is the one validating constructor. The trace-per-line parser
+builds its traces without it: an activity is a token of ``str.split`` on the
+text between ``:`` and ``|``, so it is non-empty, holds no whitespace and no
+``|`` by construction, and the parser checks the label itself. A case id that
+is not one plain token still goes through ``Trace(...)`` for its message. A
+parsed log stores each distinct activity name once and shares one events
+tuple between lines with the same events.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from .errors import LogError
 
 LABELS = ("normal", "anomalous")
+_LABEL_OF = {label: label for label in LABELS}  # a parsed label is one of these strs
 
 
 def _check_token(value: str, what: str) -> None:
@@ -117,6 +126,14 @@ def parse_log(text: str) -> EventLog:
 
 
 def _parse_lines(lines) -> EventLog:
+    # Each Trace is built by hand, without __post_init__: the events are the
+    # str.split tokens of a body free of '|', so they are valid tokens, and the
+    # label is one of the LABELS constants. Fields are set one by one, as
+    # __init__ does, so the instances keep CPython's key-sharing dict.
+    bodies: dict[str, tuple[str, ...]] = {}  # line body -> its events
+    variants: dict[tuple[str, ...], tuple[str, ...]] = {}
+    tokens: dict[str, str] = {}  # one str object per activity name
+    new, set_field = object.__new__, object.__setattr__
     traces = []
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -128,13 +145,26 @@ def _parse_lines(lines) -> EventLog:
         label = None
         if "|" in rest:
             rest, label_part = rest.split("|", 1)
-            label = label_part.strip()
-            if label not in LABELS:
-                raise LogError(f"line {no}: unknown label {label!r}")
-        try:
-            traces.append(Trace(case_id.strip(), tuple(rest.split()), label))
-        except LogError as exc:
-            raise LogError(f"line {no}: {exc}") from exc
+            name = label_part.strip()
+            label = _LABEL_OF.get(name)
+            if label is None:
+                raise LogError(f"line {no}: unknown label {name!r}")
+        events = bodies.get(rest)
+        if events is None:
+            parts = rest.split()
+            events = tuple(map(tokens.setdefault, parts, parts))
+            events = bodies[rest] = variants.setdefault(events, events)
+        case_id = case_id.strip()
+        if case_id.split() != [case_id] or "|" in case_id:
+            try:
+                Trace(case_id, events, label)  # raises: it names the bad case id
+            except LogError as exc:
+                raise LogError(f"line {no}: {exc}") from exc
+        trace = new(Trace)
+        set_field(trace, "case_id", case_id)
+        set_field(trace, "events", events)
+        set_field(trace, "label", label)
+        traces.append(trace)
     return EventLog(traces)
 
 
@@ -144,6 +174,7 @@ def _parse_csv(lines) -> EventLog:
     order: list[str] = []
     events: dict[str, list[str]] = {}
     labels: dict[str, str | None] = {}
+    tokens: dict[str, str] = {}  # one str object per activity name
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -161,20 +192,27 @@ def _parse_csv(lines) -> EventLog:
         if len(cells) != (3 if with_label else 2):
             raise LogError(f"line {no}: wrong number of columns: {line!r}")
         case_id, activity = cells[0], cells[1]
-        label = cells[2] if with_label else ""
+        cell = cells[2] if with_label else ""
         if case_id not in events:
             order.append(case_id)
             events[case_id] = []
             labels[case_id] = None
-        events[case_id].append(activity)
-        if label:
-            if label not in LABELS:
-                raise LogError(f"line {no}: unknown label {label!r}")
+        events[case_id].append(tokens.setdefault(activity, activity))
+        if cell:
+            label = _LABEL_OF.get(cell)
+            if label is None:
+                raise LogError(f"line {no}: unknown label {cell!r}")
             prev = labels[case_id]
             if prev is not None and prev != label:
                 raise LogError(f"line {no}: conflicting labels for case {case_id!r}")
             labels[case_id] = label
-    traces = [Trace(cid, tuple(events[cid]), labels[cid]) for cid in order]
+    # a cell is not a split token, so each trace goes through Trace's checks
+    traces = []
+    for cid in order:
+        try:
+            traces.append(Trace(cid, tuple(events[cid]), labels[cid]))
+        except LogError as exc:
+            raise LogError(f"case {cid!r}: {exc}") from exc
     return EventLog(traces)
 
 

@@ -176,6 +176,39 @@ def test_evaluate_rejects_unknown_case(tmp_path, capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_repeated_case(tmp_path, capsys):
+    log = tmp_path / "truth.log"
+    log.write_text("c1: t1 | normal\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("case,score,prediction\nc1,0.0,normal\nc1,0.0,normal\n",
+                     encoding="utf-8")
+    assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
+    assert "line 3: repeated prediction for case 'c1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "x"])
+def test_evaluate_rejects_a_bad_score(score, tmp_path, capsys):
+    log = tmp_path / "truth.log"
+    log.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text(f"case,score,prediction\nc1,0.0,normal\nc2,{score},anomalous\n",
+                     encoding="utf-8")
+    assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
+    assert f"line 3: bad score: {score!r}" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_labeled_cases_without_a_prediction(tmp_path, capsys):
+    log = tmp_path / "truth.log"
+    log.write_text("c1: t1 | normal\nc2: t1 | normal\nc3: t1 | anomalous\n",
+                   encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("case,score,prediction\nc1,0.0,normal\n", encoding="utf-8")
+    assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
+    err = capsys.readouterr().err
+    assert "2 labeled case(s) in" in err
+    assert "have no prediction, first 'c2'" in err
+
+
 def test_evaluate_roc_of_one_class_writes_nothing(tmp_path, capsys):
     """--roc with a ground truth of one class fails before any file is
     written: neither the metrics CSV nor the ROC points appear."""

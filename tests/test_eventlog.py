@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmon.errors import LogError
-from confmon.eventlog import (EventLog, Trace, _check_token, ingest_raw,
-                              parse_log, split_log, stats, write_log,
-                              write_log_csv)
+from confmon.eventlog import (LABELS, EventLog, Trace, _check_token,
+                              ingest_raw, parse_log, split_log, stats,
+                              write_log, write_log_csv)
 
 token = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 
@@ -67,6 +68,82 @@ def test_parse_csv_errors():
         parse_log("case,activity\nc1,a,b\n")
     with pytest.raises(LogError, match="conflicting labels"):
         parse_log("case,activity,label\nc1,a,normal\nc1,b,anomalous\n")
+    with pytest.raises(LogError, match="^case 'c2': activity must be a non-empty token "
+                                       "without whitespace: 'a b'$"):
+        parse_log("case,activity\nc1,a\nc2,a b\n")
+
+
+ODD_TOKENS = ["a", "b", "é", "a:b", "日本", "x-y", "a,b"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.lists(st.sampled_from(ODD_TOKENS), max_size=4),
+                               st.sampled_from([None, "normal", "anomalous"]),
+                               st.sampled_from(["", " ", "  ", "\t"]),
+                               st.sampled_from([" ", "  ", "\t "]),
+                               st.booleans()),
+                     max_size=10))
+def test_parsed_traces_equal_validated_ones_property(rows):
+    """The parser builds its traces without Trace's checks; field by field
+    they equal the traces that the validating constructor builds."""
+    lines, want = [], []
+    for i, (events, label, pad, sep, blank_before) in enumerate(rows):
+        if blank_before:
+            lines.append(pad)
+        line = f"{pad}c{i}{pad}:{pad}{sep.join(events)}{pad}"
+        if label is not None:
+            line += f"|{sep}{label}{pad}"
+        lines.append(line)
+        want.append(Trace(f"c{i}", tuple(events), label))
+    log = parse_log("\n".join(lines))
+    assert log == EventLog(want)
+    for got, expected in zip(log, want, strict=True):
+        assert type(got) is Trace
+        assert (got.case_id, got.events, got.label) == \
+            (expected.case_id, expected.events, expected.label)
+        assert type(got.events) is tuple
+
+
+def test_parsed_traces_share_events_activities_and_labels():
+    # names of two or more characters: CPython caches every one-character str
+    log = parse_log("c1: go ok go | normal\nc2: ok end\nc3: go ok go | anomalous\n"
+                    "c4: go ok go | normal\nc5:  ok\tend \nc6: go\n")
+    assert log[0].events is log[2].events is log[3].events
+    assert log[1].events is log[4].events  # the same events, spaced apart differently
+    activities = [ev for tr in log for ev in tr.events]
+    assert len({id(ev) for ev in activities}) == len(set(activities)) == 3
+    assert all(any(tr.label is label for label in LABELS)
+               for tr in log if tr.label is not None)
+    csv = parse_log("case,activity,label\nc1,go,normal\nc1,ok,\nc2,go,anomalous\nc2,ok,\n")
+    activities = [ev for tr in csv for ev in tr.events]
+    assert len({id(ev) for ev in activities}) == 2
+    assert all(any(tr.label is label for label in LABELS) for tr in csv)
+
+
+def test_parsed_traces_are_no_larger_than_validated_ones():
+    # CPython shares one key table between the instance dicts of a class only
+    # while each instance sets its fields one by one, as __init__ does.
+    # getsizeof counts a share of that table, so both dicts are taken first.
+    parsed = parse_log("c1: a b | normal\n")[0]
+    built = Trace("c1", ("a", "b"), "normal")
+    parsed_dict, built_dict = vars(parsed), vars(built)
+    assert sys.getsizeof(parsed_dict) <= sys.getsizeof(built_dict)
+
+
+def test_trace_fields_are_the_ones_the_parser_sets():
+    # _parse_lines sets these fields by hand, bypassing __init__: a new field
+    # must be set there too.
+    assert [f.name for f in dataclasses.fields(Trace)] == ["case_id", "events", "label"]
+
+
+@pytest.mark.parametrize("line, case_id", [("a|b: t1", "a|b"), (": t1", ""),
+                                           ("a b: t1", "a b")])
+def test_parser_names_a_bad_case_id_as_trace_does(line, case_id):
+    with pytest.raises(LogError) as want:
+        Trace(case_id, ("t1",))
+    with pytest.raises(LogError) as got:
+        parse_log(f"c1: t1\n{line}\n")
+    assert str(got.value) == f"line 2: {want.value}"
 
 
 def test_trace_validation():
