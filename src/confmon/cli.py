@@ -152,8 +152,7 @@ def _read_predictions(path: str):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise LogError(f"cannot read predictions file {path}: {exc}") from exc
-    rows = None  # until the header, the first non-blank line, is read
-    seen = set()
+    rows = None  # case id -> (score, prediction), once the header is read
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -162,7 +161,7 @@ def _read_predictions(path: str):
         if rows is None:
             if cells != ["case", "score", "prediction"]:
                 raise LogError(f"{path}: expected header 'case,score,prediction'")
-            rows = []
+            rows = {}
             continue
         if len(cells) != 3:
             raise LogError(f"{path} line {no}: expected 3 cells, got {len(cells)}")
@@ -173,10 +172,9 @@ def _read_predictions(path: str):
             score = math.nan  # not a number: rejected below with nan and inf
         if not math.isfinite(score):
             raise LogError(f"{path} line {no}: bad score: {cell!r}")
-        if case_id in seen:
+        if case_id in rows:
             raise LogError(f"{path} line {no}: repeated prediction for case {case_id!r}")
-        seen.add(case_id)
-        rows.append((case_id, score, pred))
+        rows[case_id] = (score, pred)
     if not rows:
         raise LogError(f"{path}: no prediction rows")
     return rows
@@ -193,15 +191,14 @@ def cmd_evaluate(args) -> None:
     labels = []
     predicted = []
     scores = []
-    for case_id, s, pred in preds:
+    for case_id, (s, pred) in preds.items():
         if case_id not in truth:
             raise LogError(f"prediction for unknown case {case_id!r}")
         labels.append(truth[case_id])
         predicted.append(pred)
         scores.append(s)
-    if len(preds) < len(truth):  # ids are unique and known, so some are missing
-        predicted_ids = {case_id for case_id, _, _ in preds}
-        missing = [case_id for case_id in truth if case_id not in predicted_ids]
+    missing = [case_id for case_id in truth if case_id not in preds]
+    if missing:
         raise LogError(f"{len(missing)} labeled case(s) in {args.log} have no prediction, "
                        f"first {missing[0]!r}")
     both = len(set(labels)) == 2

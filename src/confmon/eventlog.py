@@ -11,10 +11,9 @@ row, grouped by case. Activity names and case ids are whitespace-free tokens;
 ``Trace(...)`` is the one validating constructor. The trace-per-line parser
 builds its traces without it: an activity is a token of ``str.split`` on the
 text between ``:`` and ``|``, so it is non-empty, holds no whitespace and no
-``|`` by construction, and the parser checks the label itself. A case id that
-is not one plain token still goes through ``Trace(...)`` for its message. A
-parsed log stores each distinct activity name once and shares one events
-tuple between lines with the same events.
+``|`` by construction, and the parser checks the label and the case id itself
+with the same rules. A parsed log stores each distinct activity name once and
+shares one events tuple between lines with the same body.
 """
 
 from __future__ import annotations
@@ -128,10 +127,11 @@ def parse_log(text: str) -> EventLog:
 def _parse_lines(lines) -> EventLog:
     # Each Trace is built by hand, without __post_init__: the events are the
     # str.split tokens of a body free of '|', so they are valid tokens, and the
-    # label is one of the LABELS constants. Fields are set one by one, as
-    # __init__ does, so the instances keep CPython's key-sharing dict.
+    # label is one of the LABELS constants. The case id gets Trace's own
+    # token check; it holds no ':' after the split on the first one. Fields
+    # are set one by one, as __init__ does, so the instances keep CPython's
+    # key-sharing dict.
     bodies: dict[str, tuple[str, ...]] = {}  # line body -> its events
-    variants: dict[tuple[str, ...], tuple[str, ...]] = {}
     tokens: dict[str, str] = {}  # one str object per activity name
     new, set_field = object.__new__, object.__setattr__
     traces = []
@@ -152,14 +152,12 @@ def _parse_lines(lines) -> EventLog:
         events = bodies.get(rest)
         if events is None:
             parts = rest.split()
-            events = tuple(map(tokens.setdefault, parts, parts))
-            events = bodies[rest] = variants.setdefault(events, events)
+            events = bodies[rest] = tuple(map(tokens.setdefault, parts, parts))
         case_id = case_id.strip()
-        if case_id.split() != [case_id] or "|" in case_id:
-            try:
-                Trace(case_id, events, label)  # raises: it names the bad case id
-            except LogError as exc:
-                raise LogError(f"line {no}: {exc}") from exc
+        try:
+            _check_token(case_id, "case id")
+        except LogError as exc:
+            raise LogError(f"line {no}: {exc}") from exc
         trace = new(Trace)
         set_field(trace, "case_id", case_id)
         set_field(trace, "events", events)
