@@ -34,6 +34,13 @@ markings of the graph and the expansions of the pruned search. A sync move,
 free and first in the tie-break, is followed without a round trip through
 the heap.
 
+What the search and the pass read of a net under a cost scheme comes from
+one builder, _tables, built at once from the reachability graph: the final
+marking's node, the completion costs, the per-marking move tables and the
+pass's arrays (or None for a net too large for them). It checks the graph
+once and caches its record on the net per (c_model, c_silent). The move
+alphabet (_move_codes) is cached apart: it does not depend on costs.
+
 optimal_alignment returns an Alignment that holds the search's path key (one
 character per move) and its cost; its moves are decoded from the key when
 first read, and cached. count_from_keys counts the misalignments of many
@@ -202,11 +209,39 @@ def _events(trace) -> tuple[str, ...]:
     return tuple(trace)
 
 
-def _state_space(net: PetriNet):
-    """(succ, final) of the net's reachability graph (see
-    petri.reachability_graph); the initial marking is node 0. Raises
-    AlignmentError when the graph is unbounded, over the cap, or does not
-    reach the final marking."""
+def _tables(net: PetriNet, costs: CostScheme):
+    """Everything the search and the cost-to-go pass read of the net under a
+    cost scheme, built at once from its reachability graph and cached on the
+    net per (c_model, c_silent): (final, comp_cost, sync, free, tables).
+
+    The graph (see petri.reachability_graph; the initial marking is node 0)
+    is checked once per record: AlignmentError when it is unbounded, over
+    the cap, or does not reach the final marking, whose node is final.
+
+    comp_cost lists per marking the cheapest model-only completion cost, by
+    backward Dijkstra; markings that cannot reach the final marking cost inf.
+
+    sync[m] maps an activity to the (code, next marking) of its sync move in
+    marking m; free[m] lists the (code, next marking, cost) of its silent and
+    model moves. Codes are those of _move_codes. Moves into markings that
+    cannot reach the final marking are left out, so the search never enters
+    them.
+
+    tables is (dist, sync_next, columns, comp_cost) of the cost-to-go pass,
+    for N markings and A visible activities, or None when N * (2N + A + 1)
+    exceeds _CHUNK_ELEMENTS. dist is the (N, N) array of cheapest model-only
+    runs between markings (Floyd-Warshall). columns maps an activity to a
+    column of the (N, A + 1) index array sync_next, whose entry is the
+    marking a sync move on that activity leads to, or N where there is none;
+    column A stands for every activity the net does not know. comp_cost is
+    here an array.
+    """
+    # _CHUNK_ELEMENTS decides whether the pass's arrays are built, so it is
+    # part of the key: a record never outlives the cap it was built under
+    cache_key = ("tables", costs.c_model, costs.c_silent, _CHUNK_ELEMENTS)
+    record = net._caches.get(cache_key)
+    if record is not None:
+        return record
     try:
         graph = reachability_graph(net)
     except ModelError as exc:  # unbounded
@@ -219,25 +254,15 @@ def _state_space(net: PetriNet):
     if final is None:
         raise AlignmentError(
             f"net {net.name}: final marking unreachable from initial marking")
-    return succ, final
-
-
-def _completion_costs(net: PetriNet, costs: CostScheme):
-    """Per reachable marking: cheapest model-only completion cost.
-
-    Backward Dijkstra over the reachability graph. Markings that cannot reach
-    the final marking cost inf.
-    """
-    cache_key = ("completion", costs.c_model, costs.c_silent)
-    cached = net._caches.get(cache_key)
-    if cached is not None:
-        return cached
-    succ, final = _state_space(net)
+    labels = net.labels
+    n_nodes = len(succ)
+    step = {t: costs.c_silent if label is None else costs.c_model
+            for t, label in labels.items()}
     preds: list[list[tuple[str, int]]] = [[] for _ in succ]
     for src, nexts in enumerate(succ):
         for t, dst in nexts:
             preds[dst].append((t, src))
-    comp_cost = [INF] * len(succ)
+    comp_cost = [INF] * n_nodes
     comp_cost[final] = 0.0
     heap = [(0.0, final)]
     while heap:
@@ -245,12 +270,35 @@ def _completion_costs(net: PetriNet, costs: CostScheme):
         if d > comp_cost[node]:
             continue
         for t, prev in preds[node]:
-            w = costs.c_silent if net.labels[t] is None else costs.c_model
+            w = step[t]
             if d + w < comp_cost[prev]:
                 comp_cost[prev] = d + w
                 heapq.heappush(heap, (d + w, prev))
-    net._caches[cache_key] = comp_cost
-    return comp_cost
+
+    tables = None
+    columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
+    if n_nodes * (2 * n_nodes + len(columns) + 1) <= _CHUNK_ELEMENTS:
+        sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.intp)
+        dist = np.full((n_nodes, n_nodes), INF)
+        np.fill_diagonal(dist, 0.0)
+        for src, nexts in enumerate(succ):
+            for t, dst in nexts:
+                if labels[t] is not None:
+                    sync_next[src, columns[labels[t]]] = dst
+                dist[src, dst] = min(dist[src, dst], step[t])
+        for k in range(n_nodes):
+            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+        tables = (dist, sync_next, columns, np.array(comp_cost))
+
+    _, sync_code, free_code, _ = _move_codes(net)
+    sync, free = [], []
+    for nexts in succ:
+        live = [(t, nxt) for t, nxt in nexts if comp_cost[nxt] != INF]
+        sync.append({labels[t]: (sync_code[t], nxt)
+                     for t, nxt in live if labels[t] is not None})
+        free.append(tuple((free_code[t], nxt, step[t]) for t, nxt in live))
+    record = net._caches[cache_key] = (final, comp_cost, sync, free, tables)
+    return record
 
 
 def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
@@ -264,10 +312,9 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     cost_to_go yields it; when None it is computed for this trace alone.
     """
     sigma = _events(trace)
-    _, mf_idx = _state_space(net)
+    mf_idx, _, sync_arcs, free_arcs, _ = _tables(net, costs)
     if h is None:
         h = next(cost_to_go(net, [sigma], costs))
-    sync_arcs, free_arcs = _arcs(net, costs)
     state_limit = petri.DEFAULT_STATE_CAP
     n_events = len(sigma)
     width = n_events + 1
@@ -328,34 +375,6 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     raise AlignmentError(f"no alignment found for trace against net {net.name}")
 
 
-def _arcs(net: PetriNet, costs: CostScheme):
-    """Per-marking move tables, cached on the net per cost scheme: (sync, free).
-
-    sync[m] maps an activity to the (code, next marking) of its sync move in
-    marking m; free[m] lists the (code, next marking, cost) of its silent and
-    model moves. Codes are those of _move_codes. Moves into markings that
-    cannot reach the final marking are left out, so the search never enters
-    them.
-    """
-    cache_key = ("arcs", costs.c_model, costs.c_silent)
-    arcs = net._caches.get(cache_key)
-    if arcs is None:
-        succ, _ = _state_space(net)
-        comp_cost = _completion_costs(net, costs)
-        _, sync_code, free_code, _ = _move_codes(net)
-        labels = net.labels
-        sync, free = [], []
-        for nexts in succ:
-            live = [(t, nxt) for t, nxt in nexts if comp_cost[nxt] != INF]
-            sync.append({labels[t]: (sync_code[t], nxt)
-                         for t, nxt in live if labels[t] is not None})
-            free.append(tuple((free_code[t], nxt,
-                               costs.c_silent if labels[t] is None else costs.c_model)
-                              for t, nxt in live))
-        arcs = net._caches[cache_key] = (sync, free)
-    return arcs
-
-
 class _Unbounded:
     """The cost-to-go table of a trace that gets none: inf everywhere."""
 
@@ -382,17 +401,20 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     whose N * (2N + A + 1) exceeds it, gets a table that reads inf
     everywhere, which makes optimal_alignment prune nothing.
     """
-    n_nodes = len(_completion_costs(net, costs))
+    tables = _tables(net, costs)[4]
+    if tables is None:
+        for _ in sequences:
+            yield _NO_TABLE
+        return
+    dist, sync_next, _, _ = tables
+    n_nodes = len(dist)
     # elements per sequence of a pass's two (N, N, B) and one (N, A + 1, B)
     # arrays; sharing one budget keeps the bytes of a pass near its table's
-    per_seq = n_nodes * (2 * n_nodes + len(net.visible_labels) + 1)
-    tables = None
-    if per_seq <= _CHUNK_ELEMENTS:
-        tables = _distance_tables(net, costs)
+    per_seq = 2 * dist.size + sync_next.size
     chunk, longest = [], per_seq
     for sigma in map(_events, sequences):
         size = (len(sigma) + 1) * (n_nodes + 1)
-        fits = tables is not None and size <= _CHUNK_ELEMENTS
+        fits = size <= _CHUNK_ELEMENTS
         if chunk and (not fits or max(longest, size) * (len(chunk) + 1) > _CHUNK_ELEMENTS):
             yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
             chunk, longest = [], per_seq
@@ -403,40 +425,6 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
             yield _NO_TABLE
     if chunk:
         yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
-
-
-def _distance_tables(net: PetriNet, costs: CostScheme):
-    """(dist, sync_next, columns, comp_cost) of the cost-to-go pass, cached
-    on the net per cost scheme, for N markings and A visible activities.
-
-    dist is the (N, N) array of cheapest model-only runs between markings
-    (Floyd-Warshall over the reachability graph). columns maps an activity
-    to a column of the (N, A + 1) index array sync_next, whose entry is the
-    marking a sync move on that activity leads to, or N where there is none;
-    column A stands for every activity the net does not know. comp_cost is
-    the completion cost as an array.
-    """
-    cache_key = ("distances", costs.c_model, costs.c_silent)
-    tables = net._caches.get(cache_key)
-    if tables is None:
-        succ, _ = _state_space(net)
-        n_nodes = len(succ)
-        columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
-        sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.intp)
-        dist = np.full((n_nodes, n_nodes), INF)
-        np.fill_diagonal(dist, 0.0)
-        for src, nexts in enumerate(succ):
-            for t, dst in nexts:
-                act = net.labels[t]
-                if act is not None:
-                    sync_next[src, columns[act]] = dst
-                step = costs.c_silent if act is None else costs.c_model
-                dist[src, dst] = min(dist[src, dst], step)
-        for k in range(n_nodes):
-            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        comp_cost = np.array(_completion_costs(net, costs))
-        tables = net._caches[cache_key] = (dist, sync_next, columns, comp_cost)
-    return tables
 
 
 def _chunk_cost_to_go(tables, chunk, c_log: float):
@@ -540,7 +528,7 @@ def _moves(net: PetriNet, sigma, key: str) -> tuple[Move, ...]:
 def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:
     """Reference cost of aligning nothing: every event as a log move plus the
     cheapest model-only run from the initial to the final marking."""
-    return costs.c_log * len(_events(trace)) + _completion_costs(net, costs)[0]
+    return costs.c_log * len(_events(trace)) + _tables(net, costs)[1][0]
 
 
 def trace_fitness(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:

@@ -61,7 +61,10 @@ def _read_log(path: str) -> EventLog:
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfmonError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(path, text: str) -> None:
@@ -388,8 +391,6 @@ def run_experiment(cfg: ExperimentConfig):
     if overlap:
         raise ConfmonError(f"unknown-activity pool overlaps model labels: {sorted(overlap)}")
     workers = _worker_count(len(cfg.seeds))
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = [(cfg, g) for g in _seed_groups(tuple(cfg.seeds), workers)]
@@ -398,6 +399,12 @@ def run_experiment(cfg: ExperimentConfig):
     else:
         per_seed_lists = _run_seeds(cfg, tuple(cfg.seeds))
 
+    # made only now, so a config that fails leaves no directory behind
+    outdir = Path(cfg.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfmonError(f"cannot create output directory {outdir}: {exc}") from exc
     files = []
     all_rows = []
     header = "seed,anomaly,technique,accuracy,recall,precision,f1,auc"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import InjectError
@@ -50,6 +51,11 @@ class InjectionSpec:
                               f"got {self.anomaly_type!r}")
         if not self.lam > 0:
             raise InjectError(f"lambda must be positive, got {self.lam}")
+        if math.exp(-self.lam) < sys.float_info.min:
+            # _poisson stops once its running product falls to exp(-lambda);
+            # below the smallest normal float that limit is rounded or 0
+            raise InjectError(f"lambda must be at most about 708.4, so that exp(-lambda) "
+                              f"does not underflow, got {self.lam}")
         if self.anomaly_type in ("ua", "all") and not self.unknown_pool:
             raise InjectError("ua injection needs a non-empty unknown pool")
 

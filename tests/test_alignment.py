@@ -274,6 +274,32 @@ def test_marking_nodes_are_looked_up_once_per_net(monkeypatch):
     assert calls == []
 
 
+def test_net_tables_are_built_once_per_cost_scheme(monkeypatch):
+    """Work guard without timing: alignments, a cost-to-go pass, a worst-case
+    cost and a fitness on one net read its reachability graph once per cost
+    scheme, when the net's record for that scheme is built. A scheme that
+    differs only in c_log shares the record."""
+    net = bundled_model("fn1")
+    calls = []
+    real = confmon.alignment.reachability_graph
+    monkeypatch.setattr(confmon.alignment, "reachability_graph",
+                        lambda net: calls.append(1) or real(net))
+
+    def use(costs):
+        for events in (LOOP_TRACE, ("t1", "t5"), ()):
+            optimal_alignment(net, events, costs)
+        list(cost_to_go(net, [LOOP_TRACE], costs))
+        worst_case_cost(net, LOOP_TRACE, costs)
+        trace_fitness(net, LOOP_TRACE, costs)
+
+    use(CostScheme())
+    assert len(calls) == 1
+    use(CostScheme(2.0, 3.0))
+    assert len(calls) == 2
+    use(CostScheme(5.0))
+    assert len(calls) == 2
+
+
 def test_coverage_and_log_fitness_on_clean_playout(fn1):
     log = playout(fn1, 30, seed=9)
     assert coverage(fn1, log) == 1.0

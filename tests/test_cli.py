@@ -418,6 +418,54 @@ def test_experiment_rejects_duplicate_seeds_and_detectors(tmp_path, capsys):
     assert not (tmp_path / "cfg").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("quantile", 150.0, "quantile must be in"),
+    ("lam", -1.0, "lambda must be positive"),
+    ("split", (0.5, 0.5), "split ratios must be a triple"),
+    ("n_traces", 3, "leaves an empty part"),
+    ("p_drop", 2.0, "p_drop must be in"),
+])
+def test_experiment_with_a_bad_value_leaves_no_outdir(tmp_path, field, value, message):
+    """Each of these values fails inside a seed's run; the output directory
+    is made only once every seed has run, so none is left behind."""
+    from dataclasses import replace
+
+    out = tmp_path / "out"
+    bad = replace(MINI, seeds=(0,), detectors=("ft",), outdir=str(out), **{field: value})
+    with pytest.raises(ConfmonError, match=message):
+        run_experiment(bad)
+    assert not out.exists()
+
+
+def test_unwritable_output_path_exits_one(tmp_path, capsys):
+    """A path under a regular file ends in "error: ..." naming the path and
+    exit 1, not a NotADirectoryError traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    target = blocker / "x.log"
+    assert run("simulate", "--model", "fn1", "--n", "2", "-o", str(target)) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("model = fn1\nseeds = 0\nn_traces = 20\ndetectors = ft\n",
+                        encoding="utf-8")
+    outdir = blocker / "out"
+    assert run("experiment", "--config", str(cfg_path), "--outdir", str(outdir)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot create output directory {outdir}: ")
+
+
+@pytest.mark.parametrize("lam", ["800", "inf"])
+def test_inject_rejects_a_lambda_whose_exp_underflows(lam, normal_log_file, tmp_path, capsys):
+    out = tmp_path / "bad.log"
+    assert run("inject", "--log", str(normal_log_file), "--type", "ma", "--lambda", lam,
+               "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "lambda must be at most about 708.4" in err and f"got {float(lam)}" in err
+    assert not out.exists()
+    assert run("inject", "--log", str(normal_log_file), "--type", "ma", "--lambda", "700",
+               "-o", str(out)) == 0
+
+
 def test_experiment_validates_threads(tmp_path, monkeypatch):
     from dataclasses import replace
 

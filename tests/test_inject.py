@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from confmon.errors import InjectError
 from confmon.eventlog import EventLog, Trace
 from confmon.inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL,
                             InjectionSpec, build_eval_sets, inject_log,
-                            inject_trace, _trace_rng)
+                            inject_trace, _trace_rng, _zt_poisson)
 from confmon.petri import playout
 
 
@@ -30,6 +31,22 @@ def test_spec_validation():
         InjectionSpec("ua", unknown_pool=())
     # a pool is irrelevant for pure deletions
     InjectionSpec("ma", unknown_pool=())
+
+
+@pytest.mark.parametrize("lam", [800.0, 5000.0, float("inf")])
+def test_lambda_whose_exp_underflows_is_rejected(lam):
+    """The sampler stops once its running product falls to exp(-lambda).
+    Above about 708.4 that limit is below the smallest normal float, and
+    lambdas of 800, 5000 and inf all drew a mean K of 745."""
+    with pytest.raises(InjectError, match=f"at most about 708.4.*got {lam}"):
+        InjectionSpec("ma", lam=lam)
+
+
+def test_lambda_700_draws_its_mean():
+    spec = InjectionSpec("ma", lam=700.0)
+    rng = random.Random(0)
+    ks = [_zt_poisson(rng, spec.lam) for _ in range(200)]
+    assert abs(sum(ks) / len(ks) - 700.0) < 10.0  # the mean's SE is about 1.9
 
 
 def test_inject_log_is_deterministic(normal):
