@@ -28,11 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .detect import (DETECTOR_KINDS, classify, load_detector, save_detector,
-                     score_matrix, train, train_group)
+from .detect import (DETECTOR_KINDS, check_quantile, classify, load_detector,
+                     save_detector, score_matrix, train, train_group)
 from .diagnoses import build_diagnoses, write_diagnoses
 from .errors import ConfmonError, DetectError, LogError, ModelError
-from .eventlog import EventLog, parse_log, split_log, write_log
+from .eventlog import EventLog, parse_log, split_log, split_sizes, write_log
 from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets, inject_log)
 from .metrics import confusion, prf, roc_auc
@@ -372,13 +372,25 @@ def _run_seeds_task(payload):
     return _run_seeds(cfg, seeds)
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Run every seed, write per-seed CSVs and the aggregate table.
+def _check_outdir(outdir: Path) -> None:
+    """ConfmonError unless outdir, if it exists, or else its nearest existing
+    ancestor is a writable directory. Creates nothing."""
+    probe = outdir
+    try:
+        while not probe.exists() and probe != probe.parent:
+            probe = probe.parent
+    except OSError as exc:
+        raise ConfmonError(f"cannot create output directory {outdir}: {exc}") from exc
+    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfmonError(f"cannot create output directory {outdir}: "
+                           f"{probe} is not a writable directory")
 
-    Returns {"per_seed": rows, "aggregate": {(anomaly, technique): {metric:
-    (mean, std)}}, "files": written paths}. Output is byte-deterministic for a
-    fixed config.
-    """
+
+def _check_experiment(cfg: ExperimentConfig) -> None:
+    """The config's checks, run before the first seed so that a bad config
+    fails at once and creates nothing: the seeds, detectors and pool; λ,
+    the noise, the split of n_traces and the quantile, with the checks and
+    messages a seed's run would meet them with; and the output path."""
     if not cfg.seeds:
         raise ConfmonError("experiment needs at least one seed")
     if not cfg.detectors:
@@ -390,6 +402,21 @@ def run_experiment(cfg: ExperimentConfig):
     overlap = set(cfg.pool) & set(_resolve_model(cfg.model).visible_labels)
     if overlap:
         raise ConfmonError(f"unknown-activity pool overlaps model labels: {sorted(overlap)}")
+    NoiseParams(cfg.p_drop, cfg.p_dup)
+    InjectionSpec("all", cfg.lam, tuple(cfg.pool))
+    split_sizes(cfg.n_traces, cfg.split)  # playout gives exactly n_traces traces
+    check_quantile(cfg.quantile)
+    _check_outdir(Path(cfg.outdir))
+
+
+def run_experiment(cfg: ExperimentConfig):
+    """Run every seed, write per-seed CSVs and the aggregate table.
+
+    Returns {"per_seed": rows, "aggregate": {(anomaly, technique): {metric:
+    (mean, std)}}, "files": written paths}. Output is byte-deterministic for a
+    fixed config.
+    """
+    _check_experiment(cfg)
     workers = _worker_count(len(cfg.seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -33,6 +33,12 @@ depends on its row alone, the same bits in any batch, so each distinct row
 is scored once. The ae scores of a block of rows come from one stacked
 matmul in which each row is its own (1, k) product, the same product a
 one-row call runs, so no row's bits depend on the rows beside it.
+
+Distinct rows are found by hashing each row's bytes (_distinct_rows), which
+lists them in order of first occurrence rather than sorted as np.unique
+does. No output depends on that order: a score depends on its row alone,
+and DBSCAN's k-distances, eps percentile, core mask and cluster count are
+the same for any order of its distinct rows.
 """
 
 from __future__ import annotations
@@ -181,6 +187,13 @@ def _ae_pass(weights, biases, x: np.ndarray, grads_w, grads_b):
     inputs_t = [a.swapaxes(1, 2) for a in [x] + hidden]
     weights_t = [w.swapaxes(1, 2) for w in weights]
 
+    # Each bias gradient sums its delta's rows in the order the reference's
+    # delta.sum(axis=0) does. Over k >= 2 columns numpy adds row after row,
+    # which einsum's loop down each column repeats at a fraction of the
+    # per-row cost; a one-wide layer's column is one contiguous run, which
+    # numpy sums pairwise, so that layer keeps numpy's contiguous reduction.
+    bias_rows = [b[:, 0] for b in grads_b]
+
     def run() -> np.ndarray:
         _ae_forward(weights, biases, x, hidden, out)
         np.multiply(hidden_flat, hidden_flat, out=slope_flat)
@@ -194,7 +207,10 @@ def _ae_pass(weights, biases, x: np.ndarray, grads_w, grads_b):
         delta = out
         for i in range(len(weights) - 1, -1, -1):
             np.matmul(inputs_t[i], delta, out=grads_w[i])
-            np.add.reduce(delta, axis=1, out=grads_b[i], keepdims=True)
+            if delta.shape[-1] > 1:
+                np.einsum("snk->sk", delta, out=bias_rows[i])
+            else:
+                np.add.reduce(delta, axis=1, out=bias_rows[i])
             if i > 0:
                 np.matmul(delta, weights_t[i], out=deltas[i - 1])
                 delta = np.multiply(deltas[i - 1], slopes[i - 1], out=deltas[i - 1])
@@ -326,6 +342,23 @@ def _row_blocks(n: int, per_row: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, inverse, counts) of the rows of the float matrix x: equal
+    by value to np.unique(x, axis=0, return_inverse=True,
+    return_counts=True), but with the distinct rows in order of first
+    occurrence. distinct[inverse] equals x and counts[j] is how often
+    distinct[j] occurs. Rows are grouped by a dict over their bytes, taken
+    after adding 0.0 so that -0.0 and +0.0 share a key; np.unique sorts the
+    rows instead, comparing them field by field."""
+    x = np.ascontiguousarray(x) + 0.0
+    keys = x.view((np.void, x.itemsize * x.shape[1])).ravel().tolist()
+    index: dict = {}
+    inverse = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    distinct = np.empty((len(index), x.shape[1]))
+    distinct[inverse] = x  # copies of a row write the same bytes
+    return distinct, inverse, np.bincount(inverse, minlength=len(index))
+
+
 # -- dbscan -----------------------------------------------------------------
 
 
@@ -345,14 +378,18 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
     """(eps, core rows in training-row order, cluster count) of DBSCAN over
     the rows of x. It runs on the distinct rows weighted by how often each
     occurs, which gives the same result as over every row: copies of a row
-    share its neighbours and lie at distance 0 from each other."""
+    share its neighbours and lie at distance 0 from each other. The distinct
+    rows come from _distinct_rows in order of first occurrence, and no
+    result depends on that order: each k-distance is a distance value, the
+    same whichever order argsort gives tied distances; the eps percentile
+    and the weighted neighbour counts are sums and order statistics over the
+    rows; and the cluster count is a count of connected components."""
     if min_pts < 1:
         raise DetectError(f"min_pts must be >= 1, got {min_pts}")
     if eps is not None and not (isinstance(eps, numbers.Real) and math.isfinite(eps)):
         raise DetectError(f"dbscan eps must be a finite number, got {eps!r}")
     n = x.shape[0]
-    distinct, inverse, counts = np.unique(x, axis=0, return_inverse=True,
-                                          return_counts=True)
+    distinct, inverse, counts = _distinct_rows(x)
     dist = _pairwise(distinct, distinct)
     if eps is None:
         if n <= min_pts:
@@ -387,10 +424,16 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
                     labels[j] = n_clusters
                     stack.append(j)
         n_clusters += 1
-    return float(eps), x[core[inverse.reshape(-1)]], n_clusters
+    return float(eps), x[core[inverse]], n_clusters
 
 
 # -- training / scoring ------------------------------------------------------
+
+
+def check_quantile(quantile) -> None:
+    """DetectError unless the threshold percentile is in [0, 100]."""
+    if not 0.0 <= quantile <= 100.0:
+        raise DetectError(f"quantile must be in [0, 100], got {quantile}")
 
 
 def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
@@ -420,8 +463,7 @@ def train_group(kind: str, pairs, params: dict | None = None, *,
             raise DetectError(f"need at least {MIN_TRAIN_ROWS} training rows, got {len(train_d)}")
         if len(val_d) == 0:
             raise DetectError("validation diagnoses are empty")
-    if not 0.0 <= quantile <= 100.0:
-        raise DetectError(f"quantile must be in [0, 100], got {quantile}")
+    check_quantile(quantile)
     params = params or {}
     unknown = sorted(set(params) - set(_PARAMS[kind]))
     if unknown:
@@ -468,18 +510,18 @@ def score_matrix(det: Detector, diag: DiagnosesMatrix) -> np.ndarray:
         raise DetectError("diagnoses columns do not match detector columns")
     if det.kind == "ft":
         return 1.0 - diag.fitness
-    distinct, inverse = np.unique(diag.to_array(), axis=0, return_inverse=True)
+    distinct, inverse, _ = _distinct_rows(diag.to_array())
     xn = _normalize(det.mins, det.maxs, distinct)
     if det.kind == "dbscan":
         # copies of a core cannot change a row's nearest distance
-        scores = _pairwise(xn, np.unique(det.state["cores"], axis=0), nearest=True)
+        scores = _pairwise(xn, _distinct_rows(det.state["cores"])[0], nearest=True)
     else:
         # a block holds every layer's activations for each of its rows
         weights, biases = det.state["weights"], det.state["biases"]
         scores = np.empty(len(xn))
         for rows in _row_blocks(len(xn), sum(det.state["layers"])):
             scores[rows] = _ae_errors(weights, biases, xn[rows])
-    return scores[inverse.reshape(-1)]
+    return scores[inverse]
 
 
 def classify(det: Detector, scores) -> list[str]:

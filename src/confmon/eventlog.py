@@ -282,6 +282,25 @@ def stats(log: EventLog) -> LogStats:
     return LogStats(n, len(variants), mean, math.sqrt(var))
 
 
+def split_sizes(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[int, int, int]:
+    """(train, validation, test) sizes of a split of n traces: floor(ratio *
+    n) for validation and test, the remainder for training. LogError unless
+    the ratios are a triple of positive numbers summing to 1 and every part
+    gets at least one trace."""
+    if len(ratios) != 3:
+        raise LogError("split ratios must be a triple (train, val, test)")
+    # every comparison with nan is false, so a nan ratio fails 0 < r <= 1
+    if not all(0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise LogError(f"split ratios must be positive, finite and sum to 1: {ratios}")
+    # floor(r * n), with a nudge so 0.2 * 45 style float dust cannot round down
+    n_val = int(ratios[1] * n + 1e-9)
+    n_test = int(ratios[2] * n + 1e-9)
+    n_train = n - n_val - n_test
+    if min(n_train, n_val, n_test) < 1:
+        raise LogError(f"split of {n} traces with ratios {ratios} leaves an empty part")
+    return n_train, n_val, n_test
+
+
 def split_log(log: EventLog, ratios=(0.6, 0.2, 0.2), seed: int = 0):
     """Random train/validation/test partition by trace.
 
@@ -289,18 +308,8 @@ def split_log(log: EventLog, ratios=(0.6, 0.2, 0.2), seed: int = 0):
     Each split keeps the original log order. A split that would receive zero
     traces is an error.
     """
-    if len(ratios) != 3:
-        raise LogError("split ratios must be a triple (train, val, test)")
-    # every comparison with nan is false, so a nan ratio fails 0 < r <= 1
-    if not all(0 < r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise LogError(f"split ratios must be positive, finite and sum to 1: {ratios}")
     n = len(log)
-    # floor(r * n), with a nudge so 0.2 * 45 style float dust cannot round down
-    n_val = int(ratios[1] * n + 1e-9)
-    n_test = int(ratios[2] * n + 1e-9)
-    n_train = n - n_val - n_test
-    if min(n_train, n_val, n_test) == 0:
-        raise LogError(f"split of {n} traces with ratios {ratios} leaves an empty part")
+    n_train, n_val, _ = split_sizes(n, ratios)
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
     parts = (sorted(indices[:n_train]),

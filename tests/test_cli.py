@@ -418,23 +418,55 @@ def test_experiment_rejects_duplicate_seeds_and_detectors(tmp_path, capsys):
     assert not (tmp_path / "cfg").exists()
 
 
+def refuse_to_run_seeds(monkeypatch):
+    """Makes any run of the seeds fail the test, so a check that passes it
+    is known to act before the first seed."""
+    def never(*args):
+        raise AssertionError("a seed ran before the config was checked")
+
+    monkeypatch.delenv("CONFMON_THREADS", raising=False)
+    monkeypatch.setattr(confmon.cli, "_run_seeds", never)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("quantile", 150.0, "quantile must be in"),
     ("lam", -1.0, "lambda must be positive"),
     ("split", (0.5, 0.5), "split ratios must be a triple"),
     ("n_traces", 3, "leaves an empty part"),
     ("p_drop", 2.0, "p_drop must be in"),
+    ("quantile", float("nan"), r"quantile must be in \[0, 100\], got nan"),
+    ("lam", 800.0, "lambda must be at most about 708.4"),
+    ("n_traces", -4, "leaves an empty part"),
+    ("p_dup", -0.5, "p_dup must be in"),
+    ("pool", (), "needs a non-empty unknown pool"),
 ])
-def test_experiment_with_a_bad_value_leaves_no_outdir(tmp_path, field, value, message):
-    """Each of these values fails inside a seed's run; the output directory
-    is made only once every seed has run, so none is left behind."""
+def test_experiment_with_a_bad_value_leaves_no_outdir(tmp_path, monkeypatch, field, value,
+                                                      message):
+    """Each of these values fails before the first seed runs, and leaves no
+    output directory behind."""
     from dataclasses import replace
 
+    refuse_to_run_seeds(monkeypatch)
     out = tmp_path / "out"
     bad = replace(MINI, seeds=(0,), detectors=("ft",), outdir=str(out), **{field: value})
     with pytest.raises(ConfmonError, match=message):
         run_experiment(bad)
     assert not out.exists()
+
+
+def test_unwritable_outdir_fails_before_the_first_seed(tmp_path, monkeypatch, capsys):
+    refuse_to_run_seeds(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("model = fn1\nseeds = 0,1\nn_traces = 20\n", encoding="utf-8")
+    # a regular file on the way to the directory, or in its place
+    for outdir in (blocker / "out", blocker / "a" / "b", blocker):
+        assert run("experiment", "--config", str(cfg_path), "--outdir", str(outdir)) == 1
+        assert capsys.readouterr().err == (f"error: cannot create output directory "
+                                           f"{outdir}: {blocker} is not a writable directory\n")
+    assert blocker.read_text(encoding="utf-8") == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
 
 
 def test_unwritable_output_path_exits_one(tmp_path, capsys):

@@ -6,15 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confmon.detect
 from confmon.alignment import CostScheme
 from confmon.cli import main
-from confmon.detect import (DETECTOR_KINDS, Detector, _pairwise, ae_gradient_check,
-                            classify, default_ae_layers, load_detector,
-                            save_detector, score_matrix, train, train_group)
+from confmon.detect import (DETECTOR_KINDS, Detector, _distinct_rows, _normalize, _pairwise,
+                            _train_ae, ae_gradient_check, classify, default_ae_layers,
+                            load_detector, save_detector, score_matrix, train, train_group)
 from confmon.diagnoses import DiagnosesMatrix, build_diagnoses
 from confmon.errors import DetectError
 from confmon.eventlog import EventLog, split_log, write_log
@@ -283,6 +283,44 @@ def test_stacked_ae_on_the_experiment_shape_matches_one_seed_training(fn1_diagno
         alone = train("ae", d_train, d_val, seed=seed)
         assert det.state["loss_history"] == alone.state["loss_history"]
         assert save_detector(det) == save_detector(alone)
+
+
+def assert_stack_matches_oracle(matrices, layers, seeds, epochs):
+    """_train_ae on the stack of the normalized matrices equals
+    oracle_train_ae on each of them, bit for bit."""
+    xs = [m.to_array() for m in matrices]
+    stack = np.stack([_normalize(x.min(axis=0), x.max(axis=0), x) for x in xs])
+    for x, seed, (weights, biases, history) in zip(
+            xs, seeds, _train_ae(stack, layers, 1e-3, epochs, seeds)):
+        want_w, want_b, want_history = oracle_train_ae(x, layers, epochs=epochs, seed=seed)
+        assert history == want_history
+        assert [a.tobytes() for a in weights + biases] == [a.tobytes() for a in want_w + want_b]
+
+
+def test_ae_bias_gradients_match_oracle_on_edge_shapes():
+    # A bias gradient sums its delta's rows in the reference's order: row
+    # after row over several columns, pairwise down a one-wide column. These
+    # are the shapes where the two orders, or a sum's loop order, part.
+    rows = wide_matrix(40, 3, seed=9)
+    # a width-1 bottleneck, through train and through _train_ae
+    assert_ae_matches_oracle(rows, rows, {"layers": (3, 1, 3), "epochs": 120}, seed=1)
+    assert_stack_matches_oracle([rows], (3, 1, 3), [1], 120)
+    # one training row, below train's minimum, so through _train_ae alone
+    one = take(wide_matrix(8, 16, seed=4), [0])
+    assert_stack_matches_oracle([one], default_ae_layers(16), [2], 50)
+    assert_stack_matches_oracle([take(rows, [3])], (3, 1, 3), [2], 50)
+    # a stack of 5 seeds at the experiment's shape, and with the bottleneck
+    five = [wide_matrix(120, 16, seed=s + 20) for s in range(5)]
+    dets = train_group("ae", [(m, m) for m in five], {"epochs": 60}, seeds=range(5))
+    for det, m in zip(dets, five):
+        weights, biases, history = oracle_train_ae(m.to_array(), det.state["layers"],
+                                                   epochs=60, seed=det.seed)
+        assert det.state["loss_history"] == history
+        assert ([a.tobytes() for a in det.state["weights"] + det.state["biases"]]
+                == [a.tobytes() for a in weights + biases])
+    assert_stack_matches_oracle(five, default_ae_layers(16), range(5), 60)
+    narrow = [wide_matrix(30, 3, seed=s + 40) for s in range(5)]
+    assert_stack_matches_oracle(narrow, (3, 1, 3), range(5), 60)
 
 
 def test_stack_diverges_at_the_first_non_finite_slice():
@@ -622,6 +660,65 @@ def test_dbscan_distance_arrays_grow_with_distinct_rows(monkeypatch):
     assert calls[0] == (len(vectors), len(vectors), (len(vectors), len(vectors)))
     assert calls[1:] == [(len(vectors), n_cores, (len(vectors),)),
                          (len(vectors) + 1, n_cores, (len(vectors) + 1,))]
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """A float matrix of up to 25 rows and 1 to 4 columns, its rows drawn
+    from a few prototypes so that they repeat, with -0.0 and +0.0 mixed."""
+    width = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25, 3.0])
+    protos = draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                           min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(protos) - 1), max_size=25))
+    return np.array([protos[i] for i in picks], dtype=float).reshape(len(picks), width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_rows_with_repeats())
+@example(x=np.zeros((0, 3)))
+@example(x=np.array([[2.0, -1.0, 0.5]]))
+@example(x=np.array([[0.0], [-0.0], [2.0], [0.0], [2.0]]))
+@example(x=np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1.0, -0.0], [1.0, 0.0]]))
+@example(x=np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 5.0]]).T)  # not C-contiguous
+def test_distinct_rows_match_np_unique(x):
+    distinct, inverse, counts = _distinct_rows(x)
+    assert distinct.shape[1] == x.shape[1]
+    assert np.array_equal(distinct[inverse], x)  # by value, so -0.0 == 0.0
+    assert np.array_equal(counts, np.bincount(inverse))
+    # in order of first occurrence
+    assert list(dict.fromkeys(inverse.tolist())) == list(range(len(distinct)))
+    want, want_counts = np.unique(x, axis=0, return_counts=True)
+    assert (sorted(zip(map(tuple, distinct.tolist()), counts.tolist()))
+            == list(zip(map(tuple, want.tolist()), want_counts.tolist())))
+
+
+def test_detectors_find_distinct_rows_without_np_unique(som, som_diagnoses, tmp_path,
+                                                        monkeypatch):
+    """Training, scoring and `confmon detect` group rows by hashing: none of
+    them sorts rows with np.unique(..., axis=...), which this spy refuses."""
+    real = np.unique
+
+    def spy(ar, *args, **kwargs):
+        if kwargs.get("axis") is not None or (len(args) > 3 and args[3] is not None):
+            raise AssertionError("np.unique called with axis=")
+        return real(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    with pytest.raises(AssertionError, match="axis="):
+        np.unique(np.zeros((2, 2)), axis=0)
+    d_train, d_val, d_test = som_diagnoses
+    dbscan = train("dbscan", d_train, d_val)
+    ae = train("ae", d_train, d_val, {"epochs": 5})
+    for det in (dbscan, ae):
+        assert len(score_matrix(det, d_test)) == len(d_test)
+    det_path, log_path = tmp_path / "dbscan.det", tmp_path / "noisy.log"
+    det_path.write_text(save_detector(dbscan), encoding="utf-8")
+    log_path.write_text(write_log(playout(som, 60, seed=5, noise=NoiseParams(0.05, 0.05))),
+                        encoding="utf-8")
+    assert main(["detect", "--detector", str(det_path), "--model", "som",
+                 "--log", str(log_path), "-o", str(tmp_path / "pred.csv")]) == 0
+    assert len((tmp_path / "pred.csv").read_text(encoding="utf-8").splitlines()) == 61
 
 
 # Digests of `confmon train --detector dbscan` on a noisy 2000-trace som log
