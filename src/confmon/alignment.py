@@ -9,39 +9,56 @@ a firing sequence of the net from its initial to its final marking:
   silent  (>>, t)  silent transition t fired (never a misalignment)
 
 Move costs come from a CostScheme; the optimal alignment minimizes total
-cost. The search is uniform-cost (Dijkstra) over the synchronous product of
-trace positions and reachable markings. Ties between equal-cost alignments
-break by preferring synchronous, then silent, then visible model, then log
-moves, then lexicographic transition id, which makes the returned move
-sequence deterministic. Entries of one product state pop in (cost,
-tie-break) order, so each state settles on its minimum (cost, tie-break) path.
+cost. Costs are exact: a scheme derives one integer unit 1/D, D the least
+common multiple of the denominators of its costs' decimal forms (0.7 is
+7/10), and every cost, cost-to-go and path cost below is a whole number of
+units; Alignment.cost is that number over D. Ties between equal-cost
+alignments break by preferring synchronous, then silent, then visible model,
+then log moves, then lexicographic transition id, which makes the returned
+move sequence deterministic. Precisely: each product state of trace
+position and reachable marking settles on the least (cost, tie-break)
+extension by one move of a path settled before it, and the alignment
+returned is the path the final state settles on.
 
-The search is pruned with the exact cost-to-go h*(m, pos): the cheapest cost
-of aligning the events from pos on, starting in marking m, to the final
-marking. cost_to_go computes it for a chunk of traces at once, in one
-backward pass over positions: h*(., n) is the model-only completion cost, and
-h*(., pos) is the model-move closure of the cheaper of a log move on
-sigma[pos] (c_log + h*(., pos + 1)) and a sync move on it. A push whose cost
-plus the h* of its state exceeds h* of the start state lies on no optimal
-alignment and is skipped. Every prefix of every optimal alignment passes that
-test, the canonical one included, and the heap still pops in (cost,
-tie-break) order, so pruning cannot change which alignment is returned. A
-table is a read-only buffer of floats, one per (marking, position), indexed
-like a list. Each array of a pass holds at most _CHUNK_ELEMENTS (2^17)
-elements; a trace whose table would not fit is searched with a bound that
-prunes nothing. petri.DEFAULT_STATE_CAP, read at call time, bounds the
-markings of the graph and the expansions of the pruned search. A sync move,
-free and first in the tie-break, is followed without a round trip through
-the heap.
+The exact cost-to-go h*(m, pos) is the cheapest cost of aligning the events
+from pos on, starting in marking m, to the final marking. cost_to_go computes
+it for a chunk of traces at once, in one backward pass over positions:
+h*(., n) is the model-only completion cost, and h*(., pos) is the model-move
+closure of the cheaper of a log move on sigma[pos] (c_log + h*(., pos + 1))
+and a sync move on it. The same pass records, for each state, the state where
+the run of tight sync moves that starts there ends. A move is tight when its
+cost plus the h* of its target equals the h* of its source; the paths of
+tight moves from the start state are exactly the prefixes of optimal
+alignments.
 
-What the search and the pass read of a net under a cost scheme comes from
-one builder, _tables, built at once from the reachability graph: the final
-marking's node, the completion costs, the per-marking move tables and the
-pass's arrays (or None for a net too large for them). It checks the graph
-once and caches its record on the net per (c_model, c_silent). The move
-alphabet (_move_codes) is cached apart: it does not depend on costs.
+A trace with a table is aligned by a depth-first walk over tight moves in
+tie-break order, which settles each state on the same path as the
+uniform-cost search would. It skips a run of tight sync moves in one step,
+appending a slice of the trace's sync codes. It can only reach a dead end,
+a state whose tight moves all lead to states it has passed, through a
+zero-cost cycle of silent moves; then it walks again from the start without
+skipping, backtracking on a stack. A trace without a table is aligned by an
+unpruned uniform-cost (Dijkstra) search on a heap, which follows a sync move,
+free and first in the tie-break, without a round trip through the heap.
 
-optimal_alignment returns an Alignment that holds the search's path key (one
+A table is a read-only buffer of floats, whole numbers of units, one per
+(position, marking), with a read-only buffer of int32 run ends beside it. A
+chunk's tables and run ends together hold at most _CHUNK_ELEMENTS (2^17)
+elements, and so do its pass's other arrays; a trace whose table does not
+fit, or any trace on a net too large for the pass, gets none.
+petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
+the states the walk passes (those of skipped runs included) and the
+expansions of the search.
+
+What the walk, the search and the pass read of a net under a cost scheme
+comes from one builder, _tables, built at once from the reachability graph:
+the final marking's node, the completion costs, the per-marking move tables
+and the pass's arrays (or None for a net too large for them). It checks the
+graph once and caches its record on the net per (c_model, c_silent) in
+units. The move alphabet (_move_codes) is cached apart: it does not depend
+on costs.
+
+optimal_alignment returns an Alignment that holds the path key (one
 character per move) and its cost; its moves are decoded from the key when
 first read, and cached. count_from_keys counts the misalignments of many
 keys in numpy passes, so a caller that only counts never builds Move objects.
@@ -52,6 +69,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -67,23 +85,48 @@ _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
 
 INF = float("inf")
-# Elements of one chunk's cost-to-go table, and also of the per-sequence
-# arrays of its pass taken together; so also the largest (markings x
-# positions) table of a single trace, and the largest markings x (2 x
-# markings + activities + 1) of a net that is pruned.
+# Elements of one chunk's cost-to-go table and run ends taken together, and
+# also of the per-sequence arrays of its pass taken together; so also the
+# largest (markings x positions) table of a single trace, twice over, and the
+# largest markings x (2 x markings + activities + 1) of a net that gets tables.
 _CHUNK_ELEMENTS = 1 << 17
-# Relative slack of the pruning bound, far above the rounding error of a sum
-# of move costs: it can keep a push the exact bound would skip, never the
-# reverse.
-_BOUND_SLACK = 1.0 + 1e-9
+# The largest cost unit denominator D, and the largest cost in units. A trace
+# with a table has fewer than 2^17 events, on a net of fewer than 2^9
+# markings, so each cost-to-go in it, at most (events + markings) x 2^32, and
+# each sum the pass forms stay below 2^51, which float64 holds exactly. The
+# search without a table adds Python ints.
+_MAX_UNITS = 1 << 32
 # Keys per numpy pass of count_from_keys.
 _COUNT_BLOCK = 1024
+
+_set = object.__setattr__
+
+
+def _decimal_ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of the decimal that the float
+    value prints as: 0.7 gives (7, 10), 1e-05 (1, 100000), 2.5e+20 (25 *
+    10^19, 1)."""
+    mantissa, _, exponent = repr(float(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    num, shift = int(whole + fraction), int(exponent or 0) - len(fraction)
+    if shift >= 0:
+        return num * 10 ** shift, 1
+    den = 10 ** -shift
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 @dataclass(frozen=True)
 class CostScheme:
     """Move costs. Synchronous moves are free by definition; silent moves
-    default to free so only genuine mismatches cost anything."""
+    default to free so only genuine mismatches cost anything.
+
+    Each cost is read as the decimal it prints as (repr), so 0.7 is 7/10.
+    The scheme's unit is 1/D, D the least common multiple of the three
+    costs' denominators; D and each cost in units must stay at most
+    _MAX_UNITS (2^32), or an AlignmentError names the cost. _units holds
+    (D, c_log, c_model, c_silent), the costs in units.
+    """
 
     c_log: float = 1.0
     c_model: float = 1.0
@@ -100,6 +143,22 @@ class CostScheme:
             raise AlignmentError("c_silent must be >= 0")
         if self.c_sync != 0:
             raise AlignmentError("c_sync must be 0")
+        names = ("c_log", "c_model", "c_silent")
+        exact = [_decimal_ratio(getattr(self, name)) for name in names]
+        unit = 1
+        for name, (_, den) in zip(names, exact):
+            unit = math.lcm(unit, den)
+            if unit > _MAX_UNITS:
+                raise AlignmentError(
+                    f"{name} = {getattr(self, name)!r} needs a cost unit finer than "
+                    f"1/{_MAX_UNITS}; round the costs to fewer decimals")
+        units = [num * (unit // den) for num, den in exact]
+        for name, value in zip(names, units):
+            if value > _MAX_UNITS:
+                raise AlignmentError(
+                    f"{name} = {getattr(self, name)!r} is more than {_MAX_UNITS} units "
+                    f"of 1/{unit}; narrow the ratio between the costs")
+        _set(self, "_units", (unit, *units))
 
 
 @dataclass(frozen=True)
@@ -129,9 +188,6 @@ class Move:
 
     def __str__(self) -> str:
         return f"({self.log_part},{self.model_part})"
-
-
-_set = object.__setattr__
 
 
 class Alignment:
@@ -210,22 +266,25 @@ def _events(trace) -> tuple[str, ...]:
 
 
 def _tables(net: PetriNet, costs: CostScheme):
-    """Everything the search and the cost-to-go pass read of the net under a
-    cost scheme, built at once from its reachability graph and cached on the
-    net per (c_model, c_silent): (final, comp_cost, sync, free, tables).
+    """Everything the walk, the search and the cost-to-go pass read of the
+    net under a cost scheme, built at once from its reachability graph and
+    cached on the net per (c_model, c_silent) in units: (final, comp_cost,
+    sync, free, tables, sync_of). Every cost in it is in the scheme's units.
 
     The graph (see petri.reachability_graph; the initial marking is node 0)
     is checked once per record: AlignmentError when it is unbounded, over
     the cap, or does not reach the final marking, whose node is final.
 
-    comp_cost lists per marking the cheapest model-only completion cost, by
-    backward Dijkstra; markings that cannot reach the final marking cost inf.
+    comp_cost lists per marking the cheapest model-only completion cost, an
+    int, by backward Dijkstra; markings that cannot reach the final marking
+    cost inf.
 
     sync[m] maps an activity to the (code, next marking) of its sync move in
     marking m; free[m] lists the (code, next marking, cost) of its silent and
-    model moves. Codes are those of _move_codes. Moves into markings that
-    cannot reach the final marking are left out, so the search never enters
-    them.
+    model moves, in code order. Codes are those of _move_codes; sync_of maps
+    an activity to the code of its sync move (a net labels each activity
+    once). Moves into markings that cannot reach the final marking are left
+    out, so neither the walk nor the search enters them.
 
     tables is (dist, sync_next, columns, comp_cost) of the cost-to-go pass,
     for N markings and A visible activities, or None when N * (2N + A + 1)
@@ -236,9 +295,10 @@ def _tables(net: PetriNet, costs: CostScheme):
     column A stands for every activity the net does not know. comp_cost is
     here an array.
     """
+    _, c_model, c_silent = costs._units[1:]
     # _CHUNK_ELEMENTS decides whether the pass's arrays are built, so it is
     # part of the key: a record never outlives the cap it was built under
-    cache_key = ("tables", costs.c_model, costs.c_silent, _CHUNK_ELEMENTS)
+    cache_key = ("tables", c_model, c_silent, _CHUNK_ELEMENTS)
     record = net._caches.get(cache_key)
     if record is not None:
         return record
@@ -256,15 +316,14 @@ def _tables(net: PetriNet, costs: CostScheme):
             f"net {net.name}: final marking unreachable from initial marking")
     labels = net.labels
     n_nodes = len(succ)
-    step = {t: costs.c_silent if label is None else costs.c_model
-            for t, label in labels.items()}
+    step = {t: c_silent if label is None else c_model for t, label in labels.items()}
     preds: list[list[tuple[str, int]]] = [[] for _ in succ]
     for src, nexts in enumerate(succ):
         for t, dst in nexts:
             preds[dst].append((t, src))
     comp_cost = [INF] * n_nodes
-    comp_cost[final] = 0.0
-    heap = [(0.0, final)]
+    comp_cost[final] = 0
+    heap = [(0, final)]
     while heap:
         d, node = heapq.heappop(heap)
         if d > comp_cost[node]:
@@ -288,7 +347,7 @@ def _tables(net: PetriNet, costs: CostScheme):
                 dist[src, dst] = min(dist[src, dst], step[t])
         for k in range(n_nodes):
             np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        tables = (dist, sync_next, columns, np.array(comp_cost))
+        tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float))
 
     _, sync_code, free_code, _ = _move_codes(net)
     sync, free = [], []
@@ -296,50 +355,150 @@ def _tables(net: PetriNet, costs: CostScheme):
         live = [(t, nxt) for t, nxt in nexts if comp_cost[nxt] != INF]
         sync.append({labels[t]: (sync_code[t], nxt)
                      for t, nxt in live if labels[t] is not None})
-        free.append(tuple((free_code[t], nxt, step[t]) for t, nxt in live))
-    record = net._caches[cache_key] = (final, comp_cost, sync, free, tables)
+        free.append(tuple(sorted((free_code[t], nxt, step[t]) for t, nxt in live)))
+    sync_of = {labels[t]: code for t, code in sync_code.items()}
+    record = net._caches[cache_key] = (final, comp_cost, sync, free, tables, sync_of)
     return record
 
 
+# the table argument's default: compute the trace's table
+_COMPUTE = object()
+
+
 def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
-                      *, h=None) -> Alignment:
+                      *, table=_COMPUTE) -> Alignment:
     """Minimum-cost alignment of one trace against the net.
 
     Deterministic: among equal-cost alignments the move-kind/transition-id
     tie-break picks a unique sequence. Raises AlignmentError when the final
-    marking is unreachable or the search expands more than
-    petri.DEFAULT_STATE_CAP states. h is the trace's cost-to-go table as
-    cost_to_go yields it; when None it is computed for this trace alone.
+    marking is unreachable, or when the walk passes or the search expands
+    more than petri.DEFAULT_STATE_CAP states. table is the trace's entry of
+    cost_to_go: an (h, ends) pair, which the walk reads, or None, which
+    makes the heap search align the trace; when omitted it is computed for
+    this trace alone.
     """
     sigma = _events(trace)
-    mf_idx, _, sync_arcs, free_arcs, _ = _tables(net, costs)
-    if h is None:
-        h = next(cost_to_go(net, [sigma], costs))
-    state_limit = petri.DEFAULT_STATE_CAP
+    record = _tables(net, costs)
+    if table is _COMPUTE:
+        table = next(cost_to_go(net, [sigma], costs))
+    unit, c_log = costs._units[:2]
+    log = _move_codes(net)[3]
+    if table is None:
+        key, cost = _search(sigma, record, c_log, log)
+    else:
+        key, cost = _walk(sigma, table, record, c_log, log), table[0][0]
+    return Alignment._from_key(key, cost / unit, net, sigma)
+
+
+def _exhausted(limit: int) -> AlignmentError:
+    return AlignmentError(f"alignment state-space exhausted after {limit} expansions")
+
+
+def _walk(sigma, table, record, c_log: int, log: str) -> str:
+    """The path key of the trace's canonical optimal alignment, by a
+    depth-first walk over tight moves in code order (sync, then free moves
+    by code, then log).
+
+    The first walk follows one tight move per state and takes a run of
+    tight sync moves at once, to the end the pass recorded; the states on
+    its path are all it has passed, so a tight move into one of them closes
+    a zero-cost cycle. When every tight move of a state does, the walk
+    starts again without skipping runs and backtracks on a stack: it marks a
+    state when it pops it and pushes its tight moves in reverse code order,
+    so it pops them in order. Either way it passes each state on the path
+    the uniform-cost search would settle it on; see the module docstring.
+    """
+    h, ends = table
+    final, _, sync_arcs, free_arcs, _, sync_of = record
+    stride = len(free_arcs) + 1
+    last = len(sigma) * stride  # the first state of the last position
+    goal = last + final
+    limit = petri.DEFAULT_STATE_CAP
+    passed = 0
+    key = ""
+    state = 0
+    path = set()
+    syncs = None
+    while state != goal:
+        path.add(state)
+        end = ends[state]
+        if end != state:
+            pos, end_pos = state // stride, end // stride
+            passed += end_pos - pos
+            if passed > limit:
+                raise _exhausted(limit)
+            if syncs is None:
+                # one code per event; an unknown one never starts a run
+                syncs = "".join(map(sync_of.get, sigma, repeat(log)))
+            key += syncs[pos:end_pos]
+            state = end
+            continue
+        passed += 1
+        if passed > limit:
+            raise _exhausted(limit)
+        here = h[state]
+        m = state % stride
+        base = state - m
+        for code, nxt, step in free_arcs[m]:
+            if step + h[base + nxt] == here and base + nxt not in path:
+                state = base + nxt
+                break
+        else:
+            if state >= last or c_log + h[state + stride] != here:
+                break  # a dead end
+            code = log
+            state += stride
+        key += code
+    else:
+        return key
+
+    stack = [("", 0)]
+    marked = set()
+    while stack:
+        key, state = stack.pop()
+        if state in marked:
+            continue
+        if state == goal:
+            return key
+        marked.add(state)
+        passed += 1
+        if passed > limit:
+            raise _exhausted(limit)
+        pos, m = divmod(state, stride)
+        base = state - m
+        here = h[state]
+        if state < last and c_log + h[state + stride] == here:
+            stack.append((key + log, state + stride))
+        for code, nxt, step in reversed(free_arcs[m]):
+            if step + h[base + nxt] == here:
+                stack.append((key + code, base + nxt))
+        arc = sync_arcs[m].get(sigma[pos]) if state < last else None
+        if arc is not None and h[base + stride + arc[1]] == here:
+            stack.append((key + arc[0], base + stride + arc[1]))
+    raise AlignmentError("no alignment found for a trace with a cost-to-go table")
+
+
+def _search(sigma, record, c_log: int, log: str) -> tuple[str, int]:
+    """(path key, cost in units) of the trace's canonical optimal alignment
+    by uniform-cost search without pruning, for a trace without a table."""
+    final, _, sync_arcs, free_arcs = record[:4]
+    limit = petri.DEFAULT_STATE_CAP
     n_events = len(sigma)
     width = n_events + 1
-    c_log = costs.c_log
-    # A push is kept while g + h*(its state) <= bound. h*(m0, 0) is the
-    # optimal cost; with no table, h and so bound read inf, and g + inf <=
-    # inf keeps every push.
-    bound = h[0] * _BOUND_SLACK
-
     # Heap entries: (g, path key, marking idx, pos). The path key is a str
     # with one character per move, whose code point is the move's rank in
     # (kind, transition id) order, so str comparison is the tie-break order,
     # prefixes included: equal-cost candidates pop in tie-break order and the
-    # first settled goal is the canonical result. The result keeps the key,
-    # and its moves are decoded from it only when read. A path is pushed at
-    # most once, so no two entries share a key.
-    # A product state (m, pos) is the int m * width + pos, which also indexes h.
+    # first settled goal is the canonical result. A path is pushed at most
+    # once, so no two entries share a key.
+    # A product state (m, pos) is the int m * width + pos.
     #
     # The entry of a sync move would be the very next pop, so the loop takes
     # it without the heap. It costs nothing, and sync codes rank below every
     # other move's, so (g, key + its code) ranks below every entry pushed
     # while expanding key's state. Every older entry has a larger g, or a key
     # above key that does not extend it and so ranks above its extensions.
-    log = _move_codes(net)[3]
-    heap = [(0.0, "", 0, 0)]
+    heap = [(0, "", 0, 0)]
     settled = set()
     expanded = 0
     while heap:
@@ -349,63 +508,60 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
             continue
         while True:
             settled.add(state)
-            if m_idx == mf_idx and pos == n_events:
-                return Alignment._from_key(key, g, net, sigma)
+            if m_idx == final and pos == n_events:
+                return key, g
             expanded += 1
-            if expanded > state_limit:
-                raise AlignmentError(
-                    f"alignment state-space exhausted after {state_limit} expansions")
+            if expanded > limit:
+                raise _exhausted(limit)
             for code, nxt, step in free_arcs[m_idx]:
-                nstate = nxt * width + pos
-                if g + step + h[nstate] <= bound and nstate not in settled:
+                if nxt * width + pos not in settled:
                     heapq.heappush(heap, (g + step, key + code, nxt, pos))
             if pos == n_events:
                 break
-            if g + c_log + h[state + 1] <= bound and state + 1 not in settled:
+            if state + 1 not in settled:
                 heapq.heappush(heap, (g + c_log, key + log, m_idx, pos + 1))
             arc = sync_arcs[m_idx].get(sigma[pos])
             if arc is None:
                 break
             code, m_idx = arc
             state = m_idx * width + pos + 1
-            if g + h[state] > bound or state in settled:
+            if state in settled:
                 break
             key += code
             pos += 1
-    raise AlignmentError(f"no alignment found for trace against net {net.name}")
-
-
-class _Unbounded:
-    """The cost-to-go table of a trace that gets none: inf everywhere."""
-
-    def __getitem__(self, state):
-        return INF
-
-
-_NO_TABLE = _Unbounded()
+    raise AlignmentError("no alignment found for a trace without a cost-to-go table")
 
 
 def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
-    """Yield the exact cost-to-go table of each event sequence, in order.
+    """Yield the cost-to-go table of each event sequence, in order: an
+    (h, ends) pair, or None for a sequence that gets no table.
 
-    For a sequence of n events the table h is a read-only memoryview of
-    float64, indexed like a list: h[m * (n + 1) + pos] is a Python float,
-    the cheapest cost of aligning events[pos:] from marking node m (of the
-    reachability graph) to the final marking, inf when there is none.
+    For a sequence of n events on a net of N markings, h and ends are
+    read-only memoryviews indexed by state, pos * (N + 1) + m for position
+    pos and marking node m < N (of the reachability graph); the entries
+    with m = N pad, inf in h. h[state] is a Python float,
+    a whole number of the scheme's units: the cheapest cost of aligning
+    events[pos:] from m to the final marking, inf when there is none.
+    ends[state] is a Python int, the state where the run of tight sync moves
+    that starts at state ends, or state itself when its sync move is not
+    tight (or there is none); read only where h is finite.
+
     Sequences go in chunks, in order, and one backward pass computes a
-    chunk's tables. For a chunk of B sequences on a net of N markings and A
-    visible activities, the pass's (positions, N + 1, B) table holds at
-    most _CHUNK_ELEMENTS (2^17) elements, and so do its (N, N, B) sums,
-    (N, N, B) distances and (N, A + 1, B) sync-successor index together. A
-    sequence whose table alone would exceed that, or any sequence on a net
-    whose N * (2N + A + 1) exceeds it, gets a table that reads inf
-    everywhere, which makes optimal_alignment prune nothing.
+    chunk's tables. For a chunk of B sequences on a net of A visible
+    activities, the pass's (positions, N + 1, B) table and int32 run ends
+    hold at most _CHUNK_ELEMENTS (2^17) elements together, and so do its
+    (N, N, B) sums, (N, N, B) distances and (N, A + 1, B) sync-successor
+    index. A sequence whose table and run ends alone would exceed that, or
+    any sequence on a net whose N * (2N + A + 1) exceeds it, gets None. A
+    chunk's tables are slices of two arrays, freed once every one of them
+    is released.
     """
     tables = _tables(net, costs)[4]
     if tables is None:
         for _ in sequences:
-            yield _NO_TABLE
+            yield None
         return
+    c_log = costs._units[1]
     dist, sync_next, _, _ = tables
     n_nodes = len(dist)
     # elements per sequence of a pass's two (N, N, B) and one (N, A + 1, B)
@@ -413,47 +569,61 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     per_seq = 2 * dist.size + sync_next.size
     chunk, longest = [], per_seq
     for sigma in map(_events, sequences):
-        size = (len(sigma) + 1) * (n_nodes + 1)
+        size = 2 * (len(sigma) + 1) * (n_nodes + 1)  # the table and its run ends
         fits = size <= _CHUNK_ELEMENTS
         if chunk and (not fits or max(longest, size) * (len(chunk) + 1) > _CHUNK_ELEMENTS):
-            yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
+            yield from _chunk_cost_to_go(tables, chunk, c_log)
             chunk, longest = [], per_seq
         if fits:
             chunk.append(sigma)
             longest = max(longest, size)
         else:
-            yield _NO_TABLE
+            yield None
     if chunk:
-        yield from _chunk_cost_to_go(tables, chunk, costs.c_log)
+        yield from _chunk_cost_to_go(tables, chunk, c_log)
 
 
-def _chunk_cost_to_go(tables, chunk, c_log: float):
-    """Yield the cost-to-go table of each sequence of the chunk.
+def _chunk_cost_to_go(tables, chunk, c_log: int):
+    """Yield the (h, ends) table of each sequence of the chunk.
 
-    The sequences are right-aligned on a (positions, N + 1, B) array whose
-    row N is inf, the target of missing sync moves; positions before a
-    shorter sequence's start only pad and are never read.
+    The sequences are right-aligned on (positions, N + 1, B) arrays whose
+    row N is the target of missing sync moves, inf in h; positions before a
+    shorter sequence's start only pad and are never read. ends[pos, m, b]
+    starts as the state of (m, pos) in sequence b's own table and takes the
+    run end of its sync successor where the sync move is tight. A
+    sequence's table is a strided view of its lane.
     """
     dist, sync_next, columns, comp_cost = tables
     n_nodes, n_seqs = len(comp_cost), len(chunk)
+    stride = n_nodes + 1
     width = max(map(len, chunk)) + 1
     unknown = sync_next.shape[1] - 1
     lanes = np.arange(n_seqs)
     # cols[pos, b] is (the column of sequence b's event at pos) * B + b, and
     # sync_index[m, cols[pos, b]] the flat index of marking m's sync
     # successor on that event into the (N + 1, B) slice after pos
+    offsets = width - 1 - np.fromiter(map(len, chunk), dtype=np.intp, count=n_seqs)
+    events = np.fromiter(map(columns.get, chain.from_iterable(chunk), repeat(unknown)),
+                         dtype=np.intp)
     cols = np.full((width - 1, n_seqs), unknown)
-    for b, sigma in enumerate(chunk):
-        cols[width - 1 - len(sigma):, b] = [columns.get(a, unknown) for a in sigma]
+    # a boolean mask fills the lanes one by one, each with its events
+    # right-aligned
+    cols.T[np.arange(width - 1) >= offsets[:, None]] = events
     cols *= n_seqs
     cols += lanes
     sync_index = np.add.outer(sync_next * n_seqs, lanes).reshape(n_nodes, -1)
-    h = np.empty((width, n_nodes + 1, n_seqs))
+    h = np.empty((width, stride, n_seqs))
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
+    # the state of (m, pos) in sequence b's table: (pos - offset_b) * (N + 1) + m
+    ends = np.empty((width, stride, n_seqs), dtype=np.int32)
+    np.subtract(np.arange(width * stride, dtype=np.int32).reshape(width, stride, 1),
+                offsets * stride, out=ends)
     synced = np.empty((n_nodes, n_seqs), dtype=np.intp)
     moved = np.empty((n_nodes, n_seqs))
     step = np.empty((n_nodes, n_seqs))
+    run = np.empty((n_nodes, n_seqs), dtype=np.int32)
+    tight = np.empty((n_nodes, n_seqs), dtype=bool)
     # through[k, m, b] = dist[m, k] + step[k, b]: with k leading, the min
     # over k runs over contiguous (m, b) planes
     through = np.empty((n_nodes, n_nodes, n_seqs))
@@ -463,14 +633,20 @@ def _chunk_cost_to_go(tables, chunk, c_log: float):
     # without an intermediate buffer
     for pos in range(width - 2, -1, -1):
         after = h[pos + 1]
+        here = h[pos, :n_nodes]
         sync_index.take(cols[pos], axis=1, out=synced, mode="clip")
         after.take(synced, out=moved, mode="clip")
         np.add(after[:n_nodes], c_log, out=step)
         np.minimum(step, moved, out=step)
         np.add(dist_k, step[:, None], out=through)
-        np.minimum.reduce(through, axis=0, out=h[pos, :n_nodes])
-    for b, sigma in enumerate(chunk):
-        yield memoryview(h[width - 1 - len(sigma):, :n_nodes, b].T.ravel()).toreadonly()
+        np.minimum.reduce(through, axis=0, out=here)
+        ends[pos + 1].take(synced, out=run, mode="clip")
+        np.equal(moved, here, out=tight)
+        np.copyto(ends[pos, :n_nodes], run, where=tight)
+    del through, dist_k
+    h, ends = (memoryview(a.reshape(-1)).toreadonly() for a in (h, ends))
+    for b, start in enumerate((offsets * stride * n_seqs).tolist(), start=0):
+        yield h[start + b::n_seqs], ends[start + b::n_seqs]
 
 
 def _move_codes(net: PetriNet):
@@ -528,7 +704,15 @@ def _moves(net: PetriNet, sigma, key: str) -> tuple[Move, ...]:
 def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:
     """Reference cost of aligning nothing: every event as a log move plus the
     cheapest model-only run from the initial to the final marking."""
-    return costs.c_log * len(_events(trace)) + _tables(net, costs)[1][0]
+    return worst_case_costs(net, [len(_events(trace))], costs)[0]
+
+
+def worst_case_costs(net: PetriNet, lengths, costs: CostScheme = CostScheme()) -> list:
+    """worst_case_cost of traces of the given lengths: each summed exactly in
+    units, then divided by D, so rounded once."""
+    unit, c_log = costs._units[:2]
+    completion = _tables(net, costs)[1][0]
+    return [(c_log * n + completion) / unit for n in lengths]
 
 
 def trace_fitness(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:

@@ -28,15 +28,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .detect import (DETECTOR_KINDS, check_quantile, classify, load_detector,
-                     save_detector, score_matrix, train, train_group)
+from .detect import (DETECTOR_KINDS, check_quantile, check_train_rows, classify,
+                     load_detector, save_detector, score_matrix, train, train_group)
 from .diagnoses import build_diagnoses, write_diagnoses
 from .errors import ConfmonError, DetectError, LogError, ModelError
 from .eventlog import EventLog, parse_log, split_log, split_sizes, write_log
 from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets, inject_log)
 from .metrics import confusion, prf, roc_auc
-from .petri import NoiseParams, PetriNet, bundled_model, load_model, playout
+from .petri import (NoiseParams, PetriNet, bundled_model, check_max_steps, load_model,
+                    playout)
 
 EVAL_SET_ORDER = ("ma", "woa", "ua", "all")
 METRIC_ORDER = ("accuracy", "recall", "precision", "f1", "auc")
@@ -53,11 +54,14 @@ def _resolve_model(spec: str) -> PetriNet:
 
 
 def _read_log(path: str) -> EventLog:
+    """The log file parsed as it is read, line by line: each line of the
+    file is split again with str.splitlines, so lines and their numbers are
+    those of parse_log on the file's text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return parse_log(line for raw in file for line in raw.splitlines())
     except OSError as exc:
         raise LogError(f"cannot read log file {path}: {exc}") from exc
-    return parse_log(text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -389,8 +393,9 @@ def _check_outdir(outdir: Path) -> None:
 def _check_experiment(cfg: ExperimentConfig) -> None:
     """The config's checks, run before the first seed so that a bad config
     fails at once and creates nothing: the seeds, detectors and pool; λ,
-    the noise, the split of n_traces and the quantile, with the checks and
-    messages a seed's run would meet them with; and the output path."""
+    the noise, max_steps, the split of n_traces, its training rows and the
+    quantile, with the checks and messages a seed's run would meet them
+    with; and the output path."""
     if not cfg.seeds:
         raise ConfmonError("experiment needs at least one seed")
     if not cfg.detectors:
@@ -404,7 +409,9 @@ def _check_experiment(cfg: ExperimentConfig) -> None:
         raise ConfmonError(f"unknown-activity pool overlaps model labels: {sorted(overlap)}")
     NoiseParams(cfg.p_drop, cfg.p_dup)
     InjectionSpec("all", cfg.lam, tuple(cfg.pool))
-    split_sizes(cfg.n_traces, cfg.split)  # playout gives exactly n_traces traces
+    check_max_steps(cfg.max_steps)
+    # playout gives exactly n_traces traces, and training gets the first part
+    check_train_rows(split_sizes(cfg.n_traces, cfg.split)[0])
     check_quantile(cfg.quantile)
     _check_outdir(Path(cfg.outdir))
 

@@ -430,6 +430,12 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
 # -- training / scoring ------------------------------------------------------
 
 
+def check_train_rows(n: int) -> None:
+    """DetectError unless n training rows are enough to fit a detector."""
+    if n < MIN_TRAIN_ROWS:
+        raise DetectError(f"need at least {MIN_TRAIN_ROWS} training rows, got {n}")
+
+
 def check_quantile(quantile) -> None:
     """DetectError unless the threshold percentile is in [0, 100]."""
     if not 0.0 <= quantile <= 100.0:
@@ -459,8 +465,7 @@ def train_group(kind: str, pairs, params: dict | None = None, *,
     for train_d, val_d in pairs:
         if train_d.columns != val_d.columns:
             raise DetectError("training and validation diagnoses have different columns")
-        if len(train_d) < MIN_TRAIN_ROWS:
-            raise DetectError(f"need at least {MIN_TRAIN_ROWS} training rows, got {len(train_d)}")
+        check_train_rows(len(train_d))
         if len(val_d) == 0:
             raise DetectError("validation diagnoses are empty")
     check_quantile(quantile)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import (CostScheme, UNKNOWN, count_from_keys, cost_to_go,
-                        optimal_alignment, worst_case_cost)
+                        optimal_alignment, worst_case_costs)
 from .errors import LogError
 from .eventlog import EventLog
 from .petri import PetriNet
@@ -107,16 +107,19 @@ def build_diagnoses(net: PetriNet, log: EventLog,
     # little padding
     distinct = sorted({tr.events: tr for tr in log}.values(), key=lambda tr: len(tr.events))
     keys, cost = [], []
-    for tr, h in zip(distinct, cost_to_go(net, distinct, costs)):
-        alignment = optimal_alignment(net, tr, costs, h=h)
+    # next() hands each table straight to the search, so no name (nor zip's
+    # reused result tuple) holds a chunk's last table, and with it the
+    # chunk's arrays, while the next chunk's pass runs
+    tables = cost_to_go(net, distinct, costs)
+    for tr in distinct:
+        alignment = optimal_alignment(net, tr, costs, table=next(tables))
         keys.append(alignment.key)
         cost.append(alignment.cost)
     sequences = [tr.events for tr in distinct]
     counts = count_from_keys(net, columns[:-1], keys, sequences)
     # fitness_from_cost elementwise, by the same float operations, so the same
-    # bits; worst_case_cost of no events is the model-only completion cost
-    worst = costs.c_log * np.array(list(map(len, sequences)), dtype=float)
-    worst += worst_case_cost(net, (), costs)
+    # bits
+    worst = np.array(worst_case_costs(net, map(len, sequences), costs))
     fitness = 1.0 - np.divide(cost, worst, out=np.zeros_like(worst), where=worst != 0)
     lengths = np.array(list(map(len, keys)), dtype=np.int64)
     variant = {tr.events: i for i, tr in enumerate(distinct)}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import LogError
 
@@ -113,14 +114,21 @@ class EventLog:
         return acts
 
 
-def parse_log(text: str) -> EventLog:
-    """Parse event log text, auto-detecting the CSV and trace-per-line formats."""
-    lines = text.splitlines()
+def parse_log(text) -> EventLog:
+    """Parse event log text, auto-detecting the CSV and trace-per-line formats.
+
+    text is a str, or its lines without their line breaks from any iterable,
+    read once and in order: parse_log(text.splitlines()) is parse_log(text).
+    """
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    head = []
     for line in lines:
+        head.append(line)
         if line.strip():
-            if line.strip().split(",")[0] == "case":
-                return _parse_csv(lines)
             break
+    lines = chain(head, lines)
+    if head and head[-1].strip().split(",")[0] == "case":
+        return _parse_csv(lines)
     return _parse_lines(lines)
 
 

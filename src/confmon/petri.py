@@ -288,6 +288,12 @@ class NoiseParams:
 _MAX_CONSECUTIVE_DISCARDS = 1000
 
 
+def check_max_steps(max_steps) -> None:
+    """PlayoutError unless a walk of playout may fire at least once."""
+    if max_steps < 1:
+        raise PlayoutError(f"max_steps must be >= 1, got {max_steps}")
+
+
 def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
             noise: NoiseParams = NoiseParams()) -> EventLog:
     """Simulate the net: uniform random walks over its reachability graph.
@@ -303,8 +309,7 @@ def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
     """
     if n_traces < 0:
         raise PlayoutError(f"n_traces must be >= 0, got {n_traces}")
-    if max_steps < 1:
-        raise PlayoutError(f"max_steps must be >= 1, got {max_steps}")
+    check_max_steps(max_steps)
     graph = reachability_graph(net)
     if graph is None:
         raise PlayoutError(f"net {net.name} has more than {DEFAULT_STATE_CAP} reachable markings")

@@ -12,6 +12,7 @@ import heapq
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -90,6 +91,69 @@ def oracle_alignment_cost(net, events, c_log=1.0, c_model=1.0, c_silent=0.0,
     return None
 
 
+def oracle_exact_alignment(net, events, c_log=1.0, c_model=1.0, c_silent=0.0,
+                           max_states=2_000_000):
+    """(moves, cost) of the canonical optimal alignment, by uniform-cost
+    search in exact arithmetic with the documented tie-break.
+
+    Each cost is the Fraction of its decimal form (0.7 is 7/10). Plain
+    Dijkstra over (marking, trace position) without pruning: entries pop in
+    (cost, path) order, where a path is the tuple of its moves' ranks in
+    (kind, transition id) order, kinds ranked sync, silent, model, log; each
+    state settles on the first entry popped for it, and the result is the
+    goal's. moves lists (kind, activity, transition) per move; cost is a
+    Fraction. Returns None when no alignment exists within the state budget.
+    """
+    events = tuple(events)
+    c_log, c_model, c_silent = (Fraction(repr(float(c))) for c in (c_log, c_model, c_silent))
+    places = tuple(sorted(net.places))
+    pre, post = _structure(net)
+    m0 = tuple(net.initial_marking.get(p, 0) for p in places)
+    mf = tuple(net.final_marking.get(p, 0) for p in places)
+    ranked = sorted([(0, t) for t in net.transitions if net.labels[t] is not None]
+                    + [(1 if net.labels[t] is None else 2, t) for t in net.transitions]
+                    + [(3, "")])
+    rank = {move: i for i, move in enumerate(ranked)}
+    heap = [(Fraction(0), (), m0, 0)]
+    settled = set()
+    while heap:
+        cost, path, key, pos = heapq.heappop(heap)
+        if (key, pos) in settled:
+            continue
+        settled.add((key, pos))
+        if key == mf and pos == len(events):
+            moves, at = [], 0
+            for r in path:
+                kind, t = ranked[r]
+                if kind == 3:
+                    moves.append(("log", events[at], None))
+                    at += 1
+                elif kind == 0:
+                    moves.append(("sync", net.labels[t], t))
+                    at += 1
+                else:
+                    moves.append(("silent" if kind == 1 else "model", net.labels[t], t))
+            return moves, cost
+        if len(settled) > max_states:
+            return None
+        steps = []
+        if pos < len(events):
+            steps.append((c_log, rank[3, ""], key, pos + 1))
+        for t in net.transitions:
+            if _enabled_key(key, places, pre[t]):
+                nkey = _fire_key(key, places, pre[t], post[t])
+                if net.labels[t] is None:
+                    steps.append((c_silent, rank[1, t], nkey, pos))
+                else:
+                    steps.append((c_model, rank[2, t], nkey, pos))
+                    if pos < len(events) and net.labels[t] == events[pos]:
+                        steps.append((Fraction(0), rank[0, t], nkey, pos + 1))
+        for step, r, nkey, npos in steps:
+            if (nkey, npos) not in settled:
+                heapq.heappush(heap, (cost + step, path + (r,), nkey, npos))
+    return None
+
+
 def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
     """{(marking key, pos): h*} over every reachable marking and position:
     the cheapest cost of aligning events[pos:] from that marking to the
@@ -106,18 +170,23 @@ def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
 
 
 def oracle_chunk_cost_to_go(tables, chunk, c_log):
-    """The cost-to-go tables of a chunk of event sequences, as lists, by the
+    """The (h, ends) tables of a chunk of event sequences, as lists, by the
     reference backward pass that the package's pass must match bit for bit.
 
     tables is the package's (dist, sync_next, columns, comp_cost) of a net
-    and cost scheme. The sequences are right-aligned on a (positions, N + 1,
-    B) array whose row N is inf; the flat sync-successor index of every
-    (marking, position, sequence) is built up front, and each position takes
-    the min over k of dist[m, k] + step[k, b] along axis 1 of a fresh
-    (N, N, B) sum.
+    and cost scheme, in the scheme's units, and c_log is in units too. The
+    sequences are right-aligned on a (positions, N + 1, B) array whose row N
+    is inf; the flat sync-successor index of every (marking, position,
+    sequence) is built up front, and each position takes the min over k of
+    dist[m, k] + step[k, b] along axis 1 of a fresh (N, N, B) sum. A
+    sequence's lists are indexed by pos * (N + 1) + m. Its run ends follow,
+    per sequence, from its own h list: the end of (m, pos) is that of its
+    sync successor (row N when there is none) when their h values are
+    equal, else (m, pos) itself; row N ends in itself.
     """
     dist, sync_next, columns, comp_cost = tables
     n_nodes = len(comp_cost)
+    stride = n_nodes + 1
     width = max(map(len, chunk)) + 1
     unknown = sync_next.shape[1] - 1
     events = np.full((width - 1, len(chunk)), unknown)
@@ -134,8 +203,18 @@ def oracle_chunk_cost_to_go(tables, chunk, c_log):
         after = h[pos + 1]
         step = np.minimum(after[:n_nodes] + c_log, after.take(synced[:, pos]))
         np.minimum.reduce(dist + step, axis=1, out=h[pos, :n_nodes])
-    return [h[width - 1 - len(sigma):, :n_nodes, b].T.ravel().tolist()
-            for b, sigma in enumerate(chunk)]
+    out = []
+    for b, sigma in enumerate(chunk):
+        table = h[width - 1 - len(sigma):, :, b].ravel().tolist()
+        ends = list(range(len(table)))
+        for pos in range(len(sigma) - 1, -1, -1):
+            col = columns.get(sigma[pos], unknown)
+            for m in range(n_nodes):
+                nxt = (pos + 1) * stride + int(sync_next[m, col])
+                if table[nxt] == table[pos * stride + m]:
+                    ends[pos * stride + m] = ends[nxt]
+        out.append((table, ends))
+    return out
 
 
 def oracle_reachability(net, cap=100_000):

@@ -5,6 +5,7 @@ import heapq
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,8 @@ from confmon.inject import build_eval_sets
 from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
                            playout, reachability_graph)
 from conftest import random_workflow_net
-from oracle import oracle_alignment_cost, oracle_chunk_cost_to_go, oracle_cost_to_go
+from oracle import (oracle_alignment_cost, oracle_chunk_cost_to_go, oracle_cost_to_go,
+                    oracle_exact_alignment)
 
 LOOP_TRACE = ("t1", "t2", "t4", "t5", "t3", "t4", "t5", "t6")
 
@@ -573,17 +575,28 @@ def non_dyadic_corpus(fn1, som):
     return corpus
 
 
+def oracle_digest(net, traces, costs) -> str:
+    """move_digest of the alignments oracle_exact_alignment returns."""
+    h = hashlib.sha256()
+    for trace in traces:
+        moves, cost = oracle_exact_alignment(net, trace, costs.c_log, costs.c_model,
+                                             costs.c_silent)
+        h.update(repr((moves, float(cost))).encode())
+    return h.hexdigest()
+
+
 def test_non_dyadic_costs_keep_pinned_moves(fn1, som):
-    """Costs whose sums round differently along different paths: the pruning
-    bound must keep every prefix of the canonical alignment. Recorded with
-    the search without the bound."""
+    """Costs whose float sums round differently along different paths; in
+    exact units the tie-break decides among equal-cost alignments. Recorded
+    with oracle_exact_alignment (oracle_digest): an exact search without
+    pruning."""
     expected = {
-        "som": ("62dbbc5bed044a5539d5193cdd2f33c91337cc8314b14ea919d97bfefb3ae596",
+        "som": ("c4ea78e28b9e945a73c78a73ff29c0348448f723f1d9b8f62e6463d293a62987",
                 "41098e407a4938fb1ac0c1c26676eba1af18602f6948fb72a320eb76189bea64"),
-        "fn1": ("b0fc90f8f2da1c9a8907bbd754a88c7c48b102e725b78ffbc3e9451bde59aaa8",
-                "8beb2584a2dd561efa2c1e49fe1ca7f1a4f89503086774a1dbf2949248d55ce3"),
-        "fn1 loops": ("f73ec05bd59bc733e9681a42b49d2e2570daed27432b81de72285fdf2825cc28",
-                      "0d7db05fb4dcee2d6bd1b1ab4c4de9130f36cdcb33eb11dcaa480e9185b953f9"),
+        "fn1": ("46ef7c1bb0f872cc6e9e7ccd617c1f316126d78f5b2b8dd404e1720f05ed3661",
+                "a42e5092b6471fc46dd205955b964668e301be94e8817cc62395f0fa6fd3f49e"),
+        "fn1 loops": ("bfe2d435176f1352bd761dfd02679601dd1750acb2f47feaf1e420d756e1a608",
+                      "eafeaf541d582f8c9e01c5c58fc424d67fc216ce1b1d2e19aae4f2464a4fab17"),
     }
     schemes = (CostScheme(0.7, 1.3, 0.1), CostScheme(1.0, 1.0, 0.3))
     for name, traces in non_dyadic_corpus(fn1, som).items():
@@ -597,9 +610,10 @@ def test_chunked_tables_align_like_single_ones(fn1, som):
     costs = CostScheme(0.7, 1.3, 0.1)
     for name, traces in non_dyadic_corpus(fn1, som).items():
         net = som if name == "som" else fn1
-        for trace, h in zip(traces, cost_to_go(net, traces, costs)):
-            assert h == next(cost_to_go(net, [trace], costs))
-            assert optimal_alignment(net, trace, costs, h=h) == optimal_alignment(
+        for trace, table in zip(traces, cost_to_go(net, traces, costs)):
+            alone = next(cost_to_go(net, [trace], costs))
+            assert table[0] == alone[0] and table[1] == alone[1]
+            assert optimal_alignment(net, trace, costs, table=table) == optimal_alignment(
                 net, trace, costs)
 
 
@@ -608,12 +622,17 @@ COST_TO_GO_NETS = {"fn1": lambda: bundled_model("fn1"), "som": lambda: bundled_m
                    "rand23": lambda: random_workflow_net(23, budget=5)}
 
 
-@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(0.7, 1.3, 0.1)])
+# each scheme's costs in its integer unit (1 and 1/10)
+UNIT_COSTS = {CostScheme(): (1, 1, 0), CostScheme(0.7, 1.3, 0.1): (7, 13, 1)}
+
+
+@pytest.mark.parametrize("costs", list(UNIT_COSTS))
 @pytest.mark.parametrize("name", sorted(COST_TO_GO_NETS))
 def test_cost_to_go_matches_oracle(name, costs):
     """h*(m, pos) equals the oracle's alignment cost of events[pos:] started
-    in m, for every reachable marking, those that cannot finish included
-    (inf), on the empty trace, unknown activities and random traces."""
+    in m, in the scheme's integer unit (1 and 1/10 here), for every
+    reachable marking, those that cannot finish included (inf), on the
+    empty trace, unknown activities and random traces."""
     net = COST_TO_GO_NETS[name]()
     rng = random.Random(len(name))
     alphabet = sorted(net.visible_labels) + ["x1"]
@@ -621,21 +640,21 @@ def test_cost_to_go_matches_oracle(name, costs):
     traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
                for _ in range(3)]
     keys = reachability_graph(net)[1]
-    for trace, h in zip(traces, cost_to_go(net, traces, costs)):
-        want = oracle_cost_to_go(net, trace, costs.c_log, costs.c_model, costs.c_silent)
-        width = len(trace) + 1
-        got = {(key, pos): h[m * width + pos] for m, key in enumerate(keys)
-               for pos in range(width)}
-        assert got == pytest.approx(want, rel=1e-12)
+    for trace, (h, _) in zip(traces, cost_to_go(net, traces, costs)):
+        want = oracle_cost_to_go(net, trace, *UNIT_COSTS[costs])
+        assert len(h) == (len(trace) + 1) * (len(keys) + 1)
+        got = {(key, pos): h[pos * (len(keys) + 1) + m] for m, key in enumerate(keys)
+               for pos in range(len(trace) + 1)}
+        assert got == want
     if name == "trap":
         assert any(v == float("inf") for v in want.values())
 
 
 def test_pinned_moves_hold_with_a_bound_that_prunes_nothing(fn1, som, monkeypatch):
-    """With a one-element chunk cap no trace gets a table, so the bound is
-    inf and the search prunes nothing; every pinned alignment stays."""
+    """With a one-element chunk cap no trace gets a table, so the heap search
+    aligns every trace, without pruning; every pinned alignment stays."""
     monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
-    assert next(cost_to_go(fn1, [LOOP_TRACE]))[0] == float("inf")
+    assert next(cost_to_go(fn1, [LOOP_TRACE])) is None
     test_long_traces_keep_pinned_moves(fn1, som)
     test_many_distinct_unknown_activities(fn1)
     test_move_alphabet_wider_than_one_byte()
@@ -666,11 +685,21 @@ def long_fn1_traces() -> list:
 
 
 def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
-    """Work guard without timing: the 10 pinned long fn1 traces take 14 130
-    heap pops without the bound and its sync chase, 12 153 with the chase
-    alone, and 891 with both."""
+    """Work guard without timing: the walk passes one state per move on each
+    of the 10 pinned long fn1 traces, those of skipped sync runs included,
+    so it aligns each under a state cap of its alignment's length and not
+    one less; and it pops no heap. The heap search, which aligns the traces
+    without a table, takes more than 10 000 pops."""
     long = long_fn1_traces()
-    assert count_pops(monkeypatch, fn1, long) <= 2000
+    moves = [len(optimal_alignment(fn1, trace)) for trace in long]
+    assert count_pops(monkeypatch, fn1, long) == 0
+    for trace, n_moves in zip(long, moves):
+        monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", n_moves)
+        assert len(optimal_alignment(fn1, trace)) == n_moves
+        monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", n_moves - 1)
+        with pytest.raises(AlignmentError, match="exhausted after"):
+            optimal_alignment(fn1, trace)
+    monkeypatch.undo()
     monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
     assert count_pops(monkeypatch, fn1, long) > 10_000
 
@@ -698,8 +727,9 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
 
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
-    """A chunk's (positions, N + 1, B) table holds at most _CHUNK_ELEMENTS
-    elements, and so do its pass's (N, N, B) min-plus temporary, (N, N, B)
+    """A chunk's (positions, N + 1, B) table and run ends hold at most
+    _CHUNK_ELEMENTS elements together, and so do its pass's (N, N, B)
+    min-plus temporary, (N, N, B)
     distances and (N, A + 1, B) sync-successor index together; the spy
     refuses a larger chunk before it allocates. Traces too long for a chunk
     of their own are never passed in, and the diagnoses match those built
@@ -713,7 +743,7 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     def spy(tables, chunk, c_log):
         n_nodes = len(tables[3])
         width = max(map(len, chunk)) + 1
-        assert width * (n_nodes + 1) * len(chunk) <= limit
+        assert 2 * width * (n_nodes + 1) * len(chunk) <= limit
         assert n_nodes * (2 * n_nodes + tables[1].shape[1]) * len(chunk) <= limit
         chunks.append(len(chunk))
         yield from real(tables, chunk, c_log)
@@ -734,10 +764,11 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
 
 @pytest.mark.parametrize("costs", [CostScheme(), CostScheme(0.7, 1.3, 0.1)])
 def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch):
-    """Every chunk's tables equal those of the reference pass in
-    tests/oracle.py entry for entry, bit for bit, on 30 noisy fn1 loops of
+    """Every chunk's tables and run ends equal those of the reference pass
+    in tests/oracle.py entry for entry, bit for bit, on 30 noisy fn1 loops of
     50-700 events and 300 noisy som playouts. Each table is a read-only
-    buffer of float64 whose entries read back as Python floats."""
+    buffer of float64 whose entries read back as Python floats, and its run
+    ends one of int32 read back as ints."""
     real = confmon.alignment._chunk_cost_to_go
     checked = []
 
@@ -745,9 +776,11 @@ def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch
         want = oracle_chunk_cost_to_go(tables, chunk, c_log)
         got = list(real(tables, chunk, c_log))
         assert len(got) == len(want)
-        for h, ref in zip(got, want):
+        for (h, ends), (ref, ref_ends) in zip(got, want):
             assert h.readonly and h.format == "d"
+            assert ends.readonly and ends.format == "i"
             assert bytes(h) == np.array(ref, dtype=np.float64).tobytes()
+            assert ends.tolist() == ref_ends
             assert type(h[len(h) - 1]) is float
         checked.extend(chunk)
         yield from got
@@ -761,23 +794,195 @@ def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch
     assert len(checked) == 330
 
 
-def test_one_pass_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
+def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
     """Work guard without timing: build_diagnoses on 25 distinct fn1 loop
-    traces of 50-500 events runs exactly one cost-to-go pass, and every
-    entry of every table reads back as a float."""
+    traces of 50-500 events runs exactly two cost-to-go passes, the first as
+    full as the budget allows: a chunk's table and run ends, 2 x (positions)
+    x (7 markings + 1) x B elements, hold at most 2^17. Every entry of every
+    table reads back as a float, and every run end as an int."""
     rng = random.Random(11)
     log = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, 50 + 450 * i // 24))
                     for i in range(25)])
     assert len({tr.events for tr in log}) == 25
+    lengths = sorted(len(tr) for tr in log)
+    assert 2 * (lengths[18] + 1) * 8 * 19 <= 1 << 17 < 2 * (lengths[19] + 1) * 8 * 20
     real = confmon.alignment._chunk_cost_to_go
     passes = []
 
     def spy(tables, chunk, c_log):
         passes.append(len(chunk))
-        for h in real(tables, chunk, c_log):
+        for h, ends in real(tables, chunk, c_log):
             assert all(type(v) is float for v in h)
-            yield h
+            assert all(type(v) is int for v in ends)
+            yield h, ends
 
     monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
     build_diagnoses(fn1, log)
-    assert passes == [25]
+    assert passes == [19, 6]
+
+
+@pytest.mark.parametrize("costs, units", [
+    (CostScheme(), (1, 1, 1, 0)),
+    (CostScheme(2.0, 3.0, 0.5), (2, 4, 6, 1)),
+    (CostScheme(1, 2, 0), (1, 1, 2, 0)),
+    (CostScheme(0.7, 1.3, 0.1), (10, 7, 13, 1)),
+    (CostScheme(0.25, 0.001, 1e-2), (1000, 250, 1, 10)),
+])
+def test_cost_scheme_derives_one_integer_unit(costs, units):
+    """D is the least common multiple of the denominators of the costs'
+    decimal forms; _units holds D and each cost in units of 1/D."""
+    assert costs._units == units
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_decimal_ratio_is_the_fraction_of_the_printed_float(value):
+    """The unit is derived from each cost as Fraction(repr(cost)) would read
+    it, without importing fractions into the package."""
+    exact = Fraction(repr(value))
+    assert confmon.alignment._decimal_ratio(value) == (exact.numerator, exact.denominator)
+
+
+def test_cost_unit_over_the_cap_names_the_cost():
+    """A cost that needs a unit finer than 1/2^32, or more than 2^32 units,
+    is refused when the scheme is built, naming the cost."""
+    with pytest.raises(AlignmentError, match=r"c_silent = 0\.3333333333333333 needs a "
+                                             r"cost unit finer than 1/4294967296"):
+        CostScheme(1.0, 1.0, 1 / 3)
+    with pytest.raises(AlignmentError, match=r"c_model = 1e\+20 is more than 4294967296 "
+                                             r"units of 1/1"):
+        CostScheme(1.0, 1e20)
+    with pytest.raises(AlignmentError, match=r"c_model = 4294967296\.5 is more than"):
+        CostScheme(1.0, 2.0 ** 32 + 0.5)
+    assert CostScheme(1.0, 2.0 ** 32)._units == (1, 1, 1 << 32, 0)
+
+
+def test_equal_exact_costs_break_ties_by_move_order(fn1):
+    """Under (0.7, 1.3, 0.1) a model move and two silent moves cost 1.5, as
+    do two log moves and one silent move; their float sums differ, their
+    exact sums do not, and the model move ranks before the log move."""
+    trace = ("t1", "t3", "t4", "t4", "t2", "t5", "t3", "t4", "t5", "t6")
+    costs = CostScheme(0.7, 1.3, 0.1)
+    a = optimal_alignment(fn1, trace, costs)
+    moves, cost = oracle_exact_alignment(fn1, trace, 0.7, 1.3, 0.1)
+    assert [(mv.kind, mv.activity, mv.transition) for mv in a.moves] == moves
+    assert a.cost == float(cost) == 1.5
+    assert [str(mv) for mv in a.moves][3:6] == ["(>>,t5)", "(>>,tau)", "(t4,t4)"]
+
+
+def test_non_dyadic_pins_match_the_exact_oracle(fn1, som):
+    """The first 30 traces of each corpus of the non-dyadic pins align as
+    oracle_exact_alignment aligns them, under both schemes."""
+    schemes = (CostScheme(0.7, 1.3, 0.1), CostScheme(1.0, 1.0, 0.3))
+    for name, traces in non_dyadic_corpus(fn1, som).items():
+        net = som if name == "som" else fn1
+        sample = traces[:30] if name != "fn1 loops" else traces[:3]
+        for costs in schemes:
+            assert move_digest(net, sample, costs) == oracle_digest(net, sample, costs)
+
+
+def with_silent_loop(net: PetriNet, place: str) -> PetriNet:
+    """The net plus a zero-cost cycle: silent s0a moves a token from place to
+    a new place zloop, silent s0b moves it back. s0a ranks before every
+    other silent transition of a random_workflow_net."""
+    labels = dict(net.labels, s0a=None, s0b=None)
+    arcs = sorted(net.arcs) + [(place, "s0a"), ("s0a", "zloop"), ("zloop", "s0b"),
+                               ("s0b", place)]
+    return PetriNet(sorted(net.places) + ["zloop"], list(labels), arcs,
+                    net.initial_marking, net.final_marking, labels, name=net.name + "+loop")
+
+
+WALK_SCHEMES = [CostScheme(), CostScheme(2.0, 3.0, 0.5), CostScheme(1.0, 2.0, 0.0),
+                CostScheme(0.7, 1.3, 0.1)]
+
+
+def keys_and_costs(net, traces, costs) -> list:
+    return [(a.key, a.cost) for a in (
+        optimal_alignment(net, trace, costs, table=table)
+        for trace, table in zip(traces, cost_to_go(net, traces, costs)))]
+
+
+@pytest.mark.parametrize("costs", WALK_SCHEMES)
+def test_walk_matches_the_heap_on_random_nets(costs, monkeypatch):
+    """Property over 40 random workflow nets, every other one with a
+    zero-cost silent cycle: on noisy playouts and random traces the walk
+    returns the path keys and costs of the heap search, which aligns the
+    same traces when no trace gets a table; a sample matches the exact
+    oracle too."""
+    nets, corpora = [], []
+    for seed in range(40):
+        net = random_workflow_net(100 + seed, budget=3 + seed % 4)
+        if seed % 2:
+            inner = sorted(net.places - {"sink"})
+            net = with_silent_loop(net, inner[seed % len(inner)])
+        rng = random.Random(seed)
+        alphabet = sorted(net.visible_labels) + ["x1"]
+        traces = [tr.events for tr in playout(net, 4, max_steps=60, seed=seed,
+                                              noise=NoiseParams(0.15, 0.15))]
+        traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 9)))
+                   for _ in range(4)]
+        nets.append(net)
+        corpora.append(traces)
+    walked = [keys_and_costs(net, traces, costs) for net, traces in zip(nets, corpora)]
+    for net, traces, got in zip(nets[:8], corpora, walked):
+        for trace, (key, cost) in zip(traces[:2], got):
+            moves, exact = oracle_exact_alignment(net, trace, costs.c_log, costs.c_model,
+                                                  costs.c_silent)
+            assert cost == float(exact)
+            assert [(mv.kind, mv.activity, mv.transition)
+                    for mv in optimal_alignment(net, trace, costs).moves] == moves
+    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    for net, traces, got in zip(nets, corpora, walked):
+        assert keys_and_costs(net, traces, costs) == got
+
+
+def silent_cycle_net() -> PetriNet:
+    """source -b-> p; silent s1 from p to q and s2 back, a zero-cost cycle;
+    silent s3 from p to r, then a into sink. s1 ranks before s3, so the walk
+    first enters q, whose only move leads back to p."""
+    labels = {"t_b": "b", "s1": None, "s2": None, "s3": None, "t_a": "a"}
+    arcs = [("source", "t_b"), ("t_b", "p"), ("p", "s1"), ("s1", "q"), ("q", "s2"),
+            ("s2", "p"), ("p", "s3"), ("s3", "r"), ("r", "t_a"), ("t_a", "sink")]
+    return PetriNet(["source", "p", "q", "r", "sink"], list(labels), arcs,
+                    {"source": 1}, {"sink": 1}, labels, name="cycle")
+
+
+@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(1.0, 2.0, 0.0)])
+def test_zero_cost_silent_cycle_makes_the_walk_backtrack(costs, monkeypatch):
+    """After the sync run on b the walk takes s1 into q, a dead end, and
+    walks again with backtracking: it returns the heap's and the oracle's
+    alignment, but passes more states than the alignment has moves."""
+    net = silent_cycle_net()
+    trace = ("b", "a")
+    a = optimal_alignment(net, trace, costs)
+    assert [(mv.kind, mv.transition) for mv in a.moves] == [
+        ("sync", "t_b"), ("silent", "s3"), ("sync", "t_a")]
+    assert a.cost == 0.0
+    moves, _ = oracle_exact_alignment(net, trace, costs.c_log, costs.c_model, costs.c_silent)
+    assert [(mv.kind, mv.activity, mv.transition) for mv in a.moves] == moves
+    for events in [trace, ("a",), ("b",), ("b", "x", "a"), ()]:
+        walked = optimal_alignment(net, events, costs)
+        monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+        assert optimal_alignment(net, events, costs) == walked
+        monkeypatch.undo()
+    # the run on b, p and q before the dead end, then source, p, q and r
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 7)
+    assert optimal_alignment(net, trace, costs) == a
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 6)
+    with pytest.raises(AlignmentError, match="exhausted after 6 expansions"):
+        optimal_alignment(net, trace, costs)
+
+
+def test_unknown_trace_walks_within_a_small_state_cap(som, monkeypatch):
+    """Work guard without timing: a 500-event som trace of unknown
+    activities aligns in 508 moves under a state cap of 600, with the heap's
+    moves and cost; the heap search pops about 11 500 entries for it."""
+    trace = tuple(f"u{k % 7}" for k in range(500))
+    want = optimal_alignment(som, trace)
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 600)
+    got = optimal_alignment(som, trace)
+    assert got == want
+    assert got.cost == 500 + worst_case_cost(som, ())
+    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    with pytest.raises(AlignmentError, match="exhausted after 600 expansions"):
+        optimal_alignment(som, trace)

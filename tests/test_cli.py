@@ -439,6 +439,8 @@ def refuse_to_run_seeds(monkeypatch):
     ("n_traces", -4, "leaves an empty part"),
     ("p_dup", -0.5, "p_dup must be in"),
     ("pool", (), "needs a non-empty unknown pool"),
+    ("max_steps", 0, r"max_steps must be >= 1, got 0"),
+    ("n_traces", 6, "need at least 5 training rows, got 4"),
 ])
 def test_experiment_with_a_bad_value_leaves_no_outdir(tmp_path, monkeypatch, field, value,
                                                       message):
@@ -516,3 +518,34 @@ def test_experiment_command_with_config(tmp_path, capsys):
     assert str(outdir / "seed_0.csv") in printed
     assert str(outdir / "aggregate.csv") in printed
     assert (outdir / "aggregate.csv").exists()
+
+
+LINE_BREAK_LOGS = {
+    "lines": "c1: a b\r\n\r\nc2: a\x0cc3: b | normal\u2028c4: a\x85c5: b\rc6: a\n\n",
+    "csv": "\n\x0ccase,activity,label\r\nc1,a,normal\x0c\nc1,b,\u2028c2,a,anomalous\r\n\x1c",
+    "bad label": "c1: a\r\n\x0b\u2028c2: b | weird\nc3: a\n",
+    "bad csv row": "case,activity\r\n\x0cc1,a\u2029c1,a,b\n",
+    "bad case id": "c1: a\n\x0c\x0c\r\n  : b\n",
+    "empty": "\r\n\x0c\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_BREAK_LOGS))
+def test_log_file_streams_like_its_text(tmp_path, name):
+    """The CLI parses a log file as it reads it; the lines it sees, and so
+    every trace and every line number of an error, are those of parse_log
+    on the file's text, whatever the line breaks: \\r\\n, a lone \\r, form
+    feed, \\x85, \\u2028, \\u2029 and blank lines, in both formats."""
+    path = tmp_path / "log.txt"
+    path.write_bytes(LINE_BREAK_LOGS[name].encode("utf-8"))
+    text = path.read_text(encoding="utf-8")
+    try:
+        want = parse_log(text)
+    except ConfmonError as exc:
+        with pytest.raises(type(exc)) as got:
+            confmon.cli._read_log(str(path))
+        assert str(got.value) == str(exc) and "line " in str(exc)
+    else:
+        assert confmon.cli._read_log(str(path)) == want
+        assert parse_log(text.splitlines()) == want
+        assert name == "empty" or len(want) >= 2
