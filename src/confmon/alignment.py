@@ -42,10 +42,15 @@ unpruned uniform-cost (Dijkstra) search on a heap, which follows a sync move,
 free and first in the tie-break, without a round trip through the heap.
 
 A table is a read-only buffer of floats, whole numbers of units, one per
-(position, marking), with a read-only buffer of int32 run ends beside it. A
-chunk's tables and run ends together hold at most _CHUNK_ELEMENTS (2^17)
-elements, and so do its pass's other arrays; a trace whose table does not
-fit, or any trace on a net too large for the pass, gets none.
+(position, marking), with a read-only buffer of int32 run ends beside it.
+The pass runs in float32 when every finite value it can form stays below
+2^24, which float32 holds exactly, as under the default costs, and in
+float64 otherwise; the net's record holds the largest c_log for which it
+does.
+Two byte caps bound a chunk: _TABLE_BYTES (512 KiB) its tables and run ends
+together, _LANE_BYTES (1 MiB) its pass's per-lane arrays. A trace whose
+table does not fit, or any trace on a net too large for the pass, gets
+none.
 petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
 the states the walk passes (those of skipped runs included) and the
 expansions of the search.
@@ -85,17 +90,26 @@ _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
 
 INF = float("inf")
-# Elements of one chunk's cost-to-go table and run ends taken together, and
-# also of the per-sequence arrays of its pass taken together; so also the
-# largest (markings x positions) table of a single trace, twice over, and the
-# largest markings x (2 x markings + activities + 1) of a net that gets tables.
-_CHUNK_ELEMENTS = 1 << 17
-# The largest cost unit denominator D, and the largest cost in units. A trace
-# with a table has fewer than 2^17 events, on a net of fewer than 2^9
-# markings, so each cost-to-go in it, at most (events + markings) x 2^32, and
-# each sum the pass forms stay below 2^51, which float64 holds exactly. The
-# search without a table adds Python ints.
+# Bytes of one chunk's cost-to-go table and int32 run ends taken together; so
+# also the largest table of a single trace. Each (position, marking) state
+# takes 8 bytes in a float32 table and 12 in a float64 one.
+_TABLE_BYTES = 1 << 19
+# Bytes per chunk of the pass's per-lane arrays taken together: its (N, N, B)
+# sums and distances in the table's dtype and its (N, A + 1, B) intp
+# sync-successor index. A net whose lane of float64 arrays alone exceeds it
+# gets no tables.
+_LANE_BYTES = 1 << 20
+# The largest cost unit denominator D, and the largest cost in units. A
+# float64 table holds at most 2^16 states, so a trace with one has fewer
+# than 2^16 events, on a net of at most 2^8 markings (2 x 8 x N^2 bytes of
+# distances per lane fit _LANE_BYTES); so each cost-to-go in it, at most
+# (events + markings) x 2^32, and each sum the pass forms stay below 2^51,
+# which float64 holds exactly. A float32 pass is taken only where every
+# finite value it forms is below 2^24 (see _tables). The search without a
+# table adds Python ints.
 _MAX_UNITS = 1 << 32
+# Every integer below this is exact in float32.
+_FLOAT32_EXACT = 1 << 24
 # Keys per numpy pass of count_from_keys.
 _COUNT_BLOCK = 1024
 
@@ -286,19 +300,31 @@ def _tables(net: PetriNet, costs: CostScheme):
     once). Moves into markings that cannot reach the final marking are left
     out, so neither the walk nor the search enters them.
 
-    tables is (dist, sync_next, columns, comp_cost) of the cost-to-go pass,
-    for N markings and A visible activities, or None when N * (2N + A + 1)
-    exceeds _CHUNK_ELEMENTS. dist is the (N, N) array of cheapest model-only
-    runs between markings (Floyd-Warshall). columns maps an activity to a
-    column of the (N, A + 1) index array sync_next, whose entry is the
-    marking a sync move on that activity leads to, or N where there is none;
-    column A stands for every activity the net does not know. comp_cost is
-    here an array.
+    tables is (dist, sync_next, columns, comp_cost, exact32) of the
+    cost-to-go pass, for N markings and A visible activities, or None when
+    the pass's per-lane arrays in float64, N * (2N + A + 1) * 8 bytes,
+    exceed _LANE_BYTES, or an empty trace's float64 table exceeds
+    _TABLE_BYTES. dist is the (N, N) array of cheapest model-only runs
+    between markings (Floyd-Warshall). columns maps an activity to a column
+    of the (N, A + 1) index array sync_next, whose entry is the marking a
+    sync move on that activity leads to, or N where there is none; column A
+    stands for every activity the net does not know. comp_cost is here an
+    array. dist and comp_cost are float64, exact in either dtype of the
+    pass.
+
+    exact32 is the largest c_log, in units, for which the pass runs in
+    float32. Every finite value the pass forms is at most
+    c_log * (n + 1) + 2 * (N - 1) * max(c_model, c_silent), n the longest
+    sequence whose float32 table fits _TABLE_BYTES: a cost-to-go is at most
+    c_log per event plus a completion, and a min-plus sum adds one model-only
+    run to it. Below 2^24 float32 holds every such value exactly; otherwise
+    the pass runs in float64 (see _MAX_UNITS).
     """
     _, c_model, c_silent = costs._units[1:]
-    # _CHUNK_ELEMENTS decides whether the pass's arrays are built, so it is
-    # part of the key: a record never outlives the cap it was built under
-    cache_key = ("tables", c_model, c_silent, _CHUNK_ELEMENTS)
+    # the caps decide whether the pass's arrays are built and exact32, so
+    # they are part of the key: a record never outlives the caps it was
+    # built under
+    cache_key = ("tables", c_model, c_silent, _TABLE_BYTES, _LANE_BYTES)
     record = net._caches.get(cache_key)
     if record is not None:
         return record
@@ -336,7 +362,8 @@ def _tables(net: PetriNet, costs: CostScheme):
 
     tables = None
     columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
-    if n_nodes * (2 * n_nodes + len(columns) + 1) <= _CHUNK_ELEMENTS:
+    if (n_nodes * (2 * n_nodes + len(columns) + 1) * 8 <= _LANE_BYTES
+            and (n_nodes + 1) * 12 <= _TABLE_BYTES):
         sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.intp)
         dist = np.full((n_nodes, n_nodes), INF)
         np.fill_diagonal(dist, 0.0)
@@ -347,7 +374,10 @@ def _tables(net: PetriNet, costs: CostScheme):
                 dist[src, dst] = min(dist[src, dst], step[t])
         for k in range(n_nodes):
             np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float))
+        positions = _TABLE_BYTES // (8 * (n_nodes + 1))  # n + 1 in float32
+        spare = _FLOAT32_EXACT - 1 - 2 * (n_nodes - 1) * max(c_model, c_silent)
+        tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float),
+                  spare // positions)
 
     _, sync_code, free_code, _ = _move_codes(net)
     sync, free = [], []
@@ -539,22 +569,27 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     For a sequence of n events on a net of N markings, h and ends are
     read-only memoryviews indexed by state, pos * (N + 1) + m for position
     pos and marking node m < N (of the reachability graph); the entries
-    with m = N pad, inf in h. h[state] is a Python float,
-    a whole number of the scheme's units: the cheapest cost of aligning
-    events[pos:] from m to the final marking, inf when there is none.
-    ends[state] is a Python int, the state where the run of tight sync moves
-    that starts at state ends, or state itself when its sync move is not
-    tight (or there is none); read only where h is finite.
+    with m = N pad, inf in h. h is a buffer of float32 ('f') where the
+    net's record allows it for the scheme's c_log (see _tables), as it does
+    for the default costs, and of float64 ('d') otherwise; either way
+    h[state] is a Python float, a whole number of the scheme's units: the
+    cheapest cost of aligning events[pos:] from m to the final marking, inf
+    when there is none. ends is a buffer of int32; ends[state] is a Python
+    int, the state where the run of tight sync moves that starts at state
+    ends, or state itself when its sync move is not tight (or there is
+    none); read only where h is finite.
 
     Sequences go in chunks, in order, and one backward pass computes a
-    chunk's tables. For a chunk of B sequences on a net of A visible
-    activities, the pass's (positions, N + 1, B) table and int32 run ends
-    hold at most _CHUNK_ELEMENTS (2^17) elements together, and so do its
-    (N, N, B) sums, (N, N, B) distances and (N, A + 1, B) sync-successor
-    index. A sequence whose table and run ends alone would exceed that, or
-    any sequence on a net whose N * (2N + A + 1) exceeds it, gets None. A
-    chunk's tables are slices of two arrays, freed once every one of them
-    is released.
+    chunk's tables. A chunk's (positions, N + 1, B) table and int32 run
+    ends hold at most _TABLE_BYTES together, and its pass's (N, N, B) sums,
+    (N, N, B) distances and (N, A + 1, B) sync-successor index at most
+    _LANE_BYTES, for B sequences on a net of A visible activities. A chunk
+    takes sequences while both caps hold, so its first sequence should be
+    its longest: its width is then fixed and the next ones fill the cap
+    under it. A sequence whose table and run ends alone exceed _TABLE_BYTES,
+    or any sequence on a net without pass arrays, gets None. A chunk's
+    tables are slices of two arrays, freed once every one of them is
+    released.
     """
     tables = _tables(net, costs)[4]
     if tables is None:
@@ -562,38 +597,54 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
             yield None
         return
     c_log = costs._units[1]
-    dist, sync_next, _, _ = tables
-    n_nodes = len(dist)
-    # elements per sequence of a pass's two (N, N, B) and one (N, A + 1, B)
-    # arrays; sharing one budget keeps the bytes of a pass near its table's
-    per_seq = 2 * dist.size + sync_next.size
-    chunk, longest = [], per_seq
+    dist, sync_next, _, _, exact32 = tables
+    dtype = np.dtype(np.float32 if c_log <= exact32 else np.float64)
+    stride = len(dist) + 1
+    state_bytes = dtype.itemsize + 4  # a table entry and its run end
+    lane = 2 * dist.size * dtype.itemsize + sync_next.nbytes
+    chunk, longest = [], 0
     for sigma in map(_events, sequences):
-        size = 2 * (len(sigma) + 1) * (n_nodes + 1)  # the table and its run ends
-        fits = size <= _CHUNK_ELEMENTS
-        if chunk and (not fits or max(longest, size) * (len(chunk) + 1) > _CHUNK_ELEMENTS):
-            yield from _chunk_cost_to_go(tables, chunk, c_log)
-            chunk, longest = [], per_seq
+        size = (len(sigma) + 1) * stride * state_bytes
+        fits = size <= _TABLE_BYTES
+        if chunk and (not fits or max(longest, size) * (len(chunk) + 1) > _TABLE_BYTES
+                      or lane * (len(chunk) + 1) > _LANE_BYTES):
+            yield from _chunk_cost_to_go(tables, chunk, c_log, dtype)
+            chunk, longest = [], 0
         if fits:
             chunk.append(sigma)
             longest = max(longest, size)
         else:
             yield None
     if chunk:
-        yield from _chunk_cost_to_go(tables, chunk, c_log)
+        yield from _chunk_cost_to_go(tables, chunk, c_log, dtype)
 
 
-def _chunk_cost_to_go(tables, chunk, c_log: int):
-    """Yield the (h, ends) table of each sequence of the chunk.
+def _chunk_cost_to_go(tables, chunk, c_log: int, dtype):
+    """Yield the (h, ends) table of each sequence of the chunk, h in dtype.
 
-    The sequences are right-aligned on (positions, N + 1, B) arrays whose
-    row N is the target of missing sync moves, inf in h; positions before a
-    shorter sequence's start only pad and are never read. ends[pos, m, b]
-    starts as the state of (m, pos) in sequence b's own table and takes the
-    run end of its sync successor where the sync move is tight. A
-    sequence's table is a strided view of its lane.
+    A sequence's table is a strided view of its lane of the pass's arrays.
+    The pass's temporaries are freed before the first table is yielded; the
+    chunk's arrays live until its tables and this generator are released.
     """
-    dist, sync_next, columns, comp_cost = tables
+    n_seqs = len(chunk)
+    h, ends, starts = _backward_pass(tables, chunk, c_log, dtype)
+    h, ends = (memoryview(a.reshape(-1)).toreadonly() for a in (h, ends))
+    for start in starts:
+        yield h[start::n_seqs], ends[start::n_seqs]
+
+
+def _backward_pass(tables, chunk, c_log: int, dtype):
+    """(h, ends, starts) of a chunk: the (positions, N + 1, B) table in
+    dtype and int32 run ends, and the flat index of each sequence's first
+    state, (pos 0, marking 0) in its lane.
+
+    The sequences are right-aligned on the arrays, whose row N is the
+    target of missing sync moves, inf in h; positions before a shorter
+    sequence's start only pad and are never read. ends[pos, m, b] starts as
+    the state of (m, pos) in sequence b's own table and takes the run end
+    of its sync successor where the sync move is tight.
+    """
+    dist, sync_next, columns, comp_cost, _ = tables
     n_nodes, n_seqs = len(comp_cost), len(chunk)
     stride = n_nodes + 1
     width = max(map(len, chunk)) + 1
@@ -603,16 +654,15 @@ def _chunk_cost_to_go(tables, chunk, c_log: int):
     # sync_index[m, cols[pos, b]] the flat index of marking m's sync
     # successor on that event into the (N + 1, B) slice after pos
     offsets = width - 1 - np.fromiter(map(len, chunk), dtype=np.intp, count=n_seqs)
-    events = np.fromiter(map(columns.get, chain.from_iterable(chunk), repeat(unknown)),
-                         dtype=np.intp)
     cols = np.full((width - 1, n_seqs), unknown)
     # a boolean mask fills the lanes one by one, each with its events
     # right-aligned
-    cols.T[np.arange(width - 1) >= offsets[:, None]] = events
+    cols.T[np.arange(width - 1) >= offsets[:, None]] = np.fromiter(
+        map(columns.get, chain.from_iterable(chunk), repeat(unknown)), dtype=np.intp)
     cols *= n_seqs
     cols += lanes
     sync_index = np.add.outer(sync_next * n_seqs, lanes).reshape(n_nodes, -1)
-    h = np.empty((width, stride, n_seqs))
+    h = np.empty((width, stride, n_seqs), dtype)
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
     # the state of (m, pos) in sequence b's table: (pos - offset_b) * (N + 1) + m
@@ -620,13 +670,13 @@ def _chunk_cost_to_go(tables, chunk, c_log: int):
     np.subtract(np.arange(width * stride, dtype=np.int32).reshape(width, stride, 1),
                 offsets * stride, out=ends)
     synced = np.empty((n_nodes, n_seqs), dtype=np.intp)
-    moved = np.empty((n_nodes, n_seqs))
-    step = np.empty((n_nodes, n_seqs))
+    moved = np.empty((n_nodes, n_seqs), dtype)
+    step = np.empty((n_nodes, n_seqs), dtype)
     run = np.empty((n_nodes, n_seqs), dtype=np.int32)
     tight = np.empty((n_nodes, n_seqs), dtype=bool)
     # through[k, m, b] = dist[m, k] + step[k, b]: with k leading, the min
     # over k runs over contiguous (m, b) planes
-    through = np.empty((n_nodes, n_nodes, n_seqs))
+    through = np.empty((n_nodes, n_nodes, n_seqs), dtype)
     dist_k = np.empty_like(through)
     dist_k[...] = dist.T[:, :, None]
     # every index is in range; mode="clip" only lets take write into out
@@ -643,10 +693,7 @@ def _chunk_cost_to_go(tables, chunk, c_log: int):
         ends[pos + 1].take(synced, out=run, mode="clip")
         np.equal(moved, here, out=tight)
         np.copyto(ends[pos, :n_nodes], run, where=tight)
-    del through, dist_k
-    h, ends = (memoryview(a.reshape(-1)).toreadonly() for a in (h, ends))
-    for b, start in enumerate((offsets * stride * n_seqs).tolist(), start=0):
-        yield h[start + b::n_seqs], ends[start + b::n_seqs]
+    return h, ends, (offsets * stride * n_seqs + lanes).tolist()
 
 
 def _move_codes(net: PetriNet):

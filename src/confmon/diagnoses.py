@@ -94,18 +94,25 @@ def build_diagnoses(net: PetriNet, log: EventLog,
     cost scheme fixed, a trace's alignment depends only on its events, so
     traces of one variant share (counts, fitness, alignment length), and
     moves sums every trace's length. The variants are aligned in chunks:
-    one cost_to_go pass per chunk, then each variant's search.
+    one cost_to_go pass per chunk, then each variant's alignment.
+
+    The variants go longest first. A pass costs about the same per
+    position whatever its width in lanes, and a chunk's width is that of
+    its longest variant; taken longest first, each chunk's first variant
+    fixes its width and the next-longest fill the byte cap under it, while
+    shortest first would leave a last chunk of a few of the longest
+    variants at full width. No row depends on the order of the variants.
 
     The counters of all variants come from their path keys and events in
     numpy passes over blocks of variants (count_from_keys), without decoding
-    moves, and fitness from their costs. The rows of the log are then gathered from the variants' by
-    one variant index per trace.
+    moves, and fitness from their costs. The rows of the log are then
+    gathered from the variants' rows, by one variant index per trace.
     """
     columns = diagnosis_columns(net)
-    # one trace per distinct event sequence, shortest first: traces of
-    # similar length share a chunk, so its right-aligned table carries
-    # little padding
-    distinct = sorted({tr.events: tr for tr in log}.values(), key=lambda tr: len(tr.events))
+    # one trace per distinct event sequence, longest first; sorted is
+    # stable, so variants of one length keep their order in the log
+    distinct = sorted({tr.events: tr for tr in log}.values(), key=lambda tr: len(tr.events),
+                      reverse=True)
     keys, cost = [], []
     # next() hands each table straight to the search, so no name (nor zip's
     # reused result tuple) holds a chunk's last table, and with it the
@@ -115,6 +122,8 @@ def build_diagnoses(net: PetriNet, log: EventLog,
         alignment = optimal_alignment(net, tr, costs, table=next(tables))
         keys.append(alignment.key)
         cost.append(alignment.cost)
+    # the suspended generator still holds the last chunk's arrays
+    del tables
     sequences = [tr.events for tr in distinct]
     counts = count_from_keys(net, columns[:-1], keys, sequences)
     # fitness_from_cost elementwise, by the same float operations, so the same

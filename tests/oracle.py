@@ -171,10 +171,12 @@ def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
 
 def oracle_chunk_cost_to_go(tables, chunk, c_log):
     """The (h, ends) tables of a chunk of event sequences, as lists, by the
-    reference backward pass that the package's pass must match bit for bit.
+    reference backward pass that the package's pass must match value for
+    value.
 
-    tables is the package's (dist, sync_next, columns, comp_cost) of a net
-    and cost scheme, in the scheme's units, and c_log is in units too. The
+    tables is the package's (dist, sync_next, columns, comp_cost, ...) of a
+    net and cost scheme, in the scheme's units, and c_log is in units too;
+    the pass runs in float64 whatever dtype the package's pass takes. The
     sequences are right-aligned on a (positions, N + 1, B) array whose row N
     is inf; the flat sync-successor index of every (marking, position,
     sequence) is built up front, and each position takes the min over k of
@@ -184,7 +186,7 @@ def oracle_chunk_cost_to_go(tables, chunk, c_log):
     sync successor (row N when there is none) when their h values are
     equal, else (m, pos) itself; row N ends in itself.
     """
-    dist, sync_next, columns, comp_cost = tables
+    dist, sync_next, columns, comp_cost = tables[:4]
     n_nodes = len(comp_cost)
     stride = n_nodes + 1
     width = max(map(len, chunk)) + 1

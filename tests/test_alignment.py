@@ -651,9 +651,9 @@ def test_cost_to_go_matches_oracle(name, costs):
 
 
 def test_pinned_moves_hold_with_a_bound_that_prunes_nothing(fn1, som, monkeypatch):
-    """With a one-element chunk cap no trace gets a table, so the heap search
+    """With a one-byte table cap no trace gets a table, so the heap search
     aligns every trace, without pruning; every pinned alignment stays."""
-    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
     assert next(cost_to_go(fn1, [LOOP_TRACE])) is None
     test_long_traces_keep_pinned_moves(fn1, som)
     test_many_distinct_unknown_activities(fn1)
@@ -700,7 +700,7 @@ def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
         with pytest.raises(AlignmentError, match="exhausted after"):
             optimal_alignment(fn1, trace)
     monkeypatch.undo()
-    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
     assert count_pops(monkeypatch, fn1, long) > 10_000
 
 
@@ -727,26 +727,32 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
 
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
-    """A chunk's (positions, N + 1, B) table and run ends hold at most
-    _CHUNK_ELEMENTS elements together, and so do its pass's (N, N, B)
-    min-plus temporary, (N, N, B)
-    distances and (N, A + 1, B) sync-successor index together; the spy
-    refuses a larger chunk before it allocates. Traces too long for a chunk
-    of their own are never passed in, and the diagnoses match those built
-    without any table."""
+    """A chunk's (positions, N + 1, B) table and int32 run ends hold at most
+    _TABLE_BYTES together, and its pass's (N, N, B) min-plus temporary,
+    (N, N, B) distances in the table's dtype and (N, A + 1, B) intp
+    sync-successor index at most _LANE_BYTES together; the spy refuses a
+    larger chunk before it allocates, and bounds the nbytes of the arrays
+    the tables are views of. Traces too long for a chunk of their own are
+    never passed in, and the diagnoses match those built without any
+    table. The caps are at their defaults, or both at 4096 bytes."""
     if cap is not None:
-        monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", cap)
-    limit = confmon.alignment._CHUNK_ELEMENTS
+        monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", cap)
+        monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", cap)
+    table_cap = confmon.alignment._TABLE_BYTES
+    lane_cap = confmon.alignment._LANE_BYTES
     real = confmon.alignment._chunk_cost_to_go
     chunks = []
 
-    def spy(tables, chunk, c_log):
-        n_nodes = len(tables[3])
+    def spy(tables, chunk, c_log, dtype):
+        dist, sync_next = tables[:2]
+        n_nodes = len(dist)
         width = max(map(len, chunk)) + 1
-        assert 2 * width * (n_nodes + 1) * len(chunk) <= limit
-        assert n_nodes * (2 * n_nodes + tables[1].shape[1]) * len(chunk) <= limit
+        assert width * (n_nodes + 1) * (dtype.itemsize + 4) * len(chunk) <= table_cap
+        assert (2 * dist.size * dtype.itemsize + sync_next.nbytes) * len(chunk) <= lane_cap
         chunks.append(len(chunk))
-        yield from real(tables, chunk, c_log)
+        for h, ends in real(tables, chunk, c_log, dtype):
+            assert h.obj.nbytes + ends.obj.nbytes <= table_cap
+            yield h, ends
 
     rng = random.Random(3)
     loops = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, rng.randrange(50, 700)))
@@ -755,31 +761,37 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
     pruned = [build_diagnoses(fn1, loops), build_diagnoses(som, noisy)]
     assert len(chunks) > 2
-    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
     for got, want in zip(pruned, [build_diagnoses(fn1, loops), build_diagnoses(som, noisy)]):
         assert got.counts.tobytes() == want.counts.tobytes()
         assert got.fitness.tobytes() == want.fitness.tobytes()
         assert got.moves == want.moves
 
 
-@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(0.7, 1.3, 0.1)])
+# the buffer format of each scheme's tables
+TABLE_FORMATS = {CostScheme(): "f", CostScheme(0.7, 1.3, 0.1): "f",
+                 CostScheme(2 ** 24, 2 ** 24, 0): "d"}
+
+
+@pytest.mark.parametrize("costs", list(TABLE_FORMATS))
 def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch):
-    """Every chunk's tables and run ends equal those of the reference pass
-    in tests/oracle.py entry for entry, bit for bit, on 30 noisy fn1 loops of
-    50-700 events and 300 noisy som playouts. Each table is a read-only
-    buffer of float64 whose entries read back as Python floats, and its run
-    ends one of int32 read back as ints."""
+    """Every chunk's tables and run ends equal those of the float64
+    reference pass in tests/oracle.py entry for entry, on 30 noisy fn1 loops
+    of 50-700 events and 300 noisy som playouts. Each table is a read-only
+    buffer of the record's dtype, float32 ('f') for the default costs and
+    float64 ('d') for costs of 2^24 units, whose entries read back as
+    Python floats, and its run ends one of int32 read back as ints."""
     real = confmon.alignment._chunk_cost_to_go
     checked = []
 
-    def spy(tables, chunk, c_log):
+    def spy(tables, chunk, c_log, dtype):
         want = oracle_chunk_cost_to_go(tables, chunk, c_log)
-        got = list(real(tables, chunk, c_log))
+        got = list(real(tables, chunk, c_log, dtype))
         assert len(got) == len(want)
         for (h, ends), (ref, ref_ends) in zip(got, want):
-            assert h.readonly and h.format == "d"
+            assert h.readonly and h.format == TABLE_FORMATS[costs]
             assert ends.readonly and ends.format == "i"
-            assert bytes(h) == np.array(ref, dtype=np.float64).tobytes()
+            assert h.tolist() == ref
             assert ends.tolist() == ref_ends
             assert type(h[len(h) - 1]) is float
         checked.extend(chunk)
@@ -796,29 +808,111 @@ def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch
 
 def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
     """Work guard without timing: build_diagnoses on 25 distinct fn1 loop
-    traces of 50-500 events runs exactly two cost-to-go passes, the first as
-    full as the budget allows: a chunk's table and run ends, 2 x (positions)
-    x (7 markings + 1) x B elements, hold at most 2^17. Every entry of every
-    table reads back as a float, and every run end as an int."""
+    traces of 50-500 events runs exactly two cost-to-go passes. The variants
+    go longest first, so the first pass is as full as the table cap allows
+    at the longest trace's width: a float32 table and int32 run ends take
+    (positions) x (7 markings + 1) x 8 bytes per lane, and 16 lanes fit in
+    _TABLE_BYTES, 17 do not. The other 9 fit in a second, narrower pass.
+    Every entry of every table reads back as a float, and every run end as
+    an int."""
     rng = random.Random(11)
     log = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, 50 + 450 * i // 24))
                     for i in range(25)])
     assert len({tr.events for tr in log}) == 25
-    lengths = sorted(len(tr) for tr in log)
-    assert 2 * (lengths[18] + 1) * 8 * 19 <= 1 << 17 < 2 * (lengths[19] + 1) * 8 * 20
+    longest = max(len(tr) for tr in log)
+    cap = confmon.alignment._TABLE_BYTES
+    assert (longest + 1) * 8 * 8 * 16 <= cap < (longest + 1) * 8 * 8 * 17
     real = confmon.alignment._chunk_cost_to_go
     passes = []
 
-    def spy(tables, chunk, c_log):
-        passes.append(len(chunk))
-        for h, ends in real(tables, chunk, c_log):
+    def spy(tables, chunk, c_log, dtype):
+        passes.append((len(chunk), max(map(len, chunk))))
+        for h, ends in real(tables, chunk, c_log, dtype):
             assert all(type(v) is float for v in h)
             assert all(type(v) is int for v in ends)
             yield h, ends
 
     monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
     build_diagnoses(fn1, log)
-    assert passes == [19, 6]
+    assert [lanes for lanes, _ in passes] == [16, 9]
+    assert passes[0][1] == longest
+
+
+def test_short_som_traces_take_no_more_passes(som, monkeypatch):
+    """Work guard without timing: build_diagnoses on a seeded 6 000-trace
+    som log made like the monitor's evaluation log (1 500 noisy playouts
+    and the 4 500 injected copies of 1 500 clean ones) runs at most 14
+    cost-to-go passes over at most 146 positions, what it ran with the
+    variants shortest first and the per-lane arrays under a 2^17-element
+    cap (it runs 10 over 106). Longest first, the first chunk is the
+    widest, and the float32 table cap must not cut its lanes."""
+    noise = NoiseParams(0.03, 0.03)
+    held_out = playout(som, 1500, seed=2000, noise=noise)
+    injected = build_eval_sets(playout(som, 1500, seed=1000), 3.0, seed=0)["all"]
+    log = EventLog([Trace(f"n{tr.case_id}", tr.events, "normal") for tr in held_out]
+                   + list(injected))
+    assert len(log) == 6000
+    real = confmon.alignment._chunk_cost_to_go
+    widths = []
+
+    def spy(tables, chunk, c_log, dtype):
+        widths.append(max(map(len, chunk)))
+        return real(tables, chunk, c_log, dtype)
+
+    monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
+    build_diagnoses(som, log)
+    assert len(widths) <= 14
+    assert sum(widths) <= 146
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), budget=st.integers(2, 6))
+def test_float64_tables_scale_the_float32_ones_property(seed, budget):
+    """Property over random workflow nets with noisy and random traces:
+    costs of 2^24 units, whose pass runs in float64, give the path keys and
+    run ends of the default costs, whose pass runs in float32, and tables
+    and costs exactly 2^24 times theirs."""
+    net = random_workflow_net(seed, budget=budget)
+    rng = random.Random(seed)
+    alphabet = sorted(net.visible_labels) + ["x1"]
+    traces = [tr.events for tr in playout(net, 5, max_steps=60, seed=seed,
+                                          noise=NoiseParams(0.15, 0.15))]
+    traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
+               for _ in range(3)]
+    small, big = CostScheme(), CostScheme(2 ** 24, 2 ** 24, 0)
+    for trace, (h, ends), (h_big, ends_big) in zip(traces, cost_to_go(net, traces, small),
+                                                   cost_to_go(net, traces, big)):
+        assert (h.format, h_big.format) == ("f", "d")
+        assert [v * 2 ** 24 for v in h.tolist()] == h_big.tolist()
+        assert ends.tolist() == ends_big.tolist()
+        a = optimal_alignment(net, trace, small, table=(h, ends))
+        b = optimal_alignment(net, trace, big, table=(h_big, ends_big))
+        assert a.key == b.key
+        assert b.cost == a.cost * 2 ** 24
+
+
+def test_float32_pass_only_below_2_24(fn1, monkeypatch):
+    """The dtype rule on fn1 (7 markings) under a 64 KiB table cap: a
+    float32 table fits 1024 positions, so every finite value of the pass is
+    at most c_log * 1024 + 2 * 6 * c_model. With c_model = 2^20 that is
+    2^24 - 1024 for c_log = 4095, and the pass runs in float32; for
+    c_log = 4096 it is 2^24, and the pass runs in float64, whose tables
+    take 12 bytes a state, so a 1023-event trace no longer gets one. On
+    both sides the tables equal the float64 reference pass's."""
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1 << 16)
+    rng = random.Random(4)
+    loop = noisy_fn1_loop(rng, 600)
+    longest = loop + ("x1",) * (1023 - len(loop))  # the longest a float32 table fits
+    below, above = CostScheme(4095, 2 ** 20, 0), CostScheme(4096, 2 ** 20, 0)
+    assert confmon.alignment._tables(fn1, below)[4][4] == 4095
+    for costs, fmt, trace in ((below, "f", longest), (above, "d", longest[:681])):
+        tables = confmon.alignment._tables(fn1, costs)[4]
+        h, ends = next(cost_to_go(fn1, [trace], costs))
+        assert h.format == fmt
+        ref, ref_ends = oracle_chunk_cost_to_go(tables, [trace], costs._units[1])[0]
+        assert h.tolist() == ref and ends.tolist() == ref_ends
+        assert optimal_alignment(fn1, trace, costs, table=(h, ends)).cost == h[0]
+    assert next(cost_to_go(fn1, [longest[:682]], above)) is None
 
 
 @pytest.mark.parametrize("costs, units", [
@@ -931,7 +1025,7 @@ def test_walk_matches_the_heap_on_random_nets(costs, monkeypatch):
             assert cost == float(exact)
             assert [(mv.kind, mv.activity, mv.transition)
                     for mv in optimal_alignment(net, trace, costs).moves] == moves
-    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
     for net, traces, got in zip(nets, corpora, walked):
         assert keys_and_costs(net, traces, costs) == got
 
@@ -962,7 +1056,7 @@ def test_zero_cost_silent_cycle_makes_the_walk_backtrack(costs, monkeypatch):
     assert [(mv.kind, mv.activity, mv.transition) for mv in a.moves] == moves
     for events in [trace, ("a",), ("b",), ("b", "x", "a"), ()]:
         walked = optimal_alignment(net, events, costs)
-        monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
         assert optimal_alignment(net, events, costs) == walked
         monkeypatch.undo()
     # the run on b, p and q before the dead end, then source, p, q and r
@@ -983,6 +1077,6 @@ def test_unknown_trace_walks_within_a_small_state_cap(som, monkeypatch):
     got = optimal_alignment(som, trace)
     assert got == want
     assert got.cost == 500 + worst_case_cost(som, ())
-    monkeypatch.setattr(confmon.alignment, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
     with pytest.raises(AlignmentError, match="exhausted after 600 expansions"):
         optimal_alignment(som, trace)
