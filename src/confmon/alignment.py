@@ -31,15 +31,15 @@ cost plus the h* of its target equals the h* of its source; the paths of
 tight moves from the start state are exactly the prefixes of optimal
 alignments.
 
-A trace with a table is aligned by a depth-first walk over tight moves in
-tie-break order, which settles each state on the same path as the
-uniform-cost search would. It skips a run of tight sync moves in one step,
-appending a slice of the trace's sync codes. It can only reach a dead end,
-a state whose tight moves all lead to states it has passed, through a
-zero-cost cycle of silent moves; then it walks again from the start without
-skipping, backtracking on a stack. A trace without a table is aligned by an
-unpruned uniform-cost (Dijkstra) search on a heap, which follows a sync move,
-free and first in the tie-break, without a round trip through the heap.
+Every trace on a net with pass arrays gets a table and is aligned by a
+depth-first walk over tight moves in tie-break order, which settles each
+state on the same path as the uniform-cost search would. It skips a run of
+tight sync moves in one step, appending a slice of the trace's sync codes.
+It can only reach a dead end, a state whose tight moves all lead to states
+it has passed, through a zero-cost cycle of silent moves. Such a trace, and
+every trace on a net too large for the pass, is aligned by an unpruned
+uniform-cost (Dijkstra) search on a heap, which follows a sync move, free
+and first in the tie-break, without a round trip through the heap.
 
 A table is a read-only buffer of floats, whole numbers of units, one per
 (position, marking), with a read-only buffer of int32 run ends beside it.
@@ -48,12 +48,12 @@ The pass runs in float32 when every finite value it can form stays below
 float64 otherwise; the net's record holds the largest c_log for which it
 does.
 Two byte caps bound a chunk: _TABLE_BYTES (512 KiB) its tables and run ends
-together, _LANE_BYTES (1 MiB) its pass's per-lane arrays. A trace whose
-table does not fit, or any trace on a net too large for the pass, gets
-none.
+together, _LANE_BYTES (1 MiB) its pass's per-lane arrays. A net whose
+float64 lane exceeds _LANE_BYTES gets no pass arrays. A trace whose table
+alone exceeds _TABLE_BYTES gets a float64 chunk of its own.
 petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
-the states the walk passes (those of skipped runs included) and the
-expansions of the search.
+the states of a table of its own, the states the walk passes (those of
+skipped runs included) and the expansions of the search.
 
 What the walk, the search and the pass read of a net under a cost scheme
 comes from one builder, _tables, built at once from the reachability graph:
@@ -90,9 +90,10 @@ _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
 
 INF = float("inf")
-# Bytes of one chunk's cost-to-go table and int32 run ends taken together; so
-# also the largest table of a single trace. Each (position, marking) state
-# takes 8 bytes in a float32 table and 12 in a float64 one.
+# Bytes of one chunk's cost-to-go tables and int32 run ends taken together.
+# A trace whose table alone exceeds it gets a float64 chunk of its own. Each
+# (position, marking) state takes 8 bytes in a float32 table and 12 in a
+# float64 one.
 _TABLE_BYTES = 1 << 19
 # Bytes per chunk of the pass's per-lane arrays taken together: its (N, N, B)
 # sums and distances in the table's dtype and its (N, A + 1, B) intp
@@ -100,13 +101,14 @@ _TABLE_BYTES = 1 << 19
 # gets no tables.
 _LANE_BYTES = 1 << 20
 # The largest cost unit denominator D, and the largest cost in units. A
-# float64 table holds at most 2^16 states, so a trace with one has fewer
-# than 2^16 events, on a net of at most 2^8 markings (2 x 8 x N^2 bytes of
-# distances per lane fit _LANE_BYTES); so each cost-to-go in it, at most
-# (events + markings) x 2^32, and each sum the pass forms stay below 2^51,
-# which float64 holds exactly. A float32 pass is taken only where every
-# finite value it forms is below 2^24 (see _tables). The search without a
-# table adds Python ints.
+# float64 table holds at most 2^16 states in a shared chunk and at most
+# petri.DEFAULT_STATE_CAP in a chunk of its own, 10^6 < 2^20 at the default
+# cap, so a trace with one has fewer than 2^20 events, on a net of at most
+# 2^8 markings (2 x 8 x N^2 bytes of distances per lane fit _LANE_BYTES); so
+# each cost-to-go in it, at most (events + markings) x 2^32, and each sum the
+# pass forms stay below 2^53, which float64 holds exactly. A float32 pass is
+# taken only where every finite value it forms is below 2^24 (see _tables).
+# The search adds Python ints.
 _MAX_UNITS = 1 << 32
 # Every integer below this is exact in float32.
 _FLOAT32_EXACT = 1 << 24
@@ -303,8 +305,7 @@ def _tables(net: PetriNet, costs: CostScheme):
     tables is (dist, sync_next, columns, comp_cost, exact32) of the
     cost-to-go pass, for N markings and A visible activities, or None when
     the pass's per-lane arrays in float64, N * (2N + A + 1) * 8 bytes,
-    exceed _LANE_BYTES, or an empty trace's float64 table exceeds
-    _TABLE_BYTES. dist is the (N, N) array of cheapest model-only runs
+    exceed _LANE_BYTES. dist is the (N, N) array of cheapest model-only runs
     between markings (Floyd-Warshall). columns maps an activity to a column
     of the (N, A + 1) index array sync_next, whose entry is the marking a
     sync move on that activity leads to, or N where there is none; column A
@@ -318,7 +319,8 @@ def _tables(net: PetriNet, costs: CostScheme):
     sequence whose float32 table fits _TABLE_BYTES: a cost-to-go is at most
     c_log per event plus a completion, and a min-plus sum adds one model-only
     run to it. Below 2^24 float32 holds every such value exactly; otherwise
-    the pass runs in float64 (see _MAX_UNITS).
+    the pass runs in float64 (see _MAX_UNITS). exact32 is 0, never float32,
+    when _TABLE_BYTES holds no float32 position.
     """
     _, c_model, c_silent = costs._units[1:]
     # the caps decide whether the pass's arrays are built and exact32, so
@@ -362,8 +364,7 @@ def _tables(net: PetriNet, costs: CostScheme):
 
     tables = None
     columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
-    if (n_nodes * (2 * n_nodes + len(columns) + 1) * 8 <= _LANE_BYTES
-            and (n_nodes + 1) * 12 <= _TABLE_BYTES):
+    if n_nodes * (2 * n_nodes + len(columns) + 1) * 8 <= _LANE_BYTES:
         sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.intp)
         dist = np.full((n_nodes, n_nodes), INF)
         np.fill_diagonal(dist, 0.0)
@@ -377,7 +378,7 @@ def _tables(net: PetriNet, costs: CostScheme):
         positions = _TABLE_BYTES // (8 * (n_nodes + 1))  # n + 1 in float32
         spare = _FLOAT32_EXACT - 1 - 2 * (n_nodes - 1) * max(c_model, c_silent)
         tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float),
-                  spare // positions)
+                  spare // positions if positions else 0)
 
     _, sync_code, free_code, _ = _move_codes(net)
     sync, free = [], []
@@ -401,11 +402,12 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
 
     Deterministic: among equal-cost alignments the move-kind/transition-id
     tie-break picks a unique sequence. Raises AlignmentError when the final
-    marking is unreachable, or when the walk passes or the search expands
-    more than petri.DEFAULT_STATE_CAP states. table is the trace's entry of
-    cost_to_go: an (h, ends) pair, which the walk reads, or None, which
-    makes the heap search align the trace; when omitted it is computed for
-    this trace alone.
+    marking is unreachable, when the trace's table would hold more than
+    petri.DEFAULT_STATE_CAP states, or when the walk passes or the search
+    expands more than that many. table is the trace's entry of cost_to_go:
+    an (h, ends) pair, which the walk reads, or None, which makes the heap
+    search align the trace; when omitted it is computed for this trace
+    alone. A trace the walk finds a dead end on goes to the heap search too.
     """
     sigma = _events(trace)
     record = _tables(net, costs)
@@ -413,10 +415,11 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
         table = next(cost_to_go(net, [sigma], costs))
     unit, c_log = costs._units[:2]
     log = _move_codes(net)[3]
-    if table is None:
+    key = None if table is None else _walk(sigma, table, record, c_log, log)
+    if key is None:
         key, cost = _search(sigma, record, c_log, log)
     else:
-        key, cost = _walk(sigma, table, record, c_log, log), table[0][0]
+        cost = table[0][0]
     return Alignment._from_key(key, cost / unit, net, sigma)
 
 
@@ -424,22 +427,20 @@ def _exhausted(limit: int) -> AlignmentError:
     return AlignmentError(f"alignment state-space exhausted after {limit} expansions")
 
 
-def _walk(sigma, table, record, c_log: int, log: str) -> str:
+def _walk(sigma, table, record, c_log: int, log: str) -> str | None:
     """The path key of the trace's canonical optimal alignment, by a
     depth-first walk over tight moves in code order (sync, then free moves
-    by code, then log).
+    by code, then log), or None at a dead end.
 
-    The first walk follows one tight move per state and takes a run of
-    tight sync moves at once, to the end the pass recorded; the states on
-    its path are all it has passed, so a tight move into one of them closes
-    a zero-cost cycle. When every tight move of a state does, the walk
-    starts again without skipping runs and backtracks on a stack: it marks a
-    state when it pops it and pushes its tight moves in reverse code order,
-    so it pops them in order. Either way it passes each state on the path
-    the uniform-cost search would settle it on; see the module docstring.
+    The walk follows one tight move per state and takes a run of tight sync
+    moves at once, to the end the pass recorded; the states on its path are
+    all it has passed, so a tight move into one of them closes a zero-cost
+    cycle. When every tight move of a state does, the state is a dead end.
+    Otherwise the walk passes each state on the path the uniform-cost search
+    would settle it on; see the module docstring.
     """
     h, ends = table
-    final, _, sync_arcs, free_arcs, _, sync_of = record
+    final, _, _, free_arcs, _, sync_of = record
     stride = len(free_arcs) + 1
     last = len(sigma) * stride  # the first state of the last position
     goal = last + final
@@ -475,42 +476,17 @@ def _walk(sigma, table, record, c_log: int, log: str) -> str:
                 break
         else:
             if state >= last or c_log + h[state + stride] != here:
-                break  # a dead end
+                return None
             code = log
             state += stride
         key += code
-    else:
-        return key
-
-    stack = [("", 0)]
-    marked = set()
-    while stack:
-        key, state = stack.pop()
-        if state in marked:
-            continue
-        if state == goal:
-            return key
-        marked.add(state)
-        passed += 1
-        if passed > limit:
-            raise _exhausted(limit)
-        pos, m = divmod(state, stride)
-        base = state - m
-        here = h[state]
-        if state < last and c_log + h[state + stride] == here:
-            stack.append((key + log, state + stride))
-        for code, nxt, step in reversed(free_arcs[m]):
-            if step + h[base + nxt] == here:
-                stack.append((key + code, base + nxt))
-        arc = sync_arcs[m].get(sigma[pos]) if state < last else None
-        if arc is not None and h[base + stride + arc[1]] == here:
-            stack.append((key + arc[0], base + stride + arc[1]))
-    raise AlignmentError("no alignment found for a trace with a cost-to-go table")
+    return key
 
 
 def _search(sigma, record, c_log: int, log: str) -> tuple[str, int]:
     """(path key, cost in units) of the trace's canonical optimal alignment
-    by uniform-cost search without pruning, for a trace without a table."""
+    by uniform-cost search without pruning, for a trace without a table or
+    one the walk found a dead end on."""
     final, _, sync_arcs, free_arcs = record[:4]
     limit = petri.DEFAULT_STATE_CAP
     n_events = len(sigma)
@@ -559,12 +535,13 @@ def _search(sigma, record, c_log: int, log: str) -> tuple[str, int]:
                 break
             key += code
             pos += 1
-    raise AlignmentError("no alignment found for a trace without a cost-to-go table")
+    raise AlignmentError("no alignment found for the trace")
 
 
 def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     """Yield the cost-to-go table of each event sequence, in order: an
-    (h, ends) pair, or None for a sequence that gets no table.
+    (h, ends) pair, or None for every sequence on a net without pass arrays
+    (see _tables).
 
     For a sequence of n events on a net of N markings, h and ends are
     read-only memoryviews indexed by state, pos * (N + 1) + m for position
@@ -586,10 +563,12 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     _LANE_BYTES, for B sequences on a net of A visible activities. A chunk
     takes sequences while both caps hold, so its first sequence should be
     its longest: its width is then fixed and the next ones fill the cap
-    under it. A sequence whose table and run ends alone exceed _TABLE_BYTES,
-    or any sequence on a net without pass arrays, gets None. A chunk's
-    tables are slices of two arrays, freed once every one of them is
-    released.
+    under it. A sequence whose table and run ends alone exceed _TABLE_BYTES
+    gets a chunk of its own, in float64, as the dtype rule of _tables covers
+    only sequences under the cap; AlignmentError, before any allocation,
+    when that table would hold more than petri.DEFAULT_STATE_CAP states.
+    A chunk's tables are slices of two arrays, freed once every one of them
+    is released.
     """
     tables = _tables(net, costs)[4]
     if tables is None:
@@ -604,17 +583,21 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     lane = 2 * dist.size * dtype.itemsize + sync_next.nbytes
     chunk, longest = [], 0
     for sigma in map(_events, sequences):
-        size = (len(sigma) + 1) * stride * state_bytes
-        fits = size <= _TABLE_BYTES
-        if chunk and (not fits or max(longest, size) * (len(chunk) + 1) > _TABLE_BYTES
+        states = (len(sigma) + 1) * stride
+        size = states * state_bytes
+        if chunk and (max(longest, size) * (len(chunk) + 1) > _TABLE_BYTES
                       or lane * (len(chunk) + 1) > _LANE_BYTES):
             yield from _chunk_cost_to_go(tables, chunk, c_log, dtype)
             chunk, longest = [], 0
-        if fits:
+        if size <= _TABLE_BYTES:
             chunk.append(sigma)
             longest = max(longest, size)
-        else:
-            yield None
+            continue
+        if states > petri.DEFAULT_STATE_CAP:
+            raise AlignmentError(
+                f"alignment state-space exhausted: a trace of {len(sigma)} events needs "
+                f"{states} cost-to-go states, more than the cap of {petri.DEFAULT_STATE_CAP}")
+        yield from _chunk_cost_to_go(tables, [sigma], c_log, np.dtype(np.float64))
     if chunk:
         yield from _chunk_cost_to_go(tables, chunk, c_log, dtype)
 

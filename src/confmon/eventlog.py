@@ -6,7 +6,8 @@ Two text formats are supported. The trace-per-line format is canonical:
 
 and a long CSV format with header ``case,activity[,label]`` and one event per
 row, grouped by case. Activity names and case ids are whitespace-free tokens;
-``|`` is reserved as the label separator.
+``|`` is reserved as the label separator. A case id holds no ``:`` and no
+``,``, the field separator of the CSVs the package writes.
 
 ``Trace(...)`` is the one validating constructor. The trace-per-line parser
 builds its traces without it: an activity is a token of ``str.split`` on the
@@ -38,6 +39,16 @@ def _check_token(value: str, what: str) -> None:
         raise LogError(f"{what} may not contain '|': {value!r}")
 
 
+def _check_case_id(value: str) -> None:
+    """A case id is a token without ':', which ends it in a trace-per-line
+    log, or ',', which separates the fields of every CSV the package
+    writes."""
+    _check_token(value, "case id")
+    for sep in ":,":
+        if sep in value:
+            raise LogError(f"case id may not contain {sep!r}: {value!r}")
+
+
 @dataclass(frozen=True)
 class Trace:
     """One case: an ordered sequence of activity names.
@@ -50,9 +61,7 @@ class Trace:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        _check_token(self.case_id, "case id")
-        if ":" in self.case_id:
-            raise LogError(f"case id may not contain ':': {self.case_id!r}")
+        _check_case_id(self.case_id)
         if isinstance(self.events, str):
             raise LogError(f"trace events must be a sequence of activities, "
                            f"not the str {self.events!r}")
@@ -136,7 +145,8 @@ def _parse_lines(lines) -> EventLog:
     # Each Trace is built by hand, without __post_init__: the events are the
     # str.split tokens of a body free of '|', so they are valid tokens, and the
     # label is one of the LABELS constants. The case id gets Trace's own
-    # token check; it holds no ':' after the split on the first one. Fields
+    # checks; it holds no ':' after the split on the first one, so only a ','
+    # calls _check_case_id, to raise its error. Fields
     # are set one by one, as __init__ does, so the instances keep CPython's
     # key-sharing dict.
     bodies: dict[str, tuple[str, ...]] = {}  # line body -> its events
@@ -164,6 +174,8 @@ def _parse_lines(lines) -> EventLog:
         case_id = case_id.strip()
         try:
             _check_token(case_id, "case id")
+            if "," in case_id:
+                _check_case_id(case_id)
         except LogError as exc:
             raise LogError(f"line {no}: {exc}") from exc
         trace = new(Trace)

@@ -95,6 +95,9 @@ class PetriNet:
                 raise ModelError(f"activity name must be a non-empty token: {act!r}")
             if act in RESERVED_ACTIVITY_NAMES:
                 raise ModelError(f"reserved token cannot be an activity name: {act!r}")
+            # an activity names a column of the diagnoses and detector files
+            if "," in act:
+                raise ModelError(f"activity name may not contain ',': {act!r}")
             if act in seen:
                 raise ModelError(f"activity {act!r} labels both {seen[act]} and {t}")
             seen[act] = t

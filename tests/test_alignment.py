@@ -24,7 +24,7 @@ from confmon.eventlog import EventLog, Trace
 from confmon.inject import build_eval_sets
 from confmon.petri import (NoiseParams, PetriNet, bundled_model, check_soundness,
                            playout, reachability_graph)
-from conftest import random_workflow_net
+from conftest import _NetBuilder, random_workflow_net
 from oracle import (oracle_alignment_cost, oracle_chunk_cost_to_go, oracle_cost_to_go,
                     oracle_exact_alignment)
 
@@ -651,9 +651,10 @@ def test_cost_to_go_matches_oracle(name, costs):
 
 
 def test_pinned_moves_hold_with_a_bound_that_prunes_nothing(fn1, som, monkeypatch):
-    """With a one-byte table cap no trace gets a table, so the heap search
-    aligns every trace, without pruning; every pinned alignment stays."""
-    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
+    """With a one-byte lane cap no net gets pass arrays and no trace a
+    table, so the heap search aligns every trace, without pruning; every
+    pinned alignment stays."""
+    monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", 1)
     assert next(cost_to_go(fn1, [LOOP_TRACE])) is None
     test_long_traces_keep_pinned_moves(fn1, som)
     test_many_distinct_unknown_activities(fn1)
@@ -689,7 +690,7 @@ def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
     of the 10 pinned long fn1 traces, those of skipped sync runs included,
     so it aligns each under a state cap of its alignment's length and not
     one less; and it pops no heap. The heap search, which aligns the traces
-    without a table, takes more than 10 000 pops."""
+    on a net without pass arrays, takes more than 10 000 pops."""
     long = long_fn1_traces()
     moves = [len(optimal_alignment(fn1, trace)) for trace in long]
     assert count_pops(monkeypatch, fn1, long) == 0
@@ -700,7 +701,7 @@ def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
         with pytest.raises(AlignmentError, match="exhausted after"):
             optimal_alignment(fn1, trace)
     monkeypatch.undo()
-    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
+    monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", 1)
     assert count_pops(monkeypatch, fn1, long) > 10_000
 
 
@@ -727,14 +728,16 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
 
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
-    """A chunk's (positions, N + 1, B) table and int32 run ends hold at most
-    _TABLE_BYTES together, and its pass's (N, N, B) min-plus temporary,
-    (N, N, B) distances in the table's dtype and (N, A + 1, B) intp
-    sync-successor index at most _LANE_BYTES together; the spy refuses a
-    larger chunk before it allocates, and bounds the nbytes of the arrays
-    the tables are views of. Traces too long for a chunk of their own are
-    never passed in, and the diagnoses match those built without any
-    table. The caps are at their defaults, or both at 4096 bytes."""
+    """A chunk of two or more sequences holds its (positions, N + 1, B)
+    table and int32 run ends in at most _TABLE_BYTES together; a chunk of
+    one may exceed that, in float64, up to petri.DEFAULT_STATE_CAP states.
+    Every chunk's pass's (N, N, B) min-plus temporary, (N, N, B) distances
+    in the table's dtype and (N, A + 1, B) intp sync-successor index take at
+    most _LANE_BYTES together. The spy refuses a larger chunk before it
+    allocates, and bounds the nbytes of the arrays the tables are views of.
+    The diagnoses match those built without any table. The caps are at
+    their defaults, or both at 4096 bytes, where most fn1 loops get a chunk
+    of their own."""
     if cap is not None:
         monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", cap)
         monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", cap)
@@ -747,11 +750,15 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
         dist, sync_next = tables[:2]
         n_nodes = len(dist)
         width = max(map(len, chunk)) + 1
-        assert width * (n_nodes + 1) * (dtype.itemsize + 4) * len(chunk) <= table_cap
+        cap = table_cap
+        if len(chunk) == 1 and width * (n_nodes + 1) * (dtype.itemsize + 4) > table_cap:
+            assert dtype == np.float64
+            cap = confmon.petri.DEFAULT_STATE_CAP * 12
+        assert width * (n_nodes + 1) * (dtype.itemsize + 4) * len(chunk) <= cap
         assert (2 * dist.size * dtype.itemsize + sync_next.nbytes) * len(chunk) <= lane_cap
         chunks.append(len(chunk))
         for h, ends in real(tables, chunk, c_log, dtype):
-            assert h.obj.nbytes + ends.obj.nbytes <= table_cap
+            assert h.obj.nbytes + ends.obj.nbytes <= cap
             yield h, ends
 
     rng = random.Random(3)
@@ -761,7 +768,7 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
     pruned = [build_diagnoses(fn1, loops), build_diagnoses(som, noisy)]
     assert len(chunks) > 2
-    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
+    monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", 1)
     for got, want in zip(pruned, [build_diagnoses(fn1, loops), build_diagnoses(som, noisy)]):
         assert got.counts.tobytes() == want.counts.tobytes()
         assert got.fitness.tobytes() == want.fitness.tobytes()
@@ -897,22 +904,24 @@ def test_float32_pass_only_below_2_24(fn1, monkeypatch):
     at most c_log * 1024 + 2 * 6 * c_model. With c_model = 2^20 that is
     2^24 - 1024 for c_log = 4095, and the pass runs in float32; for
     c_log = 4096 it is 2^24, and the pass runs in float64, whose tables
-    take 12 bytes a state, so a 1023-event trace no longer gets one. On
-    both sides the tables equal the float64 reference pass's."""
+    take 12 bytes a state, so a 681-event trace is the longest that fits
+    the cap and a 682-event one gets a float64 chunk of its own. On both
+    sides the tables equal the float64 reference pass's."""
     monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1 << 16)
     rng = random.Random(4)
     loop = noisy_fn1_loop(rng, 600)
     longest = loop + ("x1",) * (1023 - len(loop))  # the longest a float32 table fits
+    assert (681 + 1) * 8 * 12 <= 1 << 16 < (682 + 1) * 8 * 12
     below, above = CostScheme(4095, 2 ** 20, 0), CostScheme(4096, 2 ** 20, 0)
     assert confmon.alignment._tables(fn1, below)[4][4] == 4095
-    for costs, fmt, trace in ((below, "f", longest), (above, "d", longest[:681])):
+    for costs, fmt, trace in ((below, "f", longest), (above, "d", longest[:681]),
+                              (above, "d", longest[:682])):
         tables = confmon.alignment._tables(fn1, costs)[4]
         h, ends = next(cost_to_go(fn1, [trace], costs))
         assert h.format == fmt
         ref, ref_ends = oracle_chunk_cost_to_go(tables, [trace], costs._units[1])[0]
         assert h.tolist() == ref and ends.tolist() == ref_ends
         assert optimal_alignment(fn1, trace, costs, table=(h, ends)).cost == h[0]
-    assert next(cost_to_go(fn1, [longest[:682]], above)) is None
 
 
 @pytest.mark.parametrize("costs, units", [
@@ -1025,7 +1034,7 @@ def test_walk_matches_the_heap_on_random_nets(costs, monkeypatch):
             assert cost == float(exact)
             assert [(mv.kind, mv.activity, mv.transition)
                     for mv in optimal_alignment(net, trace, costs).moves] == moves
-    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
+    monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", 1)
     for net, traces, got in zip(nets, corpora, walked):
         assert keys_and_costs(net, traces, costs) == got
 
@@ -1041,14 +1050,24 @@ def silent_cycle_net() -> PetriNet:
                     {"source": 1}, {"sink": 1}, labels, name="cycle")
 
 
-@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(1.0, 2.0, 0.0)])
-def test_zero_cost_silent_cycle_makes_the_walk_backtrack(costs, monkeypatch):
+@pytest.mark.parametrize("costs, expansions", [(CostScheme(), 13),
+                                                (CostScheme(1.0, 2.0, 0.0), 9)])
+def test_zero_cost_silent_cycle_sends_the_trace_to_the_heap(costs, expansions, monkeypatch):
     """After the sync run on b the walk takes s1 into q, a dead end, and
-    walks again with backtracking: it returns the heap's and the oracle's
-    alignment, but passes more states than the alignment has moves."""
+    sends the trace to the heap search, which returns the oracle's
+    alignment; with or without a dead end, every trace aligns as the heap
+    aligns it on a net without pass arrays. The heap counts only its own
+    expansions against the state cap: on x x b a the walk passes 5 states
+    before its dead end, and the heap aligns the trace under a cap of its
+    own expansions and not one less."""
     net = silent_cycle_net()
+    real = confmon.alignment._search
+    searched = []
+    monkeypatch.setattr(confmon.alignment, "_search",
+                        lambda sigma, *args: searched.append(sigma) or real(sigma, *args))
     trace = ("b", "a")
     a = optimal_alignment(net, trace, costs)
+    assert searched == [trace]
     assert [(mv.kind, mv.transition) for mv in a.moves] == [
         ("sync", "t_b"), ("silent", "s3"), ("sync", "t_a")]
     assert a.cost == 0.0
@@ -1056,15 +1075,18 @@ def test_zero_cost_silent_cycle_makes_the_walk_backtrack(costs, monkeypatch):
     assert [(mv.kind, mv.activity, mv.transition) for mv in a.moves] == moves
     for events in [trace, ("a",), ("b",), ("b", "x", "a"), ()]:
         walked = optimal_alignment(net, events, costs)
-        monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
-        assert optimal_alignment(net, events, costs) == walked
-        monkeypatch.undo()
-    # the run on b, p and q before the dead end, then source, p, q and r
-    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 7)
-    assert optimal_alignment(net, trace, costs) == a
-    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", 6)
-    with pytest.raises(AlignmentError, match="exhausted after 6 expansions"):
-        optimal_alignment(net, trace, costs)
+        with monkeypatch.context() as patch:
+            patch.setattr(confmon.alignment, "_LANE_BYTES", 1)
+            assert optimal_alignment(net, events, costs) == walked
+    long = ("x", "x", "b", "a")
+    want = optimal_alignment(net, long, costs)
+    searched.clear()
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", expansions)
+    assert optimal_alignment(net, long, costs) == want
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", expansions - 1)
+    with pytest.raises(AlignmentError, match=f"exhausted after {expansions - 1} expansions"):
+        optimal_alignment(net, long, costs)
+    assert searched == [long, long]
 
 
 def test_unknown_trace_walks_within_a_small_state_cap(som, monkeypatch):
@@ -1077,6 +1099,101 @@ def test_unknown_trace_walks_within_a_small_state_cap(som, monkeypatch):
     got = optimal_alignment(som, trace)
     assert got == want
     assert got.cost == 500 + worst_case_cost(som, ())
-    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1)
+    monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", 1)
     with pytest.raises(AlignmentError, match="exhausted after 600 expansions"):
         optimal_alignment(som, trace)
+
+
+def spy_passes(monkeypatch) -> list:
+    """Grows by (lanes, dtype) per cost-to-go pass run while the test runs."""
+    real = confmon.alignment._backward_pass
+    passes = []
+
+    def spy(tables, chunk, c_log, dtype):
+        passes.append((len(chunk), dtype))
+        return real(tables, chunk, c_log, dtype)
+
+    monkeypatch.setattr(confmon.alignment, "_backward_pass", spy)
+    return passes
+
+
+def test_a_trace_over_the_table_cap_is_walked_in_a_chunk_of_its_own(fn1, monkeypatch):
+    """Under a 4096-byte table cap a float32 fn1 table holds 64 positions.
+    A noisy loop of more than 100 events between two short traces gets a
+    float64 pass of its own, and the walk aligns it without popping a heap,
+    to the path key and cost of the heap search on a net without pass
+    arrays."""
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 4096)
+    trace = noisy_fn1_loop(random.Random(6), 150)
+    assert len(trace) > 100 and (len(trace) + 1) * 8 * 8 > 4096
+    passes = spy_passes(monkeypatch)
+    tables = list(cost_to_go(fn1, [LOOP_TRACE, trace, LOOP_TRACE]))
+    assert passes == [(1, np.float32), (1, np.float64), (1, np.float32)]
+    h, ends = tables[1]
+    assert h.format == "d" and len(h) == len(ends) == (len(trace) + 1) * 8
+    assert count_pops(monkeypatch, fn1, [trace]) == 0
+    walked = optimal_alignment(fn1, trace)
+    assert walked.cost == h[0]
+    monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", 1)
+    searched = optimal_alignment(fn1, trace)
+    assert (walked.key, walked.cost) == (searched.key, searched.cost)
+
+
+def test_a_table_over_the_state_cap_is_refused_before_the_pass(fn1, monkeypatch):
+    """A chunk of its own holds (n + 1) x (N + 1) states for a trace of n
+    events; with petri.DEFAULT_STATE_CAP one below that, the trace is
+    refused with an AlignmentError that names its events and the cap, and
+    no pass runs. At the cap itself it aligns."""
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 4096)
+    trace = noisy_fn1_loop(random.Random(6), 150)
+    states = (len(trace) + 1) * 8
+    passes = spy_passes(monkeypatch)
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", states - 1)
+    with pytest.raises(AlignmentError, match=f"a trace of {len(trace)} events needs {states} "
+                                             f"cost-to-go states, more than the cap of "
+                                             f"{states - 1}"):
+        optimal_alignment(fn1, trace)
+    assert passes == []
+    monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", states)
+    optimal_alignment(fn1, trace)
+    assert passes == [(1, np.float64)]
+
+
+def parallel_net(branches: int, steps: int) -> PetriNet:
+    """A silent split into branches parallel sequences of steps visible
+    transitions each, then a silent join: (steps + 1) ** branches + 2
+    markings."""
+    builder = _NetBuilder()
+    starts, ends = [], []
+    for _ in range(branches):
+        place = builder.place()
+        starts.append(place)
+        for _ in range(steps):
+            nxt = builder.place()
+            builder.visible(place, nxt)
+            place = nxt
+        ends.append(place)
+    builder.silent(["source"], starts)
+    builder.silent(ends, ["sink"])
+    return builder.build(f"par{branches}x{steps}")
+
+
+def test_a_net_too_wide_for_the_pass_is_aligned_on_the_heap():
+    """3 parallel branches of 6 visible steps reach 345 markings; the pass's
+    float64 lane, 345 x (2 x 345 + 18 + 1) x 8 bytes, about 1.9 MB, exceeds
+    _LANE_BYTES, so no trace gets a table. The heap search aligns 3 noisy
+    playouts as the exact oracle does."""
+    net = parallel_net(3, 6)
+    n_nodes = len(reachability_graph(net)[0])
+    assert n_nodes == 345
+    assert n_nodes * (2 * n_nodes + 18 + 1) * 8 > confmon.alignment._LANE_BYTES
+    traces = [tr.events for tr in playout(net, 3, seed=1, noise=NoiseParams(0.1, 0.1))]
+    assert list(cost_to_go(net, traces)) == [None] * 3
+    costs = []
+    for trace in traces:
+        a = optimal_alignment(net, trace)
+        moves, cost = oracle_exact_alignment(net, trace)
+        assert [(mv.kind, mv.activity, mv.transition) for mv in a.moves] == moves
+        assert a.cost == float(cost)
+        costs.append(a.cost)
+    assert any(costs)

@@ -245,6 +245,24 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert "cannot read detector" in capsys.readouterr().err
 
 
+def test_a_comma_in_a_name_written_to_a_csv_exits_one(normal_log_file, tmp_path, capsys):
+    """',' separates the fields of the diagnoses, detector and predictions
+    files, so an activity or a case id that holds one is refused where it
+    is read, and no file is written."""
+    model = tmp_path / "comma.net"
+    model.write_text("place p1\nplace p2\ntrans ta label a,b\narc p1 ta\narc ta p2\n"
+                     "init p1 1\nfinal p2 1\n", encoding="utf-8")
+    assert run("train", "--detector", "ft", "--model", str(model), "--log",
+               str(normal_log_file), "-o", str(tmp_path / "det.txt")) == 1
+    assert "activity name may not contain ',': 'a,b'" in capsys.readouterr().err
+    log = tmp_path / "comma.log"
+    log.write_text("c1: t1 t2 t4 t5 t6\na,b: t1 t3 t4 t5 t6\n", encoding="utf-8")
+    diag = tmp_path / "diag.csv"
+    assert run("check", "--model", "fn1", "--log", str(log), "-o", str(diag)) == 1
+    assert "line 2: case id may not contain ',': 'a,b'" in capsys.readouterr().err
+    assert not (tmp_path / "det.txt").exists() and not diag.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")

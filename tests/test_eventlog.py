@@ -136,7 +136,7 @@ def test_trace_fields_are_the_ones_the_parser_sets():
 
 
 @pytest.mark.parametrize("line, case_id", [("a|b: t1", "a|b"), (": t1", ""),
-                                           ("a b: t1", "a b")])
+                                           ("a b: t1", "a b"), ("a,b: t1", "a,b")])
 def test_parser_names_a_bad_case_id_as_trace_does(line, case_id):
     with pytest.raises(LogError) as want:
         Trace(case_id, ("t1",))
@@ -150,6 +150,8 @@ def test_trace_validation():
         Trace("has space", ("a",))
     with pytest.raises(LogError, match="':'"):
         Trace("a:b", ("a",))
+    with pytest.raises(LogError, match="may not contain ',': 'a,b'"):
+        Trace("a,b", ("a",))
     with pytest.raises(LogError, match="activity"):
         Trace("c1", ("a b",))
     with pytest.raises(LogError, match="label"):

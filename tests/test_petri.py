@@ -69,6 +69,14 @@ def test_parse_rejects_reserved_activity_names():
         parse_model(text)
 
 
+def test_parse_rejects_a_comma_in_an_activity_name():
+    """',' separates the fields of the diagnoses CSV and of the detector
+    file's columns= line, where every activity names a column."""
+    text = "place p1\nplace p2\ntrans ta label a,b\narc p1 ta\narc ta p2\ninit p1 1\nfinal p2 1\n"
+    with pytest.raises(ModelError, match="activity name may not contain ',': 'a,b'"):
+        parse_model(text)
+
+
 def test_duplicate_activity_label_rejected():
     text = ("place p1\nplace p2\nplace p3\n"
             "trans t1 label a\ntrans t2 label a\n"
