@@ -41,16 +41,12 @@ every trace on a net too large for the pass, is aligned by an unpruned
 uniform-cost (Dijkstra) search on a heap, which follows a sync move, free
 and first in the tie-break, without a round trip through the heap.
 
-A table is a read-only buffer of floats, whole numbers of units, one per
-(position, marking), with a read-only buffer of int32 run ends beside it.
-The pass runs in float32 when every finite value it can form stays below
-2^24, which float32 holds exactly, as under the default costs, and in
-float64 otherwise; the net's record holds the largest c_log for which it
-does.
-Two byte caps bound a chunk: _TABLE_BYTES (512 KiB) its tables and run ends
-together, _LANE_BYTES (1 MiB) its pass's per-lane arrays. A net whose
-float64 lane exceeds _LANE_BYTES gets no pass arrays. A trace whose table
-alone exceeds _TABLE_BYTES gets a float64 chunk of its own.
+A table is a read-only buffer of float64, whole numbers of units, one per
+(position, marking), with a read-only buffer of int32 run ends beside it, so
+a state takes 12 bytes. Two byte caps bound a chunk: _TABLE_BYTES (768 KiB)
+its tables and run ends together, _LANE_BYTES (1 MiB) its pass's per-lane
+arrays. A net whose lane exceeds _LANE_BYTES gets no pass arrays. A trace
+whose table alone exceeds _TABLE_BYTES gets a chunk of its own.
 petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
 the states of a table of its own, the states the walk passes (those of
 skipped runs included) and the expansions of the search.
@@ -90,28 +86,23 @@ _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
 
 INF = float("inf")
-# Bytes of one chunk's cost-to-go tables and int32 run ends taken together.
-# A trace whose table alone exceeds it gets a float64 chunk of its own. Each
-# (position, marking) state takes 8 bytes in a float32 table and 12 in a
-# float64 one.
-_TABLE_BYTES = 1 << 19
+# Bytes of one chunk's cost-to-go tables and int32 run ends taken together,
+# 12 bytes per (position, marking) state. A trace whose table alone exceeds
+# it gets a chunk of its own.
+_TABLE_BYTES = 3 << 18
 # Bytes per chunk of the pass's per-lane arrays taken together: its (N, N, B)
-# sums and distances in the table's dtype and its (N, A + 1, B) intp
-# sync-successor index. A net whose lane of float64 arrays alone exceeds it
-# gets no tables.
+# float64 sums and distances and its (N, A + 1, B) intp sync-successor index.
+# A net whose lane alone exceeds it gets no tables.
 _LANE_BYTES = 1 << 20
 # The largest cost unit denominator D, and the largest cost in units. A
-# float64 table holds at most 2^16 states in a shared chunk and at most
+# table holds at most 2^16 states in a shared chunk and at most
 # petri.DEFAULT_STATE_CAP in a chunk of its own, 10^6 < 2^20 at the default
 # cap, so a trace with one has fewer than 2^20 events, on a net of at most
 # 2^8 markings (2 x 8 x N^2 bytes of distances per lane fit _LANE_BYTES); so
 # each cost-to-go in it, at most (events + markings) x 2^32, and each sum the
-# pass forms stay below 2^53, which float64 holds exactly. A float32 pass is
-# taken only where every finite value it forms is below 2^24 (see _tables).
-# The search adds Python ints.
+# pass forms stay below 2^53, which float64 holds exactly. The search adds
+# Python ints.
 _MAX_UNITS = 1 << 32
-# Every integer below this is exact in float32.
-_FLOAT32_EXACT = 1 << 24
 # Keys per numpy pass of count_from_keys.
 _COUNT_BLOCK = 1024
 
@@ -302,31 +293,19 @@ def _tables(net: PetriNet, costs: CostScheme):
     once). Moves into markings that cannot reach the final marking are left
     out, so neither the walk nor the search enters them.
 
-    tables is (dist, sync_next, columns, comp_cost, exact32) of the
-    cost-to-go pass, for N markings and A visible activities, or None when
-    the pass's per-lane arrays in float64, N * (2N + A + 1) * 8 bytes,
-    exceed _LANE_BYTES. dist is the (N, N) array of cheapest model-only runs
-    between markings (Floyd-Warshall). columns maps an activity to a column
-    of the (N, A + 1) index array sync_next, whose entry is the marking a
-    sync move on that activity leads to, or N where there is none; column A
-    stands for every activity the net does not know. comp_cost is here an
-    array. dist and comp_cost are float64, exact in either dtype of the
-    pass.
-
-    exact32 is the largest c_log, in units, for which the pass runs in
-    float32. Every finite value the pass forms is at most
-    c_log * (n + 1) + 2 * (N - 1) * max(c_model, c_silent), n the longest
-    sequence whose float32 table fits _TABLE_BYTES: a cost-to-go is at most
-    c_log per event plus a completion, and a min-plus sum adds one model-only
-    run to it. Below 2^24 float32 holds every such value exactly; otherwise
-    the pass runs in float64 (see _MAX_UNITS). exact32 is 0, never float32,
-    when _TABLE_BYTES holds no float32 position.
+    tables is (dist, sync_next, columns, comp_cost) of the cost-to-go pass,
+    for N markings and A visible activities, or None when the pass's
+    per-lane arrays, N * (2N + A + 1) * 8 bytes, exceed _LANE_BYTES. dist is
+    the (N, N) float64 array of cheapest model-only runs between markings
+    (Floyd-Warshall). columns maps an activity to a column of the (N, A + 1)
+    index array sync_next, whose entry is the marking a sync move on that
+    activity leads to, or N where there is none; column A stands for every
+    activity the net does not know. comp_cost is here a float64 array.
     """
     _, c_model, c_silent = costs._units[1:]
-    # the caps decide whether the pass's arrays are built and exact32, so
-    # they are part of the key: a record never outlives the caps it was
-    # built under
-    cache_key = ("tables", c_model, c_silent, _TABLE_BYTES, _LANE_BYTES)
+    # the lane cap decides whether the pass's arrays are built, so it is part
+    # of the key: a record never outlives the cap it was built under
+    cache_key = ("tables", c_model, c_silent, _LANE_BYTES)
     record = net._caches.get(cache_key)
     if record is not None:
         return record
@@ -375,10 +354,7 @@ def _tables(net: PetriNet, costs: CostScheme):
                 dist[src, dst] = min(dist[src, dst], step[t])
         for k in range(n_nodes):
             np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        positions = _TABLE_BYTES // (8 * (n_nodes + 1))  # n + 1 in float32
-        spare = _FLOAT32_EXACT - 1 - 2 * (n_nodes - 1) * max(c_model, c_silent)
-        tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float),
-                  spare // positions if positions else 0)
+        tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float))
 
     _, sync_code, free_code, _ = _move_codes(net)
     sync, free = [], []
@@ -546,15 +522,13 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     For a sequence of n events on a net of N markings, h and ends are
     read-only memoryviews indexed by state, pos * (N + 1) + m for position
     pos and marking node m < N (of the reachability graph); the entries
-    with m = N pad, inf in h. h is a buffer of float32 ('f') where the
-    net's record allows it for the scheme's c_log (see _tables), as it does
-    for the default costs, and of float64 ('d') otherwise; either way
-    h[state] is a Python float, a whole number of the scheme's units: the
-    cheapest cost of aligning events[pos:] from m to the final marking, inf
-    when there is none. ends is a buffer of int32; ends[state] is a Python
-    int, the state where the run of tight sync moves that starts at state
-    ends, or state itself when its sync move is not tight (or there is
-    none); read only where h is finite.
+    with m = N pad, inf in h. h is a buffer of float64 ('d'); h[state] is a
+    Python float, a whole number of the scheme's units: the cheapest cost of
+    aligning events[pos:] from m to the final marking, inf when there is
+    none. ends is a buffer of int32; ends[state] is a Python int, the state
+    where the run of tight sync moves that starts at state ends, or state
+    itself when its sync move is not tight (or there is none); read only
+    where h is finite.
 
     Sequences go in chunks, in order, and one backward pass computes a
     chunk's tables. A chunk's (positions, N + 1, B) table and int32 run
@@ -564,11 +538,10 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     takes sequences while both caps hold, so its first sequence should be
     its longest: its width is then fixed and the next ones fill the cap
     under it. A sequence whose table and run ends alone exceed _TABLE_BYTES
-    gets a chunk of its own, in float64, as the dtype rule of _tables covers
-    only sequences under the cap; AlignmentError, before any allocation,
-    when that table would hold more than petri.DEFAULT_STATE_CAP states.
-    A chunk's tables are slices of two arrays, freed once every one of them
-    is released.
+    fits no chunk with another, so it gets a chunk of its own; AlignmentError,
+    before any allocation, when that table would hold more than
+    petri.DEFAULT_STATE_CAP states. A chunk's tables are slices of two
+    arrays, freed once every one of them is released.
     """
     tables = _tables(net, costs)[4]
     if tables is None:
@@ -576,49 +549,44 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
             yield None
         return
     c_log = costs._units[1]
-    dist, sync_next, _, _, exact32 = tables
-    dtype = np.dtype(np.float32 if c_log <= exact32 else np.float64)
+    dist, sync_next = tables[:2]
     stride = len(dist) + 1
-    state_bytes = dtype.itemsize + 4  # a table entry and its run end
-    lane = 2 * dist.size * dtype.itemsize + sync_next.nbytes
+    lane = 2 * dist.nbytes + sync_next.nbytes
     chunk, longest = [], 0
     for sigma in map(_events, sequences):
         states = (len(sigma) + 1) * stride
-        size = states * state_bytes
+        size = states * 12  # a float64 table entry and its int32 run end
         if chunk and (max(longest, size) * (len(chunk) + 1) > _TABLE_BYTES
                       or lane * (len(chunk) + 1) > _LANE_BYTES):
-            yield from _chunk_cost_to_go(tables, chunk, c_log, dtype)
+            yield from _chunk_cost_to_go(tables, chunk, c_log)
             chunk, longest = [], 0
-        if size <= _TABLE_BYTES:
-            chunk.append(sigma)
-            longest = max(longest, size)
-            continue
-        if states > petri.DEFAULT_STATE_CAP:
+        if size > _TABLE_BYTES and states > petri.DEFAULT_STATE_CAP:
             raise AlignmentError(
                 f"alignment state-space exhausted: a trace of {len(sigma)} events needs "
                 f"{states} cost-to-go states, more than the cap of {petri.DEFAULT_STATE_CAP}")
-        yield from _chunk_cost_to_go(tables, [sigma], c_log, np.dtype(np.float64))
+        chunk.append(sigma)
+        longest = max(longest, size)
     if chunk:
-        yield from _chunk_cost_to_go(tables, chunk, c_log, dtype)
+        yield from _chunk_cost_to_go(tables, chunk, c_log)
 
 
-def _chunk_cost_to_go(tables, chunk, c_log: int, dtype):
-    """Yield the (h, ends) table of each sequence of the chunk, h in dtype.
+def _chunk_cost_to_go(tables, chunk, c_log: int):
+    """Yield the (h, ends) table of each sequence of the chunk.
 
     A sequence's table is a strided view of its lane of the pass's arrays.
     The pass's temporaries are freed before the first table is yielded; the
     chunk's arrays live until its tables and this generator are released.
     """
     n_seqs = len(chunk)
-    h, ends, starts = _backward_pass(tables, chunk, c_log, dtype)
+    h, ends, starts = _backward_pass(tables, chunk, c_log)
     h, ends = (memoryview(a.reshape(-1)).toreadonly() for a in (h, ends))
     for start in starts:
         yield h[start::n_seqs], ends[start::n_seqs]
 
 
-def _backward_pass(tables, chunk, c_log: int, dtype):
-    """(h, ends, starts) of a chunk: the (positions, N + 1, B) table in
-    dtype and int32 run ends, and the flat index of each sequence's first
+def _backward_pass(tables, chunk, c_log: int):
+    """(h, ends, starts) of a chunk: the (positions, N + 1, B) float64 table
+    and int32 run ends, and the flat index of each sequence's first
     state, (pos 0, marking 0) in its lane.
 
     The sequences are right-aligned on the arrays, whose row N is the
@@ -627,7 +595,7 @@ def _backward_pass(tables, chunk, c_log: int, dtype):
     the state of (m, pos) in sequence b's own table and takes the run end
     of its sync successor where the sync move is tight.
     """
-    dist, sync_next, columns, comp_cost, _ = tables
+    dist, sync_next, columns, comp_cost = tables
     n_nodes, n_seqs = len(comp_cost), len(chunk)
     stride = n_nodes + 1
     width = max(map(len, chunk)) + 1
@@ -645,7 +613,7 @@ def _backward_pass(tables, chunk, c_log: int, dtype):
     cols *= n_seqs
     cols += lanes
     sync_index = np.add.outer(sync_next * n_seqs, lanes).reshape(n_nodes, -1)
-    h = np.empty((width, stride, n_seqs), dtype)
+    h = np.empty((width, stride, n_seqs))
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
     # the state of (m, pos) in sequence b's table: (pos - offset_b) * (N + 1) + m
@@ -653,13 +621,13 @@ def _backward_pass(tables, chunk, c_log: int, dtype):
     np.subtract(np.arange(width * stride, dtype=np.int32).reshape(width, stride, 1),
                 offsets * stride, out=ends)
     synced = np.empty((n_nodes, n_seqs), dtype=np.intp)
-    moved = np.empty((n_nodes, n_seqs), dtype)
-    step = np.empty((n_nodes, n_seqs), dtype)
+    moved = np.empty((n_nodes, n_seqs))
+    step = np.empty((n_nodes, n_seqs))
     run = np.empty((n_nodes, n_seqs), dtype=np.int32)
     tight = np.empty((n_nodes, n_seqs), dtype=bool)
     # through[k, m, b] = dist[m, k] + step[k, b]: with k leading, the min
     # over k runs over contiguous (m, b) planes
-    through = np.empty((n_nodes, n_nodes, n_seqs), dtype)
+    through = np.empty((n_nodes, n_nodes, n_seqs))
     dist_k = np.empty_like(through)
     dist_k[...] = dist.T[:, :, None]
     # every index is in range; mode="clip" only lets take write into out

@@ -109,9 +109,10 @@ def _positive(name: str, value) -> float:
     return float(value)
 
 
-def _ae_layers(sizes) -> tuple[int, ...]:
+def _ae_layers(sizes, width: int | None = None) -> tuple[int, ...]:
     """The layer sizes as a tuple of ints; DetectError unless there are at
-    least two and each is an integer >= 1."""
+    least two, each is an integer >= 1 and, for a given width, the first
+    and last are width."""
     try:
         layers = tuple(sizes)
     except TypeError:
@@ -119,7 +120,10 @@ def _ae_layers(sizes) -> tuple[int, ...]:
             f"autoencoder layers must be a sequence of sizes, got {sizes!r}") from None
     if len(layers) < 2:
         raise DetectError(f"autoencoder layers need at least input and output sizes, got {layers}")
-    return tuple(_count("autoencoder layer size", s) for s in layers)
+    layers = tuple(_count("autoencoder layer size", s) for s in layers)
+    if width is not None and (layers[0] != width or layers[-1] != width):
+        raise DetectError(f"autoencoder layers {layers} do not match {width} feature columns")
+    return layers
 
 
 def _ae_init(layers, rng) -> tuple[list, list]:
@@ -485,10 +489,7 @@ def train_group(kind: str, pairs, params: dict | None = None, *,
             state.update(eps=fit_eps, min_pts=min_pts, cores=cores, n_clusters=n_clusters)
     elif kind == "ae":
         width = len(pairs[0][0].columns)
-        layers = _ae_layers(params.get("layers", default_ae_layers(width)))
-        if layers[0] != width or layers[-1] != width:
-            raise DetectError(f"autoencoder layers {layers} do not match "
-                              f"{width} feature columns")
+        layers = _ae_layers(params.get("layers", default_ae_layers(width)), width)
         lr = _positive("autoencoder lr", params.get("lr", AE_LEARNING_RATE))
         epochs = _count("autoencoder epochs", params.get("epochs", AE_EPOCHS))
         shapes = sorted({x.shape for x in x_trains})
@@ -583,7 +584,8 @@ def save_detector(det: Detector) -> str:
 
 def load_detector(text: str) -> Detector:
     """Parse a detector saved by save_detector. Rejects unknown versions,
-    incomplete files and non-finite numbers."""
+    incomplete files, non-finite numbers, and cores, layers, weights or
+    biases whose shapes disagree with the columns or with each other."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _MAGIC:
         raise DetectError(f"not a detector file (expected header {_MAGIC!r})")
@@ -612,17 +614,23 @@ def load_detector(text: str) -> Detector:
             raise DetectError("normalization vectors do not match the column count")
         if kind == "dbscan":
             rows, cols = (int(v) for v in fields["cores_shape"].split("x"))
+            if rows < 1 or cols != len(columns):
+                raise DetectError(f"dbscan cores of shape {rows}x{cols} do not match "
+                                  f"{len(columns)} feature columns")
             cores = np.array([floats(f"core{i}") for i in range(rows)])
             cores = cores.reshape(rows, cols)
             det.state = {"eps": scalar("eps"), "min_pts": int(fields["min_pts"]),
                          "n_clusters": int(fields["n_clusters"]), "cores": cores}
         elif kind == "ae":
-            layers = tuple(int(s) for s in fields["layers"].split(","))
+            layers = _ae_layers((int(s) for s in fields["layers"].split(",")), len(columns))
             weights = []
             biases = []
             for i, (fan_in, fan_out) in enumerate(zip(layers[:-1], layers[1:])):
                 weights.append(floats(f"w{i}").reshape(fan_in, fan_out))
                 biases.append(floats(f"b{i}"))
+                if len(biases[-1]) != fan_out:
+                    raise DetectError(f"autoencoder bias b{i} has {len(biases[-1])} values, "
+                                      f"layer {i + 1} has {fan_out} units")
             det.state = {"layers": layers, "weights": weights, "biases": biases,
                          "loss_history": ()}
     except KeyError as exc:

@@ -186,15 +186,19 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith(_MAGIC):
-                for part in body[len(_MAGIC):].split():
-                    if part.startswith("model="):
-                        model_id = part[len("model="):]
-                    elif part.startswith("costs="):
-                        try:
-                            cl, cm, cs, cy = (float(x) for x in part[len("costs="):].split(","))
-                        except ValueError as exc:
-                            raise LogError(f"line {no}: bad costs field: {part!r}") from exc
-                        costs = CostScheme(cl, cm, cs, cy)
+                # the model id is everything between model= and costs=, so
+                # it may hold spaces
+                head, has_costs, cost_text = body[len(_MAGIC):].partition(" costs=")
+                head = head.strip()
+                if head.startswith("model="):
+                    model_id = head[len("model="):]
+                if has_costs:
+                    try:
+                        cl, cm, cs, cy = (float(x) for x in cost_text.split(","))
+                    except ValueError as exc:
+                        raise LogError(
+                            f"line {no}: bad costs field: {'costs=' + cost_text!r}") from exc
+                    costs = CostScheme(cl, cm, cs, cy)
             continue
         cells = line.split(",")
         if header is None:

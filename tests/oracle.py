@@ -174,19 +174,19 @@ def oracle_chunk_cost_to_go(tables, chunk, c_log):
     reference backward pass that the package's pass must match value for
     value.
 
-    tables is the package's (dist, sync_next, columns, comp_cost, ...) of a
-    net and cost scheme, in the scheme's units, and c_log is in units too;
-    the pass runs in float64 whatever dtype the package's pass takes. The
-    sequences are right-aligned on a (positions, N + 1, B) array whose row N
-    is inf; the flat sync-successor index of every (marking, position,
-    sequence) is built up front, and each position takes the min over k of
-    dist[m, k] + step[k, b] along axis 1 of a fresh (N, N, B) sum. A
-    sequence's lists are indexed by pos * (N + 1) + m. Its run ends follow,
-    per sequence, from its own h list: the end of (m, pos) is that of its
-    sync successor (row N when there is none) when their h values are
-    equal, else (m, pos) itself; row N ends in itself.
+    tables is the package's (dist, sync_next, columns, comp_cost) of a net
+    and cost scheme, in the scheme's units, and c_log is in units too; the
+    pass runs in float64, like the package's. The sequences are
+    right-aligned on a (positions, N + 1, B) array whose row N is inf; the
+    flat sync-successor index of every (marking, position, sequence) is
+    built up front, and each position takes the min over k of dist[m, k] +
+    step[k, b] along axis 1 of a fresh (N, N, B) sum. A sequence's lists are
+    indexed by pos * (N + 1) + m. Its run ends follow, per sequence, from
+    its own h list: the end of (m, pos) is that of its sync successor (row N
+    when there is none) when their h values are equal, else (m, pos)
+    itself; row N ends in itself.
     """
-    dist, sync_next, columns, comp_cost = tables[:4]
+    dist, sync_next, columns, comp_cost = tables
     n_nodes = len(comp_cost)
     stride = n_nodes + 1
     width = max(map(len, chunk)) + 1

@@ -8,7 +8,6 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -729,11 +728,11 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     """A chunk of two or more sequences holds its (positions, N + 1, B)
-    table and int32 run ends in at most _TABLE_BYTES together; a chunk of
-    one may exceed that, in float64, up to petri.DEFAULT_STATE_CAP states.
-    Every chunk's pass's (N, N, B) min-plus temporary, (N, N, B) distances
-    in the table's dtype and (N, A + 1, B) intp sync-successor index take at
-    most _LANE_BYTES together. The spy refuses a larger chunk before it
+    float64 table and int32 run ends in at most _TABLE_BYTES together, 12
+    bytes a state; a chunk of one may exceed that, up to
+    petri.DEFAULT_STATE_CAP states. Every chunk's pass's (N, N, B) min-plus
+    temporary, (N, N, B) float64 distances and (N, A + 1, B) intp
+    sync-successor index take at most _LANE_BYTES together. The spy refuses a larger chunk before it
     allocates, and bounds the nbytes of the arrays the tables are views of.
     The diagnoses match those built without any table. The caps are at
     their defaults, or both at 4096 bytes, where most fn1 loops get a chunk
@@ -746,18 +745,17 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     real = confmon.alignment._chunk_cost_to_go
     chunks = []
 
-    def spy(tables, chunk, c_log, dtype):
+    def spy(tables, chunk, c_log):
         dist, sync_next = tables[:2]
         n_nodes = len(dist)
         width = max(map(len, chunk)) + 1
         cap = table_cap
-        if len(chunk) == 1 and width * (n_nodes + 1) * (dtype.itemsize + 4) > table_cap:
-            assert dtype == np.float64
+        if len(chunk) == 1 and width * (n_nodes + 1) * 12 > table_cap:
             cap = confmon.petri.DEFAULT_STATE_CAP * 12
-        assert width * (n_nodes + 1) * (dtype.itemsize + 4) * len(chunk) <= cap
-        assert (2 * dist.size * dtype.itemsize + sync_next.nbytes) * len(chunk) <= lane_cap
+        assert width * (n_nodes + 1) * 12 * len(chunk) <= cap
+        assert (2 * dist.size * 8 + sync_next.nbytes) * len(chunk) <= lane_cap
         chunks.append(len(chunk))
-        for h, ends in real(tables, chunk, c_log, dtype):
+        for h, ends in real(tables, chunk, c_log):
             assert h.obj.nbytes + ends.obj.nbytes <= cap
             yield h, ends
 
@@ -776,7 +774,7 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
 
 
 # the buffer format of each scheme's tables
-TABLE_FORMATS = {CostScheme(): "f", CostScheme(0.7, 1.3, 0.1): "f",
+TABLE_FORMATS = {CostScheme(): "d", CostScheme(0.7, 1.3, 0.1): "d",
                  CostScheme(2 ** 24, 2 ** 24, 0): "d"}
 
 
@@ -784,16 +782,16 @@ TABLE_FORMATS = {CostScheme(): "f", CostScheme(0.7, 1.3, 0.1): "f",
 def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch):
     """Every chunk's tables and run ends equal those of the float64
     reference pass in tests/oracle.py entry for entry, on 30 noisy fn1 loops
-    of 50-700 events and 300 noisy som playouts. Each table is a read-only
-    buffer of the record's dtype, float32 ('f') for the default costs and
-    float64 ('d') for costs of 2^24 units, whose entries read back as
-    Python floats, and its run ends one of int32 read back as ints."""
+    of 50-700 events and 300 noisy som playouts, for the default costs,
+    decimal costs and costs of 2^24 units. Each table is a read-only buffer
+    of float64 ('d') whose entries read back as Python floats, and its run
+    ends one of int32 read back as ints."""
     real = confmon.alignment._chunk_cost_to_go
     checked = []
 
-    def spy(tables, chunk, c_log, dtype):
+    def spy(tables, chunk, c_log):
         want = oracle_chunk_cost_to_go(tables, chunk, c_log)
-        got = list(real(tables, chunk, c_log, dtype))
+        got = list(real(tables, chunk, c_log))
         assert len(got) == len(want)
         for (h, ends), (ref, ref_ends) in zip(got, want):
             assert h.readonly and h.format == TABLE_FORMATS[costs]
@@ -817,8 +815,8 @@ def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
     """Work guard without timing: build_diagnoses on 25 distinct fn1 loop
     traces of 50-500 events runs exactly two cost-to-go passes. The variants
     go longest first, so the first pass is as full as the table cap allows
-    at the longest trace's width: a float32 table and int32 run ends take
-    (positions) x (7 markings + 1) x 8 bytes per lane, and 16 lanes fit in
+    at the longest trace's width: a float64 table and int32 run ends take
+    (positions) x (7 markings + 1) x 12 bytes per lane, and 16 lanes fit in
     _TABLE_BYTES, 17 do not. The other 9 fit in a second, narrower pass.
     Every entry of every table reads back as a float, and every run end as
     an int."""
@@ -828,13 +826,13 @@ def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
     assert len({tr.events for tr in log}) == 25
     longest = max(len(tr) for tr in log)
     cap = confmon.alignment._TABLE_BYTES
-    assert (longest + 1) * 8 * 8 * 16 <= cap < (longest + 1) * 8 * 8 * 17
+    assert (longest + 1) * 8 * 12 * 16 <= cap < (longest + 1) * 8 * 12 * 17
     real = confmon.alignment._chunk_cost_to_go
     passes = []
 
-    def spy(tables, chunk, c_log, dtype):
+    def spy(tables, chunk, c_log):
         passes.append((len(chunk), max(map(len, chunk))))
-        for h, ends in real(tables, chunk, c_log, dtype):
+        for h, ends in real(tables, chunk, c_log):
             assert all(type(v) is float for v in h)
             assert all(type(v) is int for v in ends)
             yield h, ends
@@ -851,8 +849,9 @@ def test_short_som_traces_take_no_more_passes(som, monkeypatch):
     and the 4 500 injected copies of 1 500 clean ones) runs at most 14
     cost-to-go passes over at most 146 positions, what it ran with the
     variants shortest first and the per-lane arrays under a 2^17-element
-    cap (it runs 10 over 106). Longest first, the first chunk is the
-    widest, and the float32 table cap must not cut its lanes."""
+    cap (it runs 14 over 140: _LANE_BYTES binds on som's float64 lanes).
+    Longest first, the first chunk is the widest, and the table cap must
+    not cut its lanes."""
     noise = NoiseParams(0.03, 0.03)
     held_out = playout(som, 1500, seed=2000, noise=noise)
     injected = build_eval_sets(playout(som, 1500, seed=1000), 3.0, seed=0)["all"]
@@ -862,9 +861,9 @@ def test_short_som_traces_take_no_more_passes(som, monkeypatch):
     real = confmon.alignment._chunk_cost_to_go
     widths = []
 
-    def spy(tables, chunk, c_log, dtype):
+    def spy(tables, chunk, c_log):
         widths.append(max(map(len, chunk)))
-        return real(tables, chunk, c_log, dtype)
+        return real(tables, chunk, c_log)
 
     monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
     build_diagnoses(som, log)
@@ -874,11 +873,10 @@ def test_short_som_traces_take_no_more_passes(som, monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), budget=st.integers(2, 6))
-def test_float64_tables_scale_the_float32_ones_property(seed, budget):
+def test_tables_of_2_24_units_scale_the_default_ones_property(seed, budget):
     """Property over random workflow nets with noisy and random traces:
-    costs of 2^24 units, whose pass runs in float64, give the path keys and
-    run ends of the default costs, whose pass runs in float32, and tables
-    and costs exactly 2^24 times theirs."""
+    costs of 2^24 units give the path keys and run ends of the default
+    costs, and tables and costs exactly 2^24 times theirs."""
     net = random_workflow_net(seed, budget=budget)
     rng = random.Random(seed)
     alphabet = sorted(net.visible_labels) + ["x1"]
@@ -889,39 +887,12 @@ def test_float64_tables_scale_the_float32_ones_property(seed, budget):
     small, big = CostScheme(), CostScheme(2 ** 24, 2 ** 24, 0)
     for trace, (h, ends), (h_big, ends_big) in zip(traces, cost_to_go(net, traces, small),
                                                    cost_to_go(net, traces, big)):
-        assert (h.format, h_big.format) == ("f", "d")
         assert [v * 2 ** 24 for v in h.tolist()] == h_big.tolist()
         assert ends.tolist() == ends_big.tolist()
         a = optimal_alignment(net, trace, small, table=(h, ends))
         b = optimal_alignment(net, trace, big, table=(h_big, ends_big))
         assert a.key == b.key
         assert b.cost == a.cost * 2 ** 24
-
-
-def test_float32_pass_only_below_2_24(fn1, monkeypatch):
-    """The dtype rule on fn1 (7 markings) under a 64 KiB table cap: a
-    float32 table fits 1024 positions, so every finite value of the pass is
-    at most c_log * 1024 + 2 * 6 * c_model. With c_model = 2^20 that is
-    2^24 - 1024 for c_log = 4095, and the pass runs in float32; for
-    c_log = 4096 it is 2^24, and the pass runs in float64, whose tables
-    take 12 bytes a state, so a 681-event trace is the longest that fits
-    the cap and a 682-event one gets a float64 chunk of its own. On both
-    sides the tables equal the float64 reference pass's."""
-    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1 << 16)
-    rng = random.Random(4)
-    loop = noisy_fn1_loop(rng, 600)
-    longest = loop + ("x1",) * (1023 - len(loop))  # the longest a float32 table fits
-    assert (681 + 1) * 8 * 12 <= 1 << 16 < (682 + 1) * 8 * 12
-    below, above = CostScheme(4095, 2 ** 20, 0), CostScheme(4096, 2 ** 20, 0)
-    assert confmon.alignment._tables(fn1, below)[4][4] == 4095
-    for costs, fmt, trace in ((below, "f", longest), (above, "d", longest[:681]),
-                              (above, "d", longest[:682])):
-        tables = confmon.alignment._tables(fn1, costs)[4]
-        h, ends = next(cost_to_go(fn1, [trace], costs))
-        assert h.format == fmt
-        ref, ref_ends = oracle_chunk_cost_to_go(tables, [trace], costs._units[1])[0]
-        assert h.tolist() == ref and ends.tolist() == ref_ends
-        assert optimal_alignment(fn1, trace, costs, table=(h, ends)).cost == h[0]
 
 
 @pytest.mark.parametrize("costs, units", [
@@ -1105,30 +1076,30 @@ def test_unknown_trace_walks_within_a_small_state_cap(som, monkeypatch):
 
 
 def spy_passes(monkeypatch) -> list:
-    """Grows by (lanes, dtype) per cost-to-go pass run while the test runs."""
+    """Grows by the lanes of each cost-to-go pass run while the test runs."""
     real = confmon.alignment._backward_pass
     passes = []
 
-    def spy(tables, chunk, c_log, dtype):
-        passes.append((len(chunk), dtype))
-        return real(tables, chunk, c_log, dtype)
+    def spy(tables, chunk, c_log):
+        passes.append(len(chunk))
+        return real(tables, chunk, c_log)
 
     monkeypatch.setattr(confmon.alignment, "_backward_pass", spy)
     return passes
 
 
 def test_a_trace_over_the_table_cap_is_walked_in_a_chunk_of_its_own(fn1, monkeypatch):
-    """Under a 4096-byte table cap a float32 fn1 table holds 64 positions.
-    A noisy loop of more than 100 events between two short traces gets a
-    float64 pass of its own, and the walk aligns it without popping a heap,
+    """Under a 4096-byte table cap an fn1 table holds 42 positions. A noisy
+    loop of more than 100 events between two short traces gets a pass of
+    its own, so three passes run, and the walk aligns it without popping a heap,
     to the path key and cost of the heap search on a net without pass
     arrays."""
     monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 4096)
     trace = noisy_fn1_loop(random.Random(6), 150)
-    assert len(trace) > 100 and (len(trace) + 1) * 8 * 8 > 4096
+    assert len(trace) > 100 and (len(trace) + 1) * 8 * 12 > 4096
     passes = spy_passes(monkeypatch)
     tables = list(cost_to_go(fn1, [LOOP_TRACE, trace, LOOP_TRACE]))
-    assert passes == [(1, np.float32), (1, np.float64), (1, np.float32)]
+    assert passes == [1, 1, 1]
     h, ends = tables[1]
     assert h.format == "d" and len(h) == len(ends) == (len(trace) + 1) * 8
     assert count_pops(monkeypatch, fn1, [trace]) == 0
@@ -1156,7 +1127,7 @@ def test_a_table_over_the_state_cap_is_refused_before_the_pass(fn1, monkeypatch)
     assert passes == []
     monkeypatch.setattr(confmon.petri, "DEFAULT_STATE_CAP", states)
     optimal_alignment(fn1, trace)
-    assert passes == [(1, np.float64)]
+    assert passes == [1]
 
 
 def parallel_net(branches: int, steps: int) -> PetriNet:

@@ -551,6 +551,53 @@ def test_load_rejects_non_finite_values(saved_detectors, kind, field, bad):
         load_detector("\n".join(lines) + "\n")
 
 
+@pytest.fixture(scope="module")
+def fn1_saved(fn1_diagnoses):
+    """Saved dbscan and ae detectors of fn1, whose diagnoses have 8 columns."""
+    d_train, d_val = fn1_diagnoses
+    return {kind: save_detector(train(kind, d_train, d_val, params, seed=0))
+            for kind, params in (("dbscan", None), ("ae", {"epochs": 5}))}
+
+
+def _reshaped(text: str, drop: str, added) -> str:
+    """The saved detector text without the lines that match drop, with the
+    added lines at its end."""
+    lines = [line for line in text.splitlines() if not re.match(drop, line)]
+    return "\n".join(lines + list(added)) + "\n"
+
+
+@pytest.mark.parametrize("kind,drop,added,named", [
+    ("dbscan", r"core", ["cores_shape=1x2", "core0=0.5,0.5"],
+     "dbscan cores of shape 1x2 do not match 8 feature columns"),
+    ("dbscan", r"core", ["cores_shape=0x8"],
+     "dbscan cores of shape 0x8 do not match 8 feature columns"),
+    ("ae", r"layers|w\d|b\d", ["layers=3,2,3", "w0=" + ",".join(["0.1"] * 6), "b0=0.0,0.0",
+                              "w1=" + ",".join(["0.1"] * 6), "b1=0.0,0.0,0.0"],
+     re.escape("autoencoder layers (3, 2, 3) do not match 8 feature columns")),
+    ("ae", r"layers", ["layers=8,0,8"], "autoencoder layer size must be an integer >= 1"),
+    ("ae", r"b0", ["b0=0.5"], "autoencoder bias b0 has 1 values, layer 1 has 4 units"),
+], ids=["cores-too-narrow", "no-cores", "layers-too-narrow", "zero-layer", "short-bias"])
+def test_load_rejects_shapes_that_disagree_with_the_columns(fn1, fn1_saved, fn1_diagnoses,
+                                                             kind, drop, added, named,
+                                                             tmp_path, capsys):
+    """A detector whose cores, layers or biases do not fit its 8 fn1
+    columns is refused on load with a DetectError, so confmon detect ends
+    with an error line instead of a numpy traceback or, for a short bias
+    that numpy would broadcast, a silently wrong score."""
+    text = _reshaped(fn1_saved[kind], drop, added)
+    with pytest.raises(DetectError, match=named):
+        load_detector(text)
+    det = tmp_path / "det.txt"
+    det.write_text(text)
+    log = tmp_path / "log.txt"
+    log.write_text(write_log(playout(fn1, 5, seed=1)))
+    capsys.readouterr()
+    assert main(["detect", "--detector", str(det), "--model", "fn1", "--log", str(log)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # the unedited detector loads and scores
+    assert len(score_matrix(load_detector(fn1_saved[kind]), fn1_diagnoses[1])) > 0
+
+
 def _one_shot_distances(m):
     rng = np.random.default_rng(3)
     a = rng.uniform(-0.5, 1.5, size=(300, 7))

@@ -86,6 +86,20 @@ def test_csv_round_trip(fn1):
     assert write_diagnoses(back) == text
 
 
+def test_csv_round_trip_keeps_a_model_id_with_spaces(fn1):
+    """The model id is read as everything between model= and costs=, so
+    one that holds spaces, as a model file name may, comes back whole."""
+    diag = build_diagnoses(fn1, MIXED, CostScheme(c_log=2.0))
+    named = DiagnosesMatrix(diag.columns, diag.case_ids, diag.counts, diag.fitness,
+                            "my fn1", diag.costs)
+    text = write_diagnoses(named)
+    assert text.splitlines()[0] == "# confmon-diagnoses v1 model=my fn1 costs=2,1,0,0"
+    back = read_diagnoses(text)
+    assert back.model_id == "my fn1"
+    assert back.costs == named.costs
+    assert write_diagnoses(back) == text
+
+
 def test_csv_carries_costs(fn1):
     # costs that :g renders exactly are written short; seven significant
     # digits do not survive :g, so they are written in full

@@ -3,7 +3,8 @@
 Each parser gets a few hundred mutants of valid inputs: bit flips, deleted
 and duplicated lines, and swapped tokens, up to three per mutant. A mutant
 may parse or fail, but a failure must be a ConfmonError, never a stray
-Python exception.
+Python exception. A detector mutant that loads must also score, or fail
+with a ConfmonError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from importlib import resources
 import pytest
 
 from confmon.cli import parse_experiment_config
-from confmon.detect import load_detector, save_detector, train
+from confmon.detect import load_detector, save_detector, score_matrix, train
 from confmon.diagnoses import build_diagnoses, read_diagnoses, write_diagnoses
 from confmon.errors import ConfmonError
 from confmon.eventlog import EventLog, Trace, parse_log, write_log, write_log_csv
@@ -121,3 +122,23 @@ def test_mutated_inputs_raise_only_confmon_errors(salt, parse, seeds):
             parse(text)
         except ConfmonError:
             pass
+
+
+def test_loaded_detector_mutants_score_or_raise_only_confmon_errors():
+    """Every load_detector mutant that loads is scored on an fn1 diagnoses
+    matrix, as confmon detect would score it; scoring may fail only with a
+    ConfmonError."""
+    fn1 = bundled_model("fn1")
+    diag = build_diagnoses(fn1, playout(fn1, 20, seed=7, noise=NoiseParams(0.2, 0.2)))
+    scored = 0
+    for text in _mutants(_detector_texts(), MUTANTS_PER_PARSER, 4):
+        try:
+            det = load_detector(text)
+        except ConfmonError:
+            continue
+        try:
+            score_matrix(det, diag)
+        except ConfmonError:
+            continue
+        scored += 1
+    assert scored > 0
