@@ -25,31 +25,28 @@ from pos on, starting in marking m, to the final marking. cost_to_go computes
 it for a chunk of traces at once, in one backward pass over positions:
 h*(., n) is the model-only completion cost, and h*(., pos) is the model-move
 closure of the cheaper of a log move on sigma[pos] (c_log + h*(., pos + 1))
-and a sync move on it. The same pass records, for each state, the state where
-the run of tight sync moves that starts there ends. A move is tight when its
-cost plus the h* of its target equals the h* of its source; the paths of
-tight moves from the start state are exactly the prefixes of optimal
-alignments.
+and a sync move on it. A move is tight when its cost plus the h* of its
+target equals the h* of its source; the paths of tight moves from the start
+state are exactly the prefixes of optimal alignments.
 
 Every trace on a net with pass arrays gets a table and is aligned by a
 depth-first walk over tight moves in tie-break order, which settles each
-state on the same path as the uniform-cost search would. It skips a run of
-tight sync moves in one step, appending a slice of the trace's sync codes.
-It can only reach a dead end, a state whose tight moves all lead to states
+state on the same path as the uniform-cost search would. A sync move costs
+nothing, so it is tight when its target's h* equals its source's. The walk
+can only reach a dead end, a state whose tight moves all lead to states
 it has passed, through a zero-cost cycle of silent moves. Such a trace, and
 every trace on a net too large for the pass, is aligned by an unpruned
 uniform-cost (Dijkstra) search on a heap, which follows a sync move, free
 and first in the tie-break, without a round trip through the heap.
 
 A table is a read-only buffer of float64, whole numbers of units, one per
-(position, marking), with a read-only buffer of int32 run ends beside it, so
-a state takes 12 bytes. Two byte caps bound a chunk: _TABLE_BYTES (768 KiB)
-its tables and run ends together, _LANE_BYTES (1 MiB) its pass's per-lane
+(position, marking), so a state takes 8 bytes. Two byte caps bound a chunk:
+_TABLE_BYTES (768 KiB) its tables, _LANE_BYTES (1 MiB) its pass's per-lane
 arrays. A net whose lane exceeds _LANE_BYTES gets no pass arrays. A trace
 whose table alone exceeds _TABLE_BYTES gets a chunk of its own.
 petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
-the states of a table of its own, the states the walk passes (those of
-skipped runs included) and the expansions of the search.
+the states of a table of its own, the states the walk passes and the
+expansions of the search.
 
 What the walk, the search and the pass read of a net under a cost scheme
 comes from one builder, _tables, built at once from the reachability graph:
@@ -86,16 +83,16 @@ _SYNC, _SILENT, _MODEL, _LOG = 0, 1, 2, 3
 _KIND_NAMES = {_SYNC: "sync", _SILENT: "silent", _MODEL: "model", _LOG: "log"}
 
 INF = float("inf")
-# Bytes of one chunk's cost-to-go tables and int32 run ends taken together,
-# 12 bytes per (position, marking) state. A trace whose table alone exceeds
-# it gets a chunk of its own.
+# Bytes of one chunk's cost-to-go tables taken together, 8 bytes per
+# (position, marking) state. A trace whose table alone exceeds it gets a
+# chunk of its own.
 _TABLE_BYTES = 3 << 18
 # Bytes per chunk of the pass's per-lane arrays taken together: its (N, N, B)
 # float64 sums and distances and its (N, A + 1, B) intp sync-successor index.
 # A net whose lane alone exceeds it gets no tables.
 _LANE_BYTES = 1 << 20
 # The largest cost unit denominator D, and the largest cost in units. A
-# table holds at most 2^16 states in a shared chunk and at most
+# table holds at most 98 304 < 2^17 states in a shared chunk and at most
 # petri.DEFAULT_STATE_CAP in a chunk of its own, 10^6 < 2^20 at the default
 # cap, so a trace with one has fewer than 2^20 events, on a net of at most
 # 2^8 markings (2 x 8 x N^2 bytes of distances per lane fit _LANE_BYTES); so
@@ -276,7 +273,7 @@ def _tables(net: PetriNet, costs: CostScheme):
     """Everything the walk, the search and the cost-to-go pass read of the
     net under a cost scheme, built at once from its reachability graph and
     cached on the net per (c_model, c_silent) in units: (final, comp_cost,
-    sync, free, tables, sync_of). Every cost in it is in the scheme's units.
+    sync, free, tables). Every cost in it is in the scheme's units.
 
     The graph (see petri.reachability_graph; the initial marking is node 0)
     is checked once per record: AlignmentError when it is unbounded, over
@@ -288,10 +285,9 @@ def _tables(net: PetriNet, costs: CostScheme):
 
     sync[m] maps an activity to the (code, next marking) of its sync move in
     marking m; free[m] lists the (code, next marking, cost) of its silent and
-    model moves, in code order. Codes are those of _move_codes; sync_of maps
-    an activity to the code of its sync move (a net labels each activity
-    once). Moves into markings that cannot reach the final marking are left
-    out, so neither the walk nor the search enters them.
+    model moves, in code order. Codes are those of _move_codes. Moves into
+    markings that cannot reach the final marking are left out, so neither
+    the walk nor the search enters them.
 
     tables is (dist, sync_next, columns, comp_cost) of the cost-to-go pass,
     for N markings and A visible activities, or None when the pass's
@@ -363,8 +359,7 @@ def _tables(net: PetriNet, costs: CostScheme):
         sync.append({labels[t]: (sync_code[t], nxt)
                      for t, nxt in live if labels[t] is not None})
         free.append(tuple(sorted((free_code[t], nxt, step[t]) for t, nxt in live)))
-    sync_of = {labels[t]: code for t, code in sync_code.items()}
-    record = net._caches[cache_key] = (final, comp_cost, sync, free, tables, sync_of)
+    record = net._caches[cache_key] = (final, comp_cost, sync, free, tables)
     return record
 
 
@@ -381,8 +376,8 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     marking is unreachable, when the trace's table would hold more than
     petri.DEFAULT_STATE_CAP states, or when the walk passes or the search
     expands more than that many. table is the trace's entry of cost_to_go:
-    an (h, ends) pair, which the walk reads, or None, which makes the heap
-    search align the trace; when omitted it is computed for this trace
+    a float64 memoryview, which the walk reads, or None, which makes the
+    heap search align the trace; when omitted it is computed for this trace
     alone. A trace the walk finds a dead end on goes to the heap search too.
     """
     sigma = _events(trace)
@@ -395,7 +390,7 @@ def optimal_alignment(net: PetriNet, trace, costs: CostScheme = CostScheme(),
     if key is None:
         key, cost = _search(sigma, record, c_log, log)
     else:
-        cost = table[0][0]
+        cost = table[0]
     return Alignment._from_key(key, cost / unit, net, sigma)
 
 
@@ -403,20 +398,19 @@ def _exhausted(limit: int) -> AlignmentError:
     return AlignmentError(f"alignment state-space exhausted after {limit} expansions")
 
 
-def _walk(sigma, table, record, c_log: int, log: str) -> str | None:
+def _walk(sigma, h, record, c_log: int, log: str) -> str | None:
     """The path key of the trace's canonical optimal alignment, by a
     depth-first walk over tight moves in code order (sync, then free moves
     by code, then log), or None at a dead end.
 
-    The walk follows one tight move per state and takes a run of tight sync
-    moves at once, to the end the pass recorded; the states on its path are
-    all it has passed, so a tight move into one of them closes a zero-cost
-    cycle. When every tight move of a state does, the state is a dead end.
-    Otherwise the walk passes each state on the path the uniform-cost search
-    would settle it on; see the module docstring.
+    The walk follows one tight move per state. A free move into a state it
+    has passed closes a zero-cost cycle; a sync or log move leaves the
+    position, so it closes none. When every tight move of a state closes
+    one, the state is a dead end. Otherwise the walk passes each state on
+    the path the uniform-cost search would settle it on; see the module
+    docstring.
     """
-    h, ends = table
-    final, _, _, free_arcs, _, sync_of = record
+    final, _, sync_arcs, free_arcs = record[:4]
     stride = len(free_arcs) + 1
     last = len(sigma) * stride  # the first state of the last position
     goal = last + final
@@ -425,27 +419,21 @@ def _walk(sigma, table, record, c_log: int, log: str) -> str | None:
     key = ""
     state = 0
     path = set()
-    syncs = None
     while state != goal:
-        path.add(state)
-        end = ends[state]
-        if end != state:
-            pos, end_pos = state // stride, end // stride
-            passed += end_pos - pos
-            if passed > limit:
-                raise _exhausted(limit)
-            if syncs is None:
-                # one code per event; an unknown one never starts a run
-                syncs = "".join(map(sync_of.get, sigma, repeat(log)))
-            key += syncs[pos:end_pos]
-            state = end
-            continue
         passed += 1
         if passed > limit:
             raise _exhausted(limit)
         here = h[state]
         m = state % stride
         base = state - m
+        if state < last:
+            arc = sync_arcs[m].get(sigma[state // stride])
+            if arc is not None and h[base + stride + arc[1]] == here:
+                code, nxt = arc
+                key += code
+                state = base + stride + nxt
+                continue
+        path.add(state)
         for code, nxt, step in free_arcs[m]:
             if step + h[base + nxt] == here and base + nxt not in path:
                 state = base + nxt
@@ -515,33 +503,29 @@ def _search(sigma, record, c_log: int, log: str) -> tuple[str, int]:
 
 
 def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
-    """Yield the cost-to-go table of each event sequence, in order: an
-    (h, ends) pair, or None for every sequence on a net without pass arrays
-    (see _tables).
+    """Yield the cost-to-go table of each event sequence, in order: a
+    read-only memoryview h, or None for every sequence on a net without pass
+    arrays (see _tables).
 
-    For a sequence of n events on a net of N markings, h and ends are
-    read-only memoryviews indexed by state, pos * (N + 1) + m for position
-    pos and marking node m < N (of the reachability graph); the entries
-    with m = N pad, inf in h. h is a buffer of float64 ('d'); h[state] is a
-    Python float, a whole number of the scheme's units: the cheapest cost of
-    aligning events[pos:] from m to the final marking, inf when there is
-    none. ends is a buffer of int32; ends[state] is a Python int, the state
-    where the run of tight sync moves that starts at state ends, or state
-    itself when its sync move is not tight (or there is none); read only
-    where h is finite.
+    For a sequence of n events on a net of N markings, h is indexed by
+    state, pos * (N + 1) + m for position pos and marking node m < N (of the
+    reachability graph); the entries with m = N pad, inf. h is a buffer of
+    float64 ('d'); h[state] is a Python float, a whole number of the
+    scheme's units: the cheapest cost of aligning events[pos:] from m to the
+    final marking, inf when there is none.
 
     Sequences go in chunks, in order, and one backward pass computes a
-    chunk's tables. A chunk's (positions, N + 1, B) table and int32 run
-    ends hold at most _TABLE_BYTES together, and its pass's (N, N, B) sums,
+    chunk's tables. A chunk's (positions, N + 1, B) table holds at most
+    _TABLE_BYTES, and its pass's (N, N, B) sums,
     (N, N, B) distances and (N, A + 1, B) sync-successor index at most
     _LANE_BYTES, for B sequences on a net of A visible activities. A chunk
     takes sequences while both caps hold, so its first sequence should be
     its longest: its width is then fixed and the next ones fill the cap
-    under it. A sequence whose table and run ends alone exceed _TABLE_BYTES
-    fits no chunk with another, so it gets a chunk of its own; AlignmentError,
+    under it. A sequence whose table alone exceeds _TABLE_BYTES fits no
+    chunk with another, so it gets a chunk of its own; AlignmentError,
     before any allocation, when that table would hold more than
-    petri.DEFAULT_STATE_CAP states. A chunk's tables are slices of two
-    arrays, freed once every one of them is released.
+    petri.DEFAULT_STATE_CAP states. A chunk's tables are slices of one
+    array, freed once every one of them is released.
     """
     tables = _tables(net, costs)[4]
     if tables is None:
@@ -555,7 +539,7 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     chunk, longest = [], 0
     for sigma in map(_events, sequences):
         states = (len(sigma) + 1) * stride
-        size = states * 12  # a float64 table entry and its int32 run end
+        size = states * 8
         if chunk and (max(longest, size) * (len(chunk) + 1) > _TABLE_BYTES
                       or lane * (len(chunk) + 1) > _LANE_BYTES):
             yield from _chunk_cost_to_go(tables, chunk, c_log)
@@ -571,29 +555,27 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
 
 
 def _chunk_cost_to_go(tables, chunk, c_log: int):
-    """Yield the (h, ends) table of each sequence of the chunk.
+    """Yield the table of each sequence of the chunk.
 
-    A sequence's table is a strided view of its lane of the pass's arrays.
+    A sequence's table is a strided view of its lane of the pass's array.
     The pass's temporaries are freed before the first table is yielded; the
-    chunk's arrays live until its tables and this generator are released.
+    chunk's array lives until its tables and this generator are released.
     """
     n_seqs = len(chunk)
-    h, ends, starts = _backward_pass(tables, chunk, c_log)
-    h, ends = (memoryview(a.reshape(-1)).toreadonly() for a in (h, ends))
+    h, starts = _backward_pass(tables, chunk, c_log)
+    h = memoryview(h.reshape(-1)).toreadonly()
     for start in starts:
-        yield h[start::n_seqs], ends[start::n_seqs]
+        yield h[start::n_seqs]
 
 
 def _backward_pass(tables, chunk, c_log: int):
-    """(h, ends, starts) of a chunk: the (positions, N + 1, B) float64 table
-    and int32 run ends, and the flat index of each sequence's first
-    state, (pos 0, marking 0) in its lane.
+    """(h, starts) of a chunk: the (positions, N + 1, B) float64 table and
+    the flat index of each sequence's first state, (pos 0, marking 0) in its
+    lane.
 
-    The sequences are right-aligned on the arrays, whose row N is the
-    target of missing sync moves, inf in h; positions before a shorter
-    sequence's start only pad and are never read. ends[pos, m, b] starts as
-    the state of (m, pos) in sequence b's own table and takes the run end
-    of its sync successor where the sync move is tight.
+    The sequences are right-aligned on the table, whose row N is the target
+    of missing sync moves, inf; positions before a shorter sequence's start
+    only pad and are never read.
     """
     dist, sync_next, columns, comp_cost = tables
     n_nodes, n_seqs = len(comp_cost), len(chunk)
@@ -616,15 +598,9 @@ def _backward_pass(tables, chunk, c_log: int):
     h = np.empty((width, stride, n_seqs))
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
-    # the state of (m, pos) in sequence b's table: (pos - offset_b) * (N + 1) + m
-    ends = np.empty((width, stride, n_seqs), dtype=np.int32)
-    np.subtract(np.arange(width * stride, dtype=np.int32).reshape(width, stride, 1),
-                offsets * stride, out=ends)
     synced = np.empty((n_nodes, n_seqs), dtype=np.intp)
     moved = np.empty((n_nodes, n_seqs))
     step = np.empty((n_nodes, n_seqs))
-    run = np.empty((n_nodes, n_seqs), dtype=np.int32)
-    tight = np.empty((n_nodes, n_seqs), dtype=bool)
     # through[k, m, b] = dist[m, k] + step[k, b]: with k leading, the min
     # over k runs over contiguous (m, b) planes
     through = np.empty((n_nodes, n_nodes, n_seqs))
@@ -634,17 +610,13 @@ def _backward_pass(tables, chunk, c_log: int):
     # without an intermediate buffer
     for pos in range(width - 2, -1, -1):
         after = h[pos + 1]
-        here = h[pos, :n_nodes]
         sync_index.take(cols[pos], axis=1, out=synced, mode="clip")
         after.take(synced, out=moved, mode="clip")
         np.add(after[:n_nodes], c_log, out=step)
         np.minimum(step, moved, out=step)
         np.add(dist_k, step[:, None], out=through)
-        np.minimum.reduce(through, axis=0, out=here)
-        ends[pos + 1].take(synced, out=run, mode="clip")
-        np.equal(moved, here, out=tight)
-        np.copyto(ends[pos, :n_nodes], run, where=tight)
-    return h, ends, (offsets * stride * n_seqs + lanes).tolist()
+        np.minimum.reduce(through, axis=0, out=h[pos, :n_nodes])
+    return h, (offsets * stride * n_seqs + lanes).tolist()
 
 
 def _move_codes(net: PetriNet):

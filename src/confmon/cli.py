@@ -1,8 +1,8 @@
 """Command line front end (confmon) and the multi-seed experiment harness.
 
-Subcommands: simulate, check, coverage, inject, train, detect, evaluate,
-experiment. Exit codes: 0 on success, 1 on a domain error (bad model file,
-unreachable final marking, degenerate metrics, ...), 2 on usage errors.
+Subcommands: simulate, check, inject, train, detect, evaluate, experiment.
+Exit codes: 0 on success, 1 on a domain error (bad model file, unreachable
+final marking, degenerate metrics, ...), 2 on usage errors.
 
 The experiment harness simulates a normal log per seed, splits it, trains
 each configured detector on normal diagnoses, injects anomalies into a fresh
@@ -97,12 +97,6 @@ def cmd_check(args) -> None:
     if args.out:
         _write_text(args.out, write_diagnoses(diag))
     print(f"fitness={fitness:.6f} coverage={cov:.6f}")
-
-
-def cmd_coverage(args) -> None:
-    net = _resolve_model(args.model)
-    log = _read_log(args.log)
-    print(f"coverage={build_diagnoses(net, log).coverage():.6f}")
 
 
 def cmd_inject(args) -> None:
@@ -247,8 +241,31 @@ class ExperimentConfig:
     outdir: str = "results"
 
 
+def _detector_kinds(value: str) -> tuple:
+    kinds = tuple(v.strip() for v in value.split(","))
+    unknown = [k for k in kinds if k not in DETECTOR_KINDS]
+    if unknown:
+        raise ConfmonError(f"unknown detectors: {unknown}")
+    return kinds
+
+
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """key = value lines with # comments; unknown keys are errors."""
+    # key -> (ExperimentConfig field, converter of the value)
+    fields = {
+        "model": ("model", str),
+        "seeds": ("seeds", lambda value: tuple(int(v) for v in value.split(","))),
+        "n_traces": ("n_traces", int),
+        "lambda": ("lam", float),
+        "p_drop": ("p_drop", float),
+        "p_dup": ("p_dup", float),
+        "split": ("split", _parse_split),
+        "quantile": ("quantile", float),
+        "detectors": ("detectors", _detector_kinds),
+        "pool": ("pool", lambda value: tuple(v.strip() for v in value.split(","))),
+        "max_steps": ("max_steps", int),
+        "outdir": ("outdir", str),
+    }
     cfg = ExperimentConfig()
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,37 +274,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfmonError(f"config line {no}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in fields:
+            raise ConfmonError(f"config line {no}: unknown key {key!r}")
+        field, convert = fields[key]
         try:
-            if key == "model":
-                cfg = replace(cfg, model=value)
-            elif key == "seeds":
-                cfg = replace(cfg, seeds=tuple(int(v) for v in value.split(",")))
-            elif key == "n_traces":
-                cfg = replace(cfg, n_traces=int(value))
-            elif key == "lambda":
-                cfg = replace(cfg, lam=float(value))
-            elif key == "p_drop":
-                cfg = replace(cfg, p_drop=float(value))
-            elif key == "p_dup":
-                cfg = replace(cfg, p_dup=float(value))
-            elif key == "split":
-                cfg = replace(cfg, split=_parse_split(value))
-            elif key == "quantile":
-                cfg = replace(cfg, quantile=float(value))
-            elif key == "detectors":
-                kinds = tuple(v.strip() for v in value.split(","))
-                unknown = [k for k in kinds if k not in DETECTOR_KINDS]
-                if unknown:
-                    raise ConfmonError(f"unknown detectors: {unknown}")
-                cfg = replace(cfg, detectors=kinds)
-            elif key == "pool":
-                cfg = replace(cfg, pool=tuple(v.strip() for v in value.split(",")))
-            elif key == "max_steps":
-                cfg = replace(cfg, max_steps=int(value))
-            elif key == "outdir":
-                cfg = replace(cfg, outdir=value)
-            else:
-                raise ConfmonError(f"config line {no}: unknown key {key!r}")
+            cfg = replace(cfg, **{field: convert(value)})
         except ValueError as exc:
             raise ConfmonError(f"config line {no}: bad value for {key!r}: {exc}") from exc
     return cfg
@@ -516,11 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("-o", "--out", help="write the diagnoses CSV here")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("coverage", help="report alignment coverage of a log")
-    p.add_argument("--model", required=True)
-    p.add_argument("--log", required=True)
-    p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("inject", help="inject control-flow anomalies into a log")
     p.add_argument("--log", required=True)

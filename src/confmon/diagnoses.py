@@ -116,13 +116,13 @@ def build_diagnoses(net: PetriNet, log: EventLog,
     keys, cost = [], []
     # next() hands each table straight to the search, so no name (nor zip's
     # reused result tuple) holds a chunk's last table, and with it the
-    # chunk's arrays, while the next chunk's pass runs
+    # chunk's array, while the next chunk's pass runs
     tables = cost_to_go(net, distinct, costs)
     for tr in distinct:
         alignment = optimal_alignment(net, tr, costs, table=next(tables))
         keys.append(alignment.key)
         cost.append(alignment.cost)
-    # the suspended generator still holds the last chunk's arrays
+    # the suspended generator still holds the last chunk's array
     del tables
     sequences = [tr.events for tr in distinct]
     counts = count_from_keys(net, columns[:-1], keys, sequences)

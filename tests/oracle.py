@@ -170,9 +170,8 @@ def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
 
 
 def oracle_chunk_cost_to_go(tables, chunk, c_log):
-    """The (h, ends) tables of a chunk of event sequences, as lists, by the
-    reference backward pass that the package's pass must match value for
-    value.
+    """The tables of a chunk of event sequences, as lists, by the reference
+    backward pass that the package's pass must match value for value.
 
     tables is the package's (dist, sync_next, columns, comp_cost) of a net
     and cost scheme, in the scheme's units, and c_log is in units too; the
@@ -180,15 +179,11 @@ def oracle_chunk_cost_to_go(tables, chunk, c_log):
     right-aligned on a (positions, N + 1, B) array whose row N is inf; the
     flat sync-successor index of every (marking, position, sequence) is
     built up front, and each position takes the min over k of dist[m, k] +
-    step[k, b] along axis 1 of a fresh (N, N, B) sum. A sequence's lists are
-    indexed by pos * (N + 1) + m. Its run ends follow, per sequence, from
-    its own h list: the end of (m, pos) is that of its sync successor (row N
-    when there is none) when their h values are equal, else (m, pos)
-    itself; row N ends in itself.
+    step[k, b] along axis 1 of a fresh (N, N, B) sum. A sequence's list is
+    indexed by pos * (N + 1) + m.
     """
     dist, sync_next, columns, comp_cost = tables
     n_nodes = len(comp_cost)
-    stride = n_nodes + 1
     width = max(map(len, chunk)) + 1
     unknown = sync_next.shape[1] - 1
     events = np.full((width - 1, len(chunk)), unknown)
@@ -205,18 +200,8 @@ def oracle_chunk_cost_to_go(tables, chunk, c_log):
         after = h[pos + 1]
         step = np.minimum(after[:n_nodes] + c_log, after.take(synced[:, pos]))
         np.minimum.reduce(dist + step, axis=1, out=h[pos, :n_nodes])
-    out = []
-    for b, sigma in enumerate(chunk):
-        table = h[width - 1 - len(sigma):, :, b].ravel().tolist()
-        ends = list(range(len(table)))
-        for pos in range(len(sigma) - 1, -1, -1):
-            col = columns.get(sigma[pos], unknown)
-            for m in range(n_nodes):
-                nxt = (pos + 1) * stride + int(sync_next[m, col])
-                if table[nxt] == table[pos * stride + m]:
-                    ends[pos * stride + m] = ends[nxt]
-        out.append((table, ends))
-    return out
+    return [h[width - 1 - len(sigma):, :, b].ravel().tolist()
+            for b, sigma in enumerate(chunk)]
 
 
 def oracle_reachability(net, cap=100_000):

@@ -611,7 +611,7 @@ def test_chunked_tables_align_like_single_ones(fn1, som):
         net = som if name == "som" else fn1
         for trace, table in zip(traces, cost_to_go(net, traces, costs)):
             alone = next(cost_to_go(net, [trace], costs))
-            assert table[0] == alone[0] and table[1] == alone[1]
+            assert table == alone
             assert optimal_alignment(net, trace, costs, table=table) == optimal_alignment(
                 net, trace, costs)
 
@@ -639,7 +639,7 @@ def test_cost_to_go_matches_oracle(name, costs):
     traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
                for _ in range(3)]
     keys = reachability_graph(net)[1]
-    for trace, (h, _) in zip(traces, cost_to_go(net, traces, costs)):
+    for trace, h in zip(traces, cost_to_go(net, traces, costs)):
         want = oracle_cost_to_go(net, trace, *UNIT_COSTS[costs])
         assert len(h) == (len(trace) + 1) * (len(keys) + 1)
         got = {(key, pos): h[pos * (len(keys) + 1) + m] for m, key in enumerate(keys)
@@ -686,10 +686,10 @@ def long_fn1_traces() -> list:
 
 def test_pruning_keeps_long_traces_cheap(fn1, monkeypatch):
     """Work guard without timing: the walk passes one state per move on each
-    of the 10 pinned long fn1 traces, those of skipped sync runs included,
-    so it aligns each under a state cap of its alignment's length and not
-    one less; and it pops no heap. The heap search, which aligns the traces
-    on a net without pass arrays, takes more than 10 000 pops."""
+    of the 10 pinned long fn1 traces, so it aligns each under a state cap of
+    its alignment's length and not one less; and it pops no heap. The heap
+    search, which aligns the traces on a net without pass arrays, takes more
+    than 10 000 pops."""
     long = long_fn1_traces()
     moves = [len(optimal_alignment(fn1, trace)) for trace in long]
     assert count_pops(monkeypatch, fn1, long) == 0
@@ -728,9 +728,8 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     """A chunk of two or more sequences holds its (positions, N + 1, B)
-    float64 table and int32 run ends in at most _TABLE_BYTES together, 12
-    bytes a state; a chunk of one may exceed that, up to
-    petri.DEFAULT_STATE_CAP states. Every chunk's pass's (N, N, B) min-plus
+    float64 table in at most _TABLE_BYTES, 8 bytes a state; a chunk of one
+    may exceed that, up to petri.DEFAULT_STATE_CAP states. Every chunk's pass's (N, N, B) min-plus
     temporary, (N, N, B) float64 distances and (N, A + 1, B) intp
     sync-successor index take at most _LANE_BYTES together. The spy refuses a larger chunk before it
     allocates, and bounds the nbytes of the arrays the tables are views of.
@@ -750,14 +749,14 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
         n_nodes = len(dist)
         width = max(map(len, chunk)) + 1
         cap = table_cap
-        if len(chunk) == 1 and width * (n_nodes + 1) * 12 > table_cap:
-            cap = confmon.petri.DEFAULT_STATE_CAP * 12
-        assert width * (n_nodes + 1) * 12 * len(chunk) <= cap
+        if len(chunk) == 1 and width * (n_nodes + 1) * 8 > table_cap:
+            cap = confmon.petri.DEFAULT_STATE_CAP * 8
+        assert width * (n_nodes + 1) * 8 * len(chunk) <= cap
         assert (2 * dist.size * 8 + sync_next.nbytes) * len(chunk) <= lane_cap
         chunks.append(len(chunk))
-        for h, ends in real(tables, chunk, c_log):
-            assert h.obj.nbytes + ends.obj.nbytes <= cap
-            yield h, ends
+        for h in real(tables, chunk, c_log):
+            assert h.obj.nbytes <= cap
+            yield h
 
     rng = random.Random(3)
     loops = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, rng.randrange(50, 700)))
@@ -780,12 +779,11 @@ TABLE_FORMATS = {CostScheme(): "d", CostScheme(0.7, 1.3, 0.1): "d",
 
 @pytest.mark.parametrize("costs", list(TABLE_FORMATS))
 def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch):
-    """Every chunk's tables and run ends equal those of the float64
-    reference pass in tests/oracle.py entry for entry, on 30 noisy fn1 loops
-    of 50-700 events and 300 noisy som playouts, for the default costs,
-    decimal costs and costs of 2^24 units. Each table is a read-only buffer
-    of float64 ('d') whose entries read back as Python floats, and its run
-    ends one of int32 read back as ints."""
+    """Every chunk's tables equal those of the float64 reference pass in
+    tests/oracle.py entry for entry, on 30 noisy fn1 loops of 50-700 events
+    and 300 noisy som playouts, for the default costs, decimal costs and
+    costs of 2^24 units. Each table is a read-only buffer of float64 ('d')
+    whose entries read back as Python floats."""
     real = confmon.alignment._chunk_cost_to_go
     checked = []
 
@@ -793,11 +791,9 @@ def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch
         want = oracle_chunk_cost_to_go(tables, chunk, c_log)
         got = list(real(tables, chunk, c_log))
         assert len(got) == len(want)
-        for (h, ends), (ref, ref_ends) in zip(got, want):
+        for h, ref in zip(got, want):
             assert h.readonly and h.format == TABLE_FORMATS[costs]
-            assert ends.readonly and ends.format == "i"
             assert h.tolist() == ref
-            assert ends.tolist() == ref_ends
             assert type(h[len(h) - 1]) is float
         checked.extend(chunk)
         yield from got
@@ -815,31 +811,29 @@ def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
     """Work guard without timing: build_diagnoses on 25 distinct fn1 loop
     traces of 50-500 events runs exactly two cost-to-go passes. The variants
     go longest first, so the first pass is as full as the table cap allows
-    at the longest trace's width: a float64 table and int32 run ends take
-    (positions) x (7 markings + 1) x 12 bytes per lane, and 16 lanes fit in
-    _TABLE_BYTES, 17 do not. The other 9 fit in a second, narrower pass.
-    Every entry of every table reads back as a float, and every run end as
-    an int."""
+    at the longest trace's width: a float64 table takes (positions) x
+    (7 markings + 1) x 8 bytes per lane, and 24 lanes fit in _TABLE_BYTES,
+    25 do not. The shortest trace gets a second, narrower pass. Every entry
+    of every table reads back as a float."""
     rng = random.Random(11)
     log = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, 50 + 450 * i // 24))
                     for i in range(25)])
     assert len({tr.events for tr in log}) == 25
     longest = max(len(tr) for tr in log)
     cap = confmon.alignment._TABLE_BYTES
-    assert (longest + 1) * 8 * 12 * 16 <= cap < (longest + 1) * 8 * 12 * 17
+    assert (longest + 1) * 8 * 8 * 24 <= cap < (longest + 1) * 8 * 8 * 25
     real = confmon.alignment._chunk_cost_to_go
     passes = []
 
     def spy(tables, chunk, c_log):
         passes.append((len(chunk), max(map(len, chunk))))
-        for h, ends in real(tables, chunk, c_log):
+        for h in real(tables, chunk, c_log):
             assert all(type(v) is float for v in h)
-            assert all(type(v) is int for v in ends)
-            yield h, ends
+            yield h
 
     monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
     build_diagnoses(fn1, log)
-    assert [lanes for lanes, _ in passes] == [16, 9]
+    assert [lanes for lanes, _ in passes] == [24, 1]
     assert passes[0][1] == longest
 
 
@@ -875,8 +869,8 @@ def test_short_som_traces_take_no_more_passes(som, monkeypatch):
 @given(seed=st.integers(0, 10_000), budget=st.integers(2, 6))
 def test_tables_of_2_24_units_scale_the_default_ones_property(seed, budget):
     """Property over random workflow nets with noisy and random traces:
-    costs of 2^24 units give the path keys and run ends of the default
-    costs, and tables and costs exactly 2^24 times theirs."""
+    costs of 2^24 units give the path keys of the default costs, and tables
+    and costs exactly 2^24 times theirs."""
     net = random_workflow_net(seed, budget=budget)
     rng = random.Random(seed)
     alphabet = sorted(net.visible_labels) + ["x1"]
@@ -885,12 +879,11 @@ def test_tables_of_2_24_units_scale_the_default_ones_property(seed, budget):
     traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
                for _ in range(3)]
     small, big = CostScheme(), CostScheme(2 ** 24, 2 ** 24, 0)
-    for trace, (h, ends), (h_big, ends_big) in zip(traces, cost_to_go(net, traces, small),
-                                                   cost_to_go(net, traces, big)):
+    for trace, h, h_big in zip(traces, cost_to_go(net, traces, small),
+                               cost_to_go(net, traces, big)):
         assert [v * 2 ** 24 for v in h.tolist()] == h_big.tolist()
-        assert ends.tolist() == ends_big.tolist()
-        a = optimal_alignment(net, trace, small, table=(h, ends))
-        b = optimal_alignment(net, trace, big, table=(h_big, ends_big))
+        a = optimal_alignment(net, trace, small, table=h)
+        b = optimal_alignment(net, trace, big, table=h_big)
         assert a.key == b.key
         assert b.cost == a.cost * 2 ** 24
 
@@ -1060,6 +1053,25 @@ def test_zero_cost_silent_cycle_sends_the_trace_to_the_heap(costs, expansions, m
     assert searched == [long, long]
 
 
+def test_monitor_and_long_loop_traffic_is_all_walked(fn1, som, monkeypatch):
+    """Work guard without timing: build_diagnoses on noisy som playouts with
+    injected copies of clean ones, and on 25 noisy fn1 loops of 50-500
+    events, walks every variant and never calls the heap search."""
+    real = confmon.alignment._search
+    searched = []
+    monkeypatch.setattr(confmon.alignment, "_search",
+                        lambda sigma, *args: searched.append(sigma) or real(sigma, *args))
+    noisy = playout(som, 300, seed=2, noise=NoiseParams(0.05, 0.05))
+    injected = build_eval_sets(playout(som, 300, seed=1000), 3.0, seed=0)["all"]
+    rng = random.Random(11)
+    loops = [Trace(f"c{i}", noisy_fn1_loop(rng, 50 + 450 * i // 24)) for i in range(25)]
+    som_rows = build_diagnoses(som, EventLog(list(noisy) + list(injected)))
+    fn1_rows = build_diagnoses(fn1, EventLog(loops))
+    assert len(som_rows) == 1200 and len(fn1_rows) == 25
+    assert som_rows.log_fitness() < 1.0 and fn1_rows.log_fitness() < 1.0
+    assert searched == []
+
+
 def test_unknown_trace_walks_within_a_small_state_cap(som, monkeypatch):
     """Work guard without timing: a 500-event som trace of unknown
     activities aligns in 508 moves under a state cap of 600, with the heap's
@@ -1089,19 +1101,19 @@ def spy_passes(monkeypatch) -> list:
 
 
 def test_a_trace_over_the_table_cap_is_walked_in_a_chunk_of_its_own(fn1, monkeypatch):
-    """Under a 4096-byte table cap an fn1 table holds 42 positions. A noisy
+    """Under a 4096-byte table cap an fn1 table holds 64 positions. A noisy
     loop of more than 100 events between two short traces gets a pass of
     its own, so three passes run, and the walk aligns it without popping a heap,
     to the path key and cost of the heap search on a net without pass
     arrays."""
     monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 4096)
     trace = noisy_fn1_loop(random.Random(6), 150)
-    assert len(trace) > 100 and (len(trace) + 1) * 8 * 12 > 4096
+    assert len(trace) > 100 and (len(trace) + 1) * 8 * 8 > 4096
     passes = spy_passes(monkeypatch)
     tables = list(cost_to_go(fn1, [LOOP_TRACE, trace, LOOP_TRACE]))
     assert passes == [1, 1, 1]
-    h, ends = tables[1]
-    assert h.format == "d" and len(h) == len(ends) == (len(trace) + 1) * 8
+    h = tables[1]
+    assert h.format == "d" and len(h) == (len(trace) + 1) * 8
     assert count_pops(monkeypatch, fn1, [trace]) == 0
     walked = optimal_alignment(fn1, trace)
     assert walked.cost == h[0]

@@ -54,9 +54,12 @@ def test_check_clean_log(normal_log_file, tmp_path, capsys):
     assert "case,t1,t2,t3,t4,t5,t6,UNKNOWN,fitness" in text
 
 
-def test_coverage_command(normal_log_file, capsys):
-    assert run("coverage", "--model", "fn1", "--log", str(normal_log_file)) == 0
-    assert capsys.readouterr().out.strip() == "coverage=1.000000"
+def test_removed_coverage_command_is_a_usage_error(normal_log_file, capsys):
+    """check prints coverage; a coverage subcommand is an unknown choice."""
+    with pytest.raises(SystemExit) as exc:
+        run("coverage", "--model", "fn1", "--log", str(normal_log_file))
+    assert exc.value.code == 2
+    assert "invalid choice: 'coverage'" in capsys.readouterr().err
 
 
 def test_check_prints_log_fitness_and_coverage(som, tmp_path, capsys):
@@ -67,8 +70,6 @@ def test_check_prints_log_fitness_and_coverage(som, tmp_path, capsys):
     assert fitness < 1.0 and cov < 1.0
     assert run("check", "--model", "som", "--log", str(path)) == 0
     assert capsys.readouterr().out == f"fitness={fitness:.6f} coverage={cov:.6f}\n"
-    assert run("coverage", "--model", "som", "--log", str(path)) == 0
-    assert capsys.readouterr().out == f"coverage={cov:.6f}\n"
 
 
 def test_empty_log_exits_one(normal_log_file, tmp_path, capsys):
@@ -78,7 +79,7 @@ def test_empty_log_exits_one(normal_log_file, tmp_path, capsys):
     empty = tmp_path / "empty.log"
     empty.write_text("", encoding="utf-8")
     capsys.readouterr()
-    for argv in (["check"], ["coverage"], ["detect", "--detector", str(det_path)]):
+    for argv in (["check"], ["detect", "--detector", str(det_path)]):
         assert run(*argv, "--model", "fn1", "--log", str(empty)) == 1
         assert "error:" in capsys.readouterr().err
 
