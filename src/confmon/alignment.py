@@ -23,11 +23,13 @@ returned is the path the final state settles on.
 The exact cost-to-go h*(m, pos) is the cheapest cost of aligning the events
 from pos on, starting in marking m, to the final marking. cost_to_go computes
 it for a chunk of traces at once, in one backward pass over positions:
-h*(., n) is the model-only completion cost, and h*(., pos) is the model-move
-closure of the cheaper of a log move on sigma[pos] (c_log + h*(., pos + 1))
-and a sync move on it. A move is tight when its cost plus the h* of its
-target equals the h* of its source; the paths of tight moves from the start
-state are exactly the prefixes of optimal alignments.
+h*(., n) is the model-only completion cost, and h*(., pos) the cheaper of a
+log move on sigma[pos] (c_log + h*(., pos + 1)) and a model-only run to an
+origin of sigma[pos], a marking where its transition is enabled, followed by
+the sync move there. h*(., pos + 1) is closed under model moves, so the log
+move needs no model moves before it. A move is tight when its cost plus the
+h* of its target equals the h* of its source; the paths of tight moves from
+the start state are exactly the prefixes of optimal alignments.
 
 Every trace on a net with pass arrays gets a table and is aligned by a
 depth-first walk over tight moves in tie-break order, which settles each
@@ -42,8 +44,9 @@ and first in the tie-break, without a round trip through the heap.
 A table is a read-only buffer of float64, whole numbers of units, one per
 (position, marking), so a state takes 8 bytes. Two byte caps bound a chunk:
 _TABLE_BYTES (768 KiB) its tables, _LANE_BYTES (1 MiB) its pass's per-lane
-arrays. A net whose lane exceeds _LANE_BYTES gets no pass arrays. A trace
-whose table alone exceeds _TABLE_BYTES gets a chunk of its own.
+gather of origin columns. A net whose origin table exceeds _LANE_BYTES gets
+no pass arrays. A trace whose table alone exceeds _TABLE_BYTES gets a chunk
+of its own.
 petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
 the states of a table of its own, the states the walk passes and the
 expansions of the search.
@@ -87,18 +90,20 @@ INF = float("inf")
 # (position, marking) state. A trace whose table alone exceeds it gets a
 # chunk of its own.
 _TABLE_BYTES = 3 << 18
-# Bytes per chunk of the pass's per-lane arrays taken together: its (N, N, B)
-# float64 sums and distances and its (N, A + 1, B) intp sync-successor index.
-# A net whose lane alone exceeds it gets no tables.
+# Bytes per chunk of the pass's (J, N, B) float64 gather of origin columns,
+# J x N x 8 a lane. A net whose (J, N, A + 1) origin table exceeds it gets no
+# tables.
 _LANE_BYTES = 1 << 20
 # The largest cost unit denominator D, and the largest cost in units. A
 # table holds at most 98 304 < 2^17 states in a shared chunk and at most
 # petri.DEFAULT_STATE_CAP in a chunk of its own, 10^6 < 2^20 at the default
 # cap, so a trace with one has fewer than 2^20 events, on a net of at most
-# 2^8 markings (2 x 8 x N^2 bytes of distances per lane fit _LANE_BYTES); so
-# each cost-to-go in it, at most (events + markings) x 2^32, and each sum the
-# pass forms stay below 2^53, which float64 holds exactly. The search adds
-# Python ints.
+# 2^17 markings (its origin table, at least 8 x N bytes, fits _LANE_BYTES).
+# A model-only run between markings visits each at most once, so a distance
+# is at most 2^17 x 2^32 units, and a finite cost-to-go at most (events +
+# markings) x 2^32. Each sum the pass forms, a distance plus a cost-to-go or
+# c_log plus one, is then below (2^20 + 2^18 + 1) x 2^32 < 2^53, which
+# float64 holds exactly. The search adds Python ints.
 _MAX_UNITS = 1 << 32
 # Keys per numpy pass of count_from_keys.
 _COUNT_BLOCK = 1024
@@ -280,8 +285,8 @@ def _tables(net: PetriNet, costs: CostScheme):
     the cap, or does not reach the final marking, whose node is final.
 
     comp_cost lists per marking the cheapest model-only completion cost, an
-    int, by backward Dijkstra; markings that cannot reach the final marking
-    cost inf.
+    int, by backward Dijkstra (_costs_to); markings that cannot reach the
+    final marking cost inf.
 
     sync[m] maps an activity to the (code, next marking) of its sync move in
     marking m; free[m] lists the (code, next marking, cost) of its silent and
@@ -289,14 +294,17 @@ def _tables(net: PetriNet, costs: CostScheme):
     markings that cannot reach the final marking are left out, so neither
     the walk nor the search enters them.
 
-    tables is (dist, sync_next, columns, comp_cost) of the cost-to-go pass,
-    for N markings and A visible activities, or None when the pass's
-    per-lane arrays, N * (2N + A + 1) * 8 bytes, exceed _LANE_BYTES. dist is
-    the (N, N) float64 array of cheapest model-only runs between markings
-    (Floyd-Warshall). columns maps an activity to a column of the (N, A + 1)
-    index array sync_next, whose entry is the marking a sync move on that
-    activity leads to, or N where there is none; column A stands for every
-    activity the net does not know. comp_cost is here a float64 array.
+    tables is (dist, successors, columns, comp_cost) of the cost-to-go
+    pass, for N markings and A visible activities, or None when the origin
+    table dist, J * N * (A + 1) * 8 bytes, exceeds _LANE_BYTES. columns maps
+    an activity to a column; column A stands for every activity the net
+    does not know. The origins of activity a are the markings its
+    transition is enabled in, in node order, and J is the most of any
+    activity, at least 1. dist[j, m, a] is the cheapest model-only run from
+    m to a's origin j (backward Dijkstra to it), and successors[j, a] the
+    marking a's sync move leads to from there; past a's origins, and in
+    column A, dist is inf and successors N. comp_cost is here a float64
+    array.
     """
     _, c_model, c_silent = costs._units[1:]
     # the lane cap decides whether the pass's arrays are built, so it is part
@@ -320,37 +328,28 @@ def _tables(net: PetriNet, costs: CostScheme):
     labels = net.labels
     n_nodes = len(succ)
     step = {t: c_silent if label is None else c_model for t, label in labels.items()}
-    preds: list[list[tuple[str, int]]] = [[] for _ in succ]
+    columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
+    # preds[m] lists the (cost, source) of the moves into marking m, and
+    # origins[a] the (marking, successor) pairs of activity a's sync moves
+    preds: list[list[tuple[int, int]]] = [[] for _ in succ]
+    origins: list[list[tuple[int, int]]] = [[] for _ in columns]
     for src, nexts in enumerate(succ):
         for t, dst in nexts:
-            preds[dst].append((t, src))
-    comp_cost = [INF] * n_nodes
-    comp_cost[final] = 0
-    heap = [(0, final)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > comp_cost[node]:
-            continue
-        for t, prev in preds[node]:
-            w = step[t]
-            if d + w < comp_cost[prev]:
-                comp_cost[prev] = d + w
-                heapq.heappush(heap, (d + w, prev))
+            preds[dst].append((step[t], src))
+            if labels[t] is not None:
+                origins[columns[labels[t]]].append((src, dst))
+    comp_cost = _costs_to(final, preds)
 
     tables = None
-    columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
-    if n_nodes * (2 * n_nodes + len(columns) + 1) * 8 <= _LANE_BYTES:
-        sync_next = np.full((n_nodes, len(columns) + 1), n_nodes, dtype=np.intp)
-        dist = np.full((n_nodes, n_nodes), INF)
-        np.fill_diagonal(dist, 0.0)
-        for src, nexts in enumerate(succ):
-            for t, dst in nexts:
-                if labels[t] is not None:
-                    sync_next[src, columns[labels[t]]] = dst
-                dist[src, dst] = min(dist[src, dst], step[t])
-        for k in range(n_nodes):
-            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-        tables = (dist, sync_next, columns, np.array(comp_cost, dtype=float))
+    depth = max(map(len, origins), default=0) or 1
+    if depth * n_nodes * (len(columns) + 1) * 8 <= _LANE_BYTES:
+        dist = np.full((depth, n_nodes, len(columns) + 1), INF)
+        successors = np.full((depth, len(columns) + 1), n_nodes, dtype=np.intp)
+        for a, pairs in enumerate(origins):
+            for j, (k, nxt) in enumerate(pairs):
+                dist[j, :, a] = _costs_to(k, preds)
+                successors[j, a] = nxt
+        tables = (dist, successors, columns, np.array(comp_cost, dtype=float))
 
     _, sync_code, free_code, _ = _move_codes(net)
     sync, free = [], []
@@ -361,6 +360,23 @@ def _tables(net: PetriNet, costs: CostScheme):
         free.append(tuple(sorted((free_code[t], nxt, step[t]) for t, nxt in live)))
     record = net._caches[cache_key] = (final, comp_cost, sync, free, tables)
     return record
+
+
+def _costs_to(target: int, preds) -> list:
+    """The cheapest cost of a model-only run from each marking to target, an
+    int, by backward Dijkstra over preds (see _tables); inf where there is
+    none."""
+    costs = [INF] * len(preds)
+    costs[target] = 0
+    heap = [(0, target)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d == costs[node]:  # else a cheaper entry settled the node
+            for w, prev in preds[node]:
+                if d + w < costs[prev]:
+                    costs[prev] = d + w
+                    heapq.heappush(heap, (d + w, prev))
+    return costs
 
 
 # the table argument's default: compute the trace's table
@@ -516,9 +532,8 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
 
     Sequences go in chunks, in order, and one backward pass computes a
     chunk's tables. A chunk's (positions, N + 1, B) table holds at most
-    _TABLE_BYTES, and its pass's (N, N, B) sums,
-    (N, N, B) distances and (N, A + 1, B) sync-successor index at most
-    _LANE_BYTES, for B sequences on a net of A visible activities. A chunk
+    _TABLE_BYTES, and its pass's (J, N, B) gather of origin columns (see
+    _tables) at most _LANE_BYTES, for B sequences. A chunk
     takes sequences while both caps hold, so its first sequence should be
     its longest: its width is then fixed and the next ones fill the cap
     under it. A sequence whose table alone exceeds _TABLE_BYTES fits no
@@ -533,9 +548,8 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
             yield None
         return
     c_log = costs._units[1]
-    dist, sync_next = tables[:2]
-    stride = len(dist) + 1
-    lane = 2 * dist.nbytes + sync_next.nbytes
+    stride = len(tables[3]) + 1
+    lane = tables[0][..., 0].nbytes
     chunk, longest = [], 0
     for sigma in map(_events, sequences):
         states = (len(sigma) + 1) * stride
@@ -575,47 +589,49 @@ def _backward_pass(tables, chunk, c_log: int):
 
     The sequences are right-aligned on the table, whose row N is the target
     of missing sync moves, inf; positions before a shorter sequence's start
-    only pad and are never read.
+    only pad and are never read. h(., pos + 1) is closed under model moves,
+    so a log move on sigma[pos] gains nothing from model moves before it,
+    and only a sync move needs the model-only runs to its origins:
+
+      h[pos][m] = min(c_log + h[pos + 1][m],
+                      min over origins k of a = sigma[pos] of
+                          dist[m, k] + h[pos + 1][next_a(k)])
+
+    Each position gathers the (J, N, B) origin columns of its events, adds
+    their successors' h and reduces over J, so the min runs over contiguous
+    (N, B) planes.
     """
-    dist, sync_next, columns, comp_cost = tables
-    n_nodes, n_seqs = len(comp_cost), len(chunk)
+    dist, successors, columns, comp_cost = tables
+    n_nodes, n_seqs, depth = len(comp_cost), len(chunk), len(successors)
     stride = n_nodes + 1
     width = max(map(len, chunk)) + 1
-    unknown = sync_next.shape[1] - 1
+    unknown = len(columns)
     lanes = np.arange(n_seqs)
-    # cols[pos, b] is (the column of sequence b's event at pos) * B + b, and
-    # sync_index[m, cols[pos, b]] the flat index of marking m's sync
-    # successor on that event into the (N + 1, B) slice after pos
+    # cols[pos, b] is the column of sequence b's event at pos
     offsets = width - 1 - np.fromiter(map(len, chunk), dtype=np.intp, count=n_seqs)
     cols = np.full((width - 1, n_seqs), unknown)
     # a boolean mask fills the lanes one by one, each with its events
     # right-aligned
     cols.T[np.arange(width - 1) >= offsets[:, None]] = np.fromiter(
         map(columns.get, chain.from_iterable(chunk), repeat(unknown)), dtype=np.intp)
-    cols *= n_seqs
-    cols += lanes
-    sync_index = np.add.outer(sync_next * n_seqs, lanes).reshape(n_nodes, -1)
+    # nexts[j, pos, b] is the flat index, into the (N + 1, B) slice after
+    # pos, of the successor of origin j of sequence b's event at pos; it
+    # takes J / (N + 1) of the table's bytes
+    nexts = successors[:, cols] * n_seqs + lanes
     h = np.empty((width, stride, n_seqs))
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
-    synced = np.empty((n_nodes, n_seqs), dtype=np.intp)
-    moved = np.empty((n_nodes, n_seqs))
-    step = np.empty((n_nodes, n_seqs))
-    # through[k, m, b] = dist[m, k] + step[k, b]: with k leading, the min
-    # over k runs over contiguous (m, b) planes
-    through = np.empty((n_nodes, n_nodes, n_seqs))
-    dist_k = np.empty_like(through)
-    dist_k[...] = dist.T[:, :, None]
+    moved = np.empty((depth, n_seqs))
+    gathered = np.empty((depth, n_nodes, n_seqs))
     # every index is in range; mode="clip" only lets take write into out
     # without an intermediate buffer
     for pos in range(width - 2, -1, -1):
-        after = h[pos + 1]
-        sync_index.take(cols[pos], axis=1, out=synced, mode="clip")
-        after.take(synced, out=moved, mode="clip")
-        np.add(after[:n_nodes], c_log, out=step)
-        np.minimum(step, moved, out=step)
-        np.add(dist_k, step[:, None], out=through)
-        np.minimum.reduce(through, axis=0, out=h[pos, :n_nodes])
+        after, here = h[pos + 1], h[pos, :n_nodes]
+        dist.take(cols[pos], axis=2, out=gathered, mode="clip")
+        after.take(nexts[:, pos], out=moved, mode="clip")
+        gathered += moved[:, None]
+        np.minimum.reduce(gathered, axis=0, out=here)
+        np.minimum(here, after[:n_nodes] + c_log, out=here)
     return h, (offsets * stride * n_seqs + lanes).tolist()
 
 

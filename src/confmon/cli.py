@@ -101,7 +101,7 @@ def cmd_check(args) -> None:
 
 def cmd_inject(args) -> None:
     log = _read_log(args.log)
-    pool = tuple(args.pool.split(",")) if args.pool else DEFAULT_UNKNOWN_POOL
+    pool = _names(args.pool) if args.pool else DEFAULT_UNKNOWN_POOL
     spec = InjectionSpec(args.type, args.lam, pool, args.seed)
     out = inject_log(log, spec)
     _emit(args.out, write_log(out))
@@ -241,8 +241,13 @@ class ExperimentConfig:
     outdir: str = "results"
 
 
+def _names(value: str) -> tuple:
+    """The comma-separated names of a flag or config value, each stripped."""
+    return tuple(v.strip() for v in value.split(","))
+
+
 def _detector_kinds(value: str) -> tuple:
-    kinds = tuple(v.strip() for v in value.split(","))
+    kinds = _names(value)
     unknown = [k for k in kinds if k not in DETECTOR_KINDS]
     if unknown:
         raise ConfmonError(f"unknown detectors: {unknown}")
@@ -262,7 +267,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         "split": ("split", _parse_split),
         "quantile": ("quantile", float),
         "detectors": ("detectors", _detector_kinds),
-        "pool": ("pool", lambda value: tuple(v.strip() for v in value.split(","))),
+        "pool": ("pool", _names),
         "max_steps": ("max_steps", int),
         "outdir": ("outdir", str),
     }

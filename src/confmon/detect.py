@@ -388,8 +388,6 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
     same whichever order argsort gives tied distances; the eps percentile
     and the weighted neighbour counts are sums and order statistics over the
     rows; and the cluster count is a count of connected components."""
-    if min_pts < 1:
-        raise DetectError(f"min_pts must be >= 1, got {min_pts}")
     if eps is not None and not (isinstance(eps, numbers.Real) and math.isfinite(eps)):
         raise DetectError(f"dbscan eps must be a finite number, got {eps!r}")
     n = x.shape[0]
@@ -482,7 +480,7 @@ def train_group(kind: str, pairs, params: dict | None = None, *,
     bounds = [(x.min(axis=0), x.max(axis=0)) for x in x_trains]
     states: list = [{} for _ in pairs]
     if kind == "dbscan":
-        min_pts = int(params.get("min_pts", DBSCAN_MIN_PTS))
+        min_pts = _count("dbscan min_pts", params.get("min_pts", DBSCAN_MIN_PTS))
         eps = params.get("eps")
         for state, x, (mins, maxs) in zip(states, x_trains, bounds):
             fit_eps, cores, n_clusters = _fit_dbscan(_normalize(mins, maxs, x), min_pts, eps)

@@ -169,29 +169,52 @@ def oracle_cost_to_go(net, events, c_log=1.0, c_model=1.0, c_silent=0.0):
     return out
 
 
-def oracle_chunk_cost_to_go(tables, chunk, c_log):
-    """The tables of a chunk of event sequences, as lists, by the reference
-    backward pass that the package's pass must match value for value.
+def oracle_chunk_cost_to_go(net, keys, chunk, c_log, c_model, c_silent):
+    """The tables of a chunk of event sequences, as lists, by the dense
+    reference backward pass that the package's pass must match value for
+    value.
 
-    tables is the package's (dist, sync_next, columns, comp_cost) of a net
-    and cost scheme, in the scheme's units, and c_log is in units too; the
-    pass runs in float64, like the package's. The sequences are
-    right-aligned on a (positions, N + 1, B) array whose row N is inf; the
-    flat sync-successor index of every (marking, position, sequence) is
-    built up front, and each position takes the min over k of dist[m, k] +
-    step[k, b] along axis 1 of a fresh (N, N, B) sum. A sequence's list is
-    indexed by pos * (N + 1) + m.
+    keys lists the net's reachable marking keys in the order that indexes
+    the tables (petri.reachability_graph's nodes); the moves between them,
+    dist (the cheapest model-only run between two markings, by
+    Floyd-Warshall), the completion costs dist[:, final] and the sync
+    successors come from the net's arcs here, not from the package's pass
+    arrays. Costs are in the scheme's units, and the pass runs in float64,
+    like the package's. The sequences are right-aligned on a
+    (positions, N + 1, B) array whose row N is inf; each position takes the
+    cheaper of a log and a sync move on the event, step[k, b], then its
+    model-move closure, the min over k of dist[m, k] + step[k, b] along
+    axis 1 of a fresh (N, N, B) sum. A sequence's list is indexed by
+    pos * (N + 1) + m.
     """
-    dist, sync_next, columns, comp_cost = tables
-    n_nodes = len(comp_cost)
+    places = tuple(sorted(net.places))
+    pre, post = _structure(net)
+    index = {key: i for i, key in enumerate(keys)}
+    n_nodes = len(keys)
+    columns = {act: i for i, act in enumerate(sorted(net.visible_labels))}
+    unknown = len(columns)
+    dist = np.full((n_nodes, n_nodes), float("inf"))
+    np.fill_diagonal(dist, 0.0)
+    sync_next = np.full((n_nodes, unknown + 1), n_nodes)
+    for src, key in enumerate(keys):
+        for t in sorted(net.transitions):
+            if _enabled_key(key, places, pre[t]):
+                dst = index[_fire_key(key, places, pre[t], post[t])]
+                label = net.labels[t]
+                cost = c_silent if label is None else c_model
+                dist[src, dst] = min(dist[src, dst], cost)
+                if label is not None:
+                    sync_next[src, columns[label]] = dst
+    for k in range(n_nodes):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    final = index[tuple(net.final_marking.get(p, 0) for p in places)]
     width = max(map(len, chunk)) + 1
-    unknown = sync_next.shape[1] - 1
     events = np.full((width - 1, len(chunk)), unknown)
     for b, sigma in enumerate(chunk):
         events[width - 1 - len(sigma):, b] = [columns.get(a, unknown) for a in sigma]
     h = np.empty((width, n_nodes + 1, len(chunk)))
     h[:, n_nodes] = float("inf")
-    h[-1, :n_nodes] = comp_cost[:, None]
+    h[-1, :n_nodes] = dist[:, final, None]
     synced = sync_next[:, events]
     synced *= len(chunk)
     synced += np.arange(len(chunk))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import pickle
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
@@ -725,34 +727,47 @@ def test_net_moves_are_decoded_once_per_net(monkeypatch):
     assert sum(map(len, alignments)) > 10 * (log_moves + alphabet)
 
 
+def origin_table(net) -> tuple[int, int]:
+    """(J, bytes) of the net's origin table: J is the most reachable
+    markings one visible transition is enabled in, at least 1, and the
+    table holds J x N x (A + 1) float64 for N markings and A visible
+    activities."""
+    succ = reachability_graph(net)[0]
+    enabled = Counter(t for nexts in succ for t, _ in nexts if net.labels[t] is not None)
+    depth = max(enabled.values(), default=1)
+    return depth, depth * len(succ) * (len(net.visible_labels) + 1) * 8
+
+
 @pytest.mark.parametrize("cap", [1 << 12, None])
 def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     """A chunk of two or more sequences holds its (positions, N + 1, B)
     float64 table in at most _TABLE_BYTES, 8 bytes a state; a chunk of one
-    may exceed that, up to petri.DEFAULT_STATE_CAP states. Every chunk's pass's (N, N, B) min-plus
-    temporary, (N, N, B) float64 distances and (N, A + 1, B) intp
-    sync-successor index take at most _LANE_BYTES together. The spy refuses a larger chunk before it
-    allocates, and bounds the nbytes of the arrays the tables are views of.
-    The diagnoses match those built without any table. The caps are at
-    their defaults, or both at 4096 bytes, where most fn1 loops get a chunk
-    of their own."""
+    may exceed that, up to petri.DEFAULT_STATE_CAP states. Every chunk's
+    pass gathers the (J, N, B) float64 model-only costs to its events'
+    origins, J of them per event, in at most _LANE_BYTES. The spy refuses a
+    larger chunk before it allocates, and bounds the nbytes of the arrays
+    the tables are views of. The diagnoses match those built without any
+    table. The caps are at their defaults, or both at 4096 bytes, where
+    most fn1 loops get a chunk of their own."""
     if cap is not None:
         monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", cap)
         monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", cap)
     table_cap = confmon.alignment._TABLE_BYTES
     lane_cap = confmon.alignment._LANE_BYTES
+    depths = {len(reachability_graph(net)[0]): origin_table(net)[0] for net in (fn1, som)}
     real = confmon.alignment._chunk_cost_to_go
     chunks = []
 
     def spy(tables, chunk, c_log):
-        dist, sync_next = tables[:2]
-        n_nodes = len(dist)
+        n_nodes = len(tables[3])
+        depth = depths[n_nodes]
         width = max(map(len, chunk)) + 1
         cap = table_cap
         if len(chunk) == 1 and width * (n_nodes + 1) * 8 > table_cap:
             cap = confmon.petri.DEFAULT_STATE_CAP * 8
         assert width * (n_nodes + 1) * 8 * len(chunk) <= cap
-        assert (2 * dist.size * 8 + sync_next.nbytes) * len(chunk) <= lane_cap
+        assert tables[0].shape[:2] == (depth, n_nodes)
+        assert depth * n_nodes * 8 * len(chunk) <= lane_cap
         chunks.append(len(chunk))
         for h in real(tables, chunk, c_log):
             assert h.obj.nbytes <= cap
@@ -772,39 +787,86 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
         assert got.moves == want.moves
 
 
-# the buffer format of each scheme's tables
-TABLE_FORMATS = {CostScheme(): "d", CostScheme(0.7, 1.3, 0.1): "d",
-                 CostScheme(2 ** 24, 2 ** 24, 0): "d"}
+# the cost schemes the pass is checked against the reference pass under
+REFERENCE_SCHEMES = [CostScheme(), CostScheme(0.7, 1.3, 0.1), CostScheme(2 ** 24, 2 ** 24, 0),
+                     CostScheme(1.0, 1.0, 0.5), CostScheme(3.0, 2.0, 0.0)]
 
 
-@pytest.mark.parametrize("costs", list(TABLE_FORMATS))
-def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs, monkeypatch):
-    """Every chunk's tables equal those of the float64 reference pass in
-    tests/oracle.py entry for entry, on 30 noisy fn1 loops of 50-700 events
-    and 300 noisy som playouts, for the default costs, decimal costs and
-    costs of 2^24 units. Each table is a read-only buffer of float64 ('d')
-    whose entries read back as Python floats."""
-    real = confmon.alignment._chunk_cost_to_go
-    checked = []
+def silent_only_net() -> PetriNet:
+    """A silent split into two branches of two silent steps each, then a
+    silent join: 11 markings and no visible transition."""
+    builder = _NetBuilder()
+    branches = []
+    for _ in range(2):
+        first, mid, last = builder.place(), builder.place(), builder.place()
+        builder.silent([first], [mid])
+        builder.silent([mid], [last])
+        branches.append((first, last))
+    builder.silent(["source"], [first for first, _ in branches])
+    builder.silent([last for _, last in branches], ["sink"])
+    return builder.build("silent")
 
-    def spy(tables, chunk, c_log):
-        want = oracle_chunk_cost_to_go(tables, chunk, c_log)
-        got = list(real(tables, chunk, c_log))
-        assert len(got) == len(want)
-        for h, ref in zip(got, want):
-            assert h.readonly and h.format == TABLE_FORMATS[costs]
-            assert h.tolist() == ref
-            assert type(h[len(h) - 1]) is float
-        checked.extend(chunk)
-        yield from got
 
-    monkeypatch.setattr(confmon.alignment, "_chunk_cost_to_go", spy)
+def never_enabled_net() -> PetriNet:
+    """random_workflow_net seed 3 with one more visible transition, z, from
+    a place that never holds a token into sink."""
+    net = random_workflow_net(3)
+    return PetriNet(net.places | {"idle"}, net.transitions | {"tz"},
+                    net.arcs | {("idle", "tz"), ("tz", "sink")}, net.initial_marking,
+                    net.final_marking, {**net.labels, "tz": "z"}, name="never")
+
+
+@functools.cache
+def reference_cases() -> tuple:
+    """(net, traces) pairs: a random chunk of three noisy playouts and three
+    random traces over the net's activities and x1 on each of
+    random_workflow_net seeds 0-199, then the silent-only net and the net
+    with a never-enabled transition, each with traces of its own and of
+    unknown activities."""
+    cases = []
+    for seed in range(200):
+        net = random_workflow_net(seed, budget=2 + seed % 5)
+        rng = random.Random(seed)
+        alphabet = sorted(net.visible_labels) + ["x1"]
+        traces = [tr.events for tr in playout(net, 3, max_steps=60, seed=seed,
+                                              noise=NoiseParams(0.15, 0.15))]
+        traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 10)))
+                   for _ in range(3)]
+        cases.append((net, traces))
+    unknown = [("x1",), ("x1", "x2", "x1")]
+    cases.append((silent_only_net(), [(), *unknown]))
+    never = never_enabled_net()
+    cases.append((never, [("z",), ("a1", "z", "a2"), ("z", "z"), *unknown,
+                          *(tr.events for tr in playout(never, 3, seed=1))]))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("costs", REFERENCE_SCHEMES)
+def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs):
+    """Every table equals that of the dense reference pass in
+    tests/oracle.py entry for entry, which builds its own model-only
+    distances and sync successors from the net's arcs: on 30 noisy fn1
+    loops of 50-700 events and 300 noisy som playouts with a trace of
+    unknown activities, on a random chunk on each of 200 random workflow
+    nets, on a net with no visible transition (no origins, so the pass
+    reduces over a row of padding) and on one with a visible transition
+    that is never enabled (an activity without origins). Each table is a
+    read-only buffer of float64 ('d') whose entries read back as Python
+    floats."""
     rng = random.Random(3)
     loops = [noisy_fn1_loop(rng, rng.randrange(50, 700)) for _ in range(30)]
     noisy = [tr.events for tr in playout(som, 300, seed=2, noise=NoiseParams(0.05, 0.05))]
-    for net, traces in ((fn1, loops), (som, noisy)):
-        assert len(list(cost_to_go(net, traces, costs))) == len(traces)
-    assert len(checked) == 330
+    cases = [(fn1, loops), (som, noisy + [("x1", "x2") * 5])] + list(reference_cases())
+    assert len(cases) == 204
+    for net, traces in cases:
+        want = oracle_chunk_cost_to_go(net, reachability_graph(net)[1], traces,
+                                       *costs._units[1:])
+        got = list(cost_to_go(net, traces, costs))
+        assert len(got) == len(want) == len(traces)
+        for h, ref in zip(got, want):
+            assert h.readonly and h.format == "d"
+            assert h.tolist() == ref
+            assert type(h[len(h) - 1]) is float
 
 
 def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):
@@ -843,9 +905,9 @@ def test_short_som_traces_take_no_more_passes(som, monkeypatch):
     and the 4 500 injected copies of 1 500 clean ones) runs at most 14
     cost-to-go passes over at most 146 positions, what it ran with the
     variants shortest first and the per-lane arrays under a 2^17-element
-    cap (it runs 14 over 140: _LANE_BYTES binds on som's float64 lanes).
-    Longest first, the first chunk is the widest, and the table cap must
-    not cut its lanes."""
+    cap. It runs 7 over 74: som's (J, N) gather takes 88 bytes a lane, so
+    _TABLE_BYTES binds, not _LANE_BYTES. Longest first, the first chunk is
+    the widest, and the table cap must not cut its lanes."""
     noise = NoiseParams(0.03, 0.03)
     held_out = playout(som, 1500, seed=2000, noise=noise)
     injected = build_eval_sets(playout(som, 1500, seed=1000), 3.0, seed=0)["all"]
@@ -1161,17 +1223,35 @@ def parallel_net(branches: int, steps: int) -> PetriNet:
     return builder.build(f"par{branches}x{steps}")
 
 
-def test_a_net_too_wide_for_the_pass_is_aligned_on_the_heap():
-    """3 parallel branches of 6 visible steps reach 345 markings; the pass's
-    float64 lane, 345 x (2 x 345 + 18 + 1) x 8 bytes, about 1.9 MB, exceeds
-    _LANE_BYTES, so no trace gets a table. The heap search aligns 3 noisy
-    playouts as the exact oracle does."""
-    net = parallel_net(3, 6)
-    n_nodes = len(reachability_graph(net)[0])
-    assert n_nodes == 345
-    assert n_nodes * (2 * n_nodes + 18 + 1) * 8 > confmon.alignment._LANE_BYTES
+# the ladder of nets: its builder, and whether its origin table fits the
+# lane cap
+LADDER = {"som": (lambda: bundled_model("som"), True),
+          "fn1": (lambda: bundled_model("fn1"), True),
+          "par2x10": (lambda: parallel_net(2, 10), True),
+          "par3x5": (lambda: parallel_net(3, 5), True),
+          "par3x6": (lambda: parallel_net(3, 6), False),
+          "par4x4": (lambda: parallel_net(4, 4), False)}
+# (markings, J, bytes) of the origin tables near the cap
+LADDER_TABLES = {"par3x5": (218, 36, 1_004_544), "par3x6": (345, 49, 2_569_560),
+                 "par4x4": (627, 125, 10_659_000)}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_a_net_too_wide_for_the_pass_is_aligned_on_the_heap(name):
+    """A net gets pass arrays when its origin table, J x N x (A + 1) x 8
+    bytes, fits _LANE_BYTES. On the ladder som, fn1, par2x10 and par3x5
+    (218 markings, J = 36) fit; par3x6 (345 markings, J = 49) and par4x4
+    (627 markings, J = 125) do not, so their traces get no table and the
+    heap search aligns them. Either way 3 noisy playouts align as the exact
+    oracle does."""
+    build, covered = LADDER[name]
+    net = build()
+    depth, size = origin_table(net)
+    if name in LADDER_TABLES:
+        assert (len(reachability_graph(net)[0]), depth, size) == LADDER_TABLES[name]
+    assert (size <= confmon.alignment._LANE_BYTES) == covered
     traces = [tr.events for tr in playout(net, 3, seed=1, noise=NoiseParams(0.1, 0.1))]
-    assert list(cost_to_go(net, traces)) == [None] * 3
+    assert [h is not None for h in cost_to_go(net, traces)] == [covered] * 3
     costs = []
     for trace in traces:
         a = optimal_alignment(net, trace)

@@ -110,6 +110,19 @@ def test_inject_all_triples_the_log(normal_log_file, tmp_path):
     assert prefixes == {"ma", "woa", "ua"}
 
 
+def test_inject_pool_names_are_stripped_like_the_config_pool(normal_log_file, tmp_path):
+    """--pool "z1, z2" names z1 and z2, as pool = z1, z2 does in an
+    experiment config; the flag used to keep the space and refuse ' z2'."""
+    assert parse_experiment_config("pool = z1, z2\n").pool == ("z1", "z2")
+    out = tmp_path / "ua.log"
+    assert run("inject", "--log", str(normal_log_file), "--type", "ua", "--pool", "z1, z2",
+               "--seed", "7", "-o", str(out)) == 0
+    injected = parse_log(out.read_text(encoding="utf-8"))
+    clean = {a for tr in parse_log(normal_log_file.read_text(encoding="utf-8")) for a in tr.events}
+    inserted = {a for tr in injected for a in tr.events} - clean
+    assert inserted == {"z1", "z2"}
+
+
 def test_train_detect_evaluate_pipeline(fn1, normal_log_file, tmp_path, capsys):
     det_path = tmp_path / "det.txt"
     assert run("train", "--detector", "ft", "--model", "fn1",

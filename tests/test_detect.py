@@ -144,7 +144,7 @@ def test_dbscan_eps_must_be_a_finite_number(line_train, line_val, eps):
 
 
 def test_dbscan_min_pts_must_be_positive(line_train, line_val):
-    with pytest.raises(DetectError, match="min_pts must be >= 1"):
+    with pytest.raises(DetectError, match="min_pts must be an integer >= 1, got 0"):
         train("dbscan", line_train, line_val, {"min_pts": 0})
 
 
@@ -383,6 +383,10 @@ def test_unknown_params_rejected(line_train, line_val):
     ("ae", {"epoch": 5}, "unknown ae parameters: ['epoch']"),
     ("ae", {"epochs": 5, "min_pts": 3}, "unknown ae parameters: ['min_pts']"),
     ("dbscan", {"epochs": 5}, "unknown dbscan parameters: ['epochs']"),
+    # min_pts used to raise a ValueError or a TypeError, or be cut to 2
+    ("dbscan", {"min_pts": "x"}, "dbscan min_pts must be an integer >= 1, got 'x'"),
+    ("dbscan", {"min_pts": None}, "dbscan min_pts must be an integer >= 1, got None"),
+    ("dbscan", {"min_pts": 2.7}, "dbscan min_pts must be an integer >= 1, got 2.7"),
 ])
 def test_unknown_params_rejected_before_fitting(kind, params, named, monkeypatch):
     # a misspelt "epoch" used to train the default 500 epochs, then raise
