@@ -63,6 +63,10 @@ optimal_alignment returns an Alignment that holds the path key (one
 character per move) and its cost; its moves are decoded from the key when
 first read, and cached. count_from_keys counts the misalignments of many
 keys in numpy passes, so a caller that only counts never builds Move objects.
+align_variants aligns many distinct sequences at once and returns only
+numbers: their counters, fitness and move counts. It alone knows the order
+the pass takes them in, how long a chunk's tables live, the path keys and
+the fitness rule's float operations.
 """
 
 from __future__ import annotations
@@ -533,13 +537,13 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
     Sequences go in chunks, in order, and one backward pass computes a
     chunk's tables. A chunk's (positions, N + 1, B) table holds at most
     _TABLE_BYTES, and its pass's (J, N, B) gather of origin columns (see
-    _tables) at most _LANE_BYTES, for B sequences. A chunk
-    takes sequences while both caps hold, so its first sequence should be
-    its longest: its width is then fixed and the next ones fill the cap
-    under it. A sequence whose table alone exceeds _TABLE_BYTES fits no
-    chunk with another, so it gets a chunk of its own; AlignmentError,
-    before any allocation, when that table would hold more than
-    petri.DEFAULT_STATE_CAP states. A chunk's tables are slices of one
+    _tables) at most _LANE_BYTES, for B sequences. A chunk takes sequences
+    while both caps hold; align_variants passes them longest first, so
+    that each chunk's first sequence fixes its width and the next ones fill
+    the cap under it. A sequence whose table alone exceeds _TABLE_BYTES
+    fits no chunk with another, so it gets a chunk of its own;
+    AlignmentError, before any allocation, when that table would hold more
+    than petri.DEFAULT_STATE_CAP states. A chunk's tables are slices of one
     array, freed once every one of them is released.
     """
     tables = _tables(net, costs)[4]
@@ -689,16 +693,10 @@ def _moves(net: PetriNet, sigma, key: str) -> tuple[Move, ...]:
 
 def worst_case_cost(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:
     """Reference cost of aligning nothing: every event as a log move plus the
-    cheapest model-only run from the initial to the final marking."""
-    return worst_case_costs(net, [len(_events(trace))], costs)[0]
-
-
-def worst_case_costs(net: PetriNet, lengths, costs: CostScheme = CostScheme()) -> list:
-    """worst_case_cost of traces of the given lengths: each summed exactly in
-    units, then divided by D, so rounded once."""
+    cheapest model-only run from the initial to the final marking, summed
+    exactly in units, then divided by D, so rounded once."""
     unit, c_log = costs._units[:2]
-    completion = _tables(net, costs)[1][0]
-    return [(c_log * n + completion) / unit for n in lengths]
+    return (c_log * len(_events(trace)) + _tables(net, costs)[1][0]) / unit
 
 
 def trace_fitness(net: PetriNet, trace, costs: CostScheme = CostScheme()) -> float:
@@ -776,3 +774,41 @@ def count_from_keys(net: PetriNet, columns, keys, sequences) -> np.ndarray:
         part += np.bincount(moves, minlength=part.size)
         part += np.bincount(events, minlength=part.size)
     return tally[:, :k] - tally[:, k:2 * k]
+
+
+def align_variants(net: PetriNet, sequences, columns, costs: CostScheme = CostScheme()):
+    """(counts, fitness, moves) of the optimal alignments of a list of
+    distinct event sequences, one entry per sequence in its order: the int64
+    misalignment counters, one column per entry of columns (see
+    count_from_keys); the fitness, the same float as fitness_from_cost; and
+    the int64 number of moves.
+
+    Each sequence goes through optimal_alignment with its cost_to_go table.
+    The pass takes the sequences longest first. It costs about the same per
+    position whatever its width in lanes, and a chunk's width is that of
+    its longest sequence; taken longest first, each chunk's first sequence
+    fixes its width and the next-longest fill the byte cap under it, while
+    shortest first would leave a last chunk of a few of the longest
+    sequences at full width. No result depends on the order. The counters
+    come from the path keys, without decoding moves.
+    """
+    # sorted is stable, so sequences of one length keep their order
+    order = sorted(range(len(sequences)), key=lambda i: len(sequences[i]), reverse=True)
+    unit, c_log = costs._units[:2]
+    completion = _tables(net, costs)[1][0]
+    keys = [""] * len(sequences)
+    fitness = np.empty(len(sequences))
+    # next() hands each table straight to the search, so no name holds a
+    # chunk's last table, and with it the chunk's array, while the next
+    # chunk's pass runs
+    tables = cost_to_go(net, [sequences[i] for i in order], costs)
+    for i in order:
+        alignment = optimal_alignment(net, sequences[i], costs, table=next(tables))
+        keys[i] = alignment.key
+        # fitness_from_cost's float operations, so the same bits
+        worst = (c_log * len(sequences[i]) + completion) / unit
+        fitness[i] = 1.0 - alignment.cost / worst if worst else 1.0
+    # the suspended generator still holds the last chunk's array
+    del tables
+    moves = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    return count_from_keys(net, columns, keys, sequences), fitness, moves

@@ -26,6 +26,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 from .detect import (DETECTOR_KINDS, check_quantile, check_train_rows, classify,
@@ -250,13 +251,15 @@ def _detector_kinds(value: str) -> tuple:
     kinds = _names(value)
     unknown = [k for k in kinds if k not in DETECTOR_KINDS]
     if unknown:
-        raise ConfmonError(f"unknown detectors: {unknown}")
+        raise ValueError(f"unknown detectors: {unknown}")
     return kinds
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """key = value lines with # comments; unknown keys are errors."""
-    # key -> (ExperimentConfig field, converter of the value)
+    """key = value lines with # comments; unknown keys are errors, and a bad
+    value raises a ConfmonError that names its line and key."""
+    # key -> (ExperimentConfig field, converter of the value, which raises
+    # ValueError on a bad value)
     fields = {
         "model": ("model", str),
         "seeds": ("seeds", lambda value: tuple(int(v) for v in value.split(","))),
@@ -264,7 +267,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         "lambda": ("lam", float),
         "p_drop": ("p_drop", float),
         "p_dup": ("p_dup", float),
-        "split": ("split", _parse_split),
+        "split": ("split", lambda value: tuple(float(v) for v in value.split(","))),
         "quantile": ("quantile", float),
         "detectors": ("detectors", _detector_kinds),
         "pool": ("pool", _names),
@@ -367,11 +370,6 @@ def _seed_groups(seeds: tuple, n: int) -> list:
     return groups
 
 
-def _run_seeds_task(payload):
-    cfg, seeds = payload
-    return _run_seeds(cfg, seeds)
-
-
 def _check_outdir(outdir: Path) -> None:
     """ConfmonError unless outdir, if it exists, or else its nearest existing
     ancestor is a writable directory. Creates nothing."""
@@ -423,8 +421,8 @@ def run_experiment(cfg: ExperimentConfig):
     workers = _worker_count(len(cfg.seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = [(cfg, g) for g in _seed_groups(tuple(cfg.seeds), workers)]
-            per_seed_lists = [rows for group in pool.map(_run_seeds_task, groups)
+            groups = _seed_groups(tuple(cfg.seeds), workers)
+            per_seed_lists = [rows for group in pool.map(_run_seeds, repeat(cfg), groups)
                               for rows in group]
     else:
         per_seed_lists = _run_seeds(cfg, tuple(cfg.seeds))
@@ -455,8 +453,6 @@ def run_experiment(cfg: ExperimentConfig):
             values = {m: [r[m] for r in all_rows
                           if r["anomaly"] == at and r["technique"] == kind]
                       for m in METRIC_ORDER}
-            if not values["f1"]:
-                continue
             stats_cells = []
             agg_entry = {}
             for m in METRIC_ORDER:

@@ -5,11 +5,11 @@ names of the model, then UNKNOWN (log moves on activities the model does not
 know), then fitness. With the default cost scheme the counter total of a row
 equals the optimal alignment cost of its trace. A matrix holds the case ids,
 an int counter array of shape (n, k) and a float fitness vector of length n.
-build_diagnoses is the one pass that aligns a log, once per distinct trace.
-It counts the distinct traces' counters with numpy from their alignments'
-path keys and their events, without decoding moves, and gathers the rows of
-the log from them by one variant index per trace; log fitness and coverage
-are reductions of its arrays.
+build_diagnoses is the one pass that aligns a log: it hands the distinct
+traces to alignment.align_variants in one call, which returns their
+counters, fitness and alignment lengths, and gathers the rows of the log
+from them by one variant index per trace; log fitness and coverage are
+reductions of its arrays.
 
 CSV form:
 
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (CostScheme, UNKNOWN, count_from_keys, cost_to_go,
-                        optimal_alignment, worst_case_costs)
+from .alignment import CostScheme, UNKNOWN, align_variants
 from .errors import LogError
 from .eventlog import EventLog
 from .petri import PetriNet
@@ -90,51 +89,20 @@ def build_diagnoses(net: PetriNet, log: EventLog,
                     costs: CostScheme = CostScheme()) -> DiagnosesMatrix:
     """Align every trace and collect its misalignment counters and fitness.
 
-    Each distinct event sequence is aligned once per call: with the net and
-    cost scheme fixed, a trace's alignment depends only on its events, so
-    traces of one variant share (counts, fitness, alignment length), and
-    moves sums every trace's length. The variants are aligned in chunks:
-    one cost_to_go pass per chunk, then each variant's alignment.
-
-    The variants go longest first. A pass costs about the same per
-    position whatever its width in lanes, and a chunk's width is that of
-    its longest variant; taken longest first, each chunk's first variant
-    fixes its width and the next-longest fill the byte cap under it, while
-    shortest first would leave a last chunk of a few of the longest
-    variants at full width. No row depends on the order of the variants.
-
-    The counters of all variants come from their path keys and events in
-    numpy passes over blocks of variants (count_from_keys), without decoding
-    moves, and fitness from their costs. The rows of the log are then
-    gathered from the variants' rows, by one variant index per trace.
+    Each distinct event sequence is aligned once per call, by one call of
+    align_variants: with the net and cost scheme fixed, a trace's alignment
+    depends only on its events, so traces of one variant share (counts,
+    fitness, alignment length), and moves sums every trace's length. The
+    rows of the log are gathered from the variants' rows, by one variant
+    index per trace.
     """
     columns = diagnosis_columns(net)
-    # one trace per distinct event sequence, longest first; sorted is
-    # stable, so variants of one length keep their order in the log
-    distinct = sorted({tr.events: tr for tr in log}.values(), key=lambda tr: len(tr.events),
-                      reverse=True)
-    keys, cost = [], []
-    # next() hands each table straight to the search, so no name (nor zip's
-    # reused result tuple) holds a chunk's last table, and with it the
-    # chunk's array, while the next chunk's pass runs
-    tables = cost_to_go(net, distinct, costs)
-    for tr in distinct:
-        alignment = optimal_alignment(net, tr, costs, table=next(tables))
-        keys.append(alignment.key)
-        cost.append(alignment.cost)
-    # the suspended generator still holds the last chunk's array
-    del tables
-    sequences = [tr.events for tr in distinct]
-    counts = count_from_keys(net, columns[:-1], keys, sequences)
-    # fitness_from_cost elementwise, by the same float operations, so the same
-    # bits
-    worst = np.array(worst_case_costs(net, map(len, sequences), costs))
-    fitness = 1.0 - np.divide(cost, worst, out=np.zeros_like(worst), where=worst != 0)
-    lengths = np.array(list(map(len, keys)), dtype=np.int64)
-    variant = {tr.events: i for i, tr in enumerate(distinct)}
-    index = np.array([variant[tr.events] for tr in log], dtype=np.intp)
+    # the variant index of each trace, the variants numbered in log order
+    variant = {}
+    index = np.array([variant.setdefault(tr.events, len(variant)) for tr in log], dtype=np.intp)
+    counts, fitness, moves = align_variants(net, list(variant), columns[:-1], costs)
     return DiagnosesMatrix(columns, tuple(tr.case_id for tr in log), counts[index],
-                           fitness[index], net.name, costs, int(lengths[index].sum()))
+                           fitness[index], net.name, costs, int(moves[index].sum()))
 
 
 def log_fitness(net: PetriNet, log: EventLog, costs: CostScheme = CostScheme()) -> float:

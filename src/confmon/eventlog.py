@@ -248,7 +248,8 @@ def write_log(log: EventLog) -> str:
 def write_log_csv(log: EventLog) -> str:
     """Render a log in the long CSV format.
 
-    Empty traces have no row representation in this format and are rejected.
+    Empty traces have no row representation in this format, and an activity
+    that holds ',' would split its row; both are rejected.
     """
     with_label = any(tr.label is not None for tr in log)
     header = "case,activity,label" if with_label else "case,activity"
@@ -257,6 +258,9 @@ def write_log_csv(log: EventLog) -> str:
         if not tr.events:
             raise LogError(f"case {tr.case_id!r} has no events and cannot be written as CSV")
         for ev in tr.events:
+            if "," in ev:
+                raise LogError(f"case {tr.case_id!r}: activity {ev!r} holds ',' and cannot "
+                               f"be written as CSV")
             if with_label:
                 rows.append(f"{tr.case_id},{ev},{tr.label or ''}")
             else:

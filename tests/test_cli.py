@@ -334,10 +334,13 @@ def test_parse_experiment_config_full():
 def test_parse_experiment_config_errors():
     with pytest.raises(ConfmonError, match="unknown key"):
         parse_experiment_config("zap = 1\n")
-    with pytest.raises(ConfmonError, match="bad value"):
+    with pytest.raises(ConfmonError, match="config line 1: bad value for 'n_traces'"):
         parse_experiment_config("n_traces = many\n")
-    with pytest.raises(ConfmonError, match="unknown detectors"):
-        parse_experiment_config("detectors = ft,svm\n")
+    with pytest.raises(ConfmonError,
+                       match=r"config line 2: bad value for 'detectors': unknown detectors"):
+        parse_experiment_config("model = fn1\ndetectors = ft,svm\n")
+    with pytest.raises(ConfmonError, match="config line 3: bad value for 'split': .*'x'"):
+        parse_experiment_config("# splits\n\nsplit = 0.6,x,0.2\n")
     with pytest.raises(ConfmonError, match="key = value"):
         parse_experiment_config("just words\n")
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,24 @@ def test_variant_memo_matches_per_trace_alignment(fn1, som, noisy_fn1_log, noisy
     assert_matches_per_trace_reference(som, noisy_som_log, costs)
 
 
+@pytest.mark.parametrize("lane_bytes", [None, 1], ids=["tables", "heap"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shuffled_logs_match_per_trace_alignment(fn1, som, noisy_fn1_log, noisy_som_log, seed,
+                                                 lane_bytes, monkeypatch):
+    """build_diagnoses hands align_variants the variants in log order, so a
+    shuffled log is another input order, with many variants of each length.
+    With _LANE_BYTES = 1 no net gets pass arrays and every variant is
+    aligned on the heap."""
+    if lane_bytes is not None:
+        monkeypatch.setattr(confmon.alignment, "_LANE_BYTES", lane_bytes)
+    for net, log in ((fn1, noisy_fn1_log), (som, noisy_som_log)):
+        traces = list(log)
+        random.Random(seed).shuffle(traces)
+        lengths = [len(events) for events in {tr.events for tr in traces}]
+        assert len(set(lengths)) < len(lengths) // 4
+        assert_matches_per_trace_reference(net, EventLog(traces), CostScheme(0.7, 1.3, 0.1))
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_counting_in_small_blocks_matches_per_trace_alignment(som, noisy_som_log, block,
                                                               monkeypatch):
@@ -276,13 +296,13 @@ def test_worst_case_of_zero_gives_fitness_one():
 
 def test_one_alignment_per_distinct_trace(som, noisy_som_log, monkeypatch):
     aligned = []
-    real = confmon.diagnoses.optimal_alignment
+    real = confmon.alignment.optimal_alignment
 
     def counting(net, trace, *args, **kwargs):
-        aligned.append(trace.events)
+        aligned.append(tuple(trace))
         return real(net, trace, *args, **kwargs)
 
-    monkeypatch.setattr(confmon.diagnoses, "optimal_alignment", counting)
+    monkeypatch.setattr(confmon.alignment, "optimal_alignment", counting)
     build_diagnoses(som, noisy_som_log)
     assert sorted(aligned) == sorted({tr.events for tr in noisy_som_log})
 

@@ -54,6 +54,15 @@ def test_csv_rejects_empty_traces():
         write_log_csv(log)
 
 
+def test_csv_rejects_activities_holding_commas():
+    """The trace-per-line format allows 'a,b' as an activity; a CSV row
+    would split it into two cells."""
+    log = EventLog([Trace("c0", ("x",)), Trace("c1", ("a,b", "c"), "normal")])
+    assert parse_log(write_log(log)) == log
+    with pytest.raises(LogError, match=r"case 'c1': activity 'a,b' holds ','"):
+        write_log_csv(log)
+
+
 def test_parse_line_errors():
     with pytest.raises(LogError, match="line 1"):
         parse_log("no separator here\n")
