@@ -9,12 +9,13 @@ each configured detector on normal diagnoses, injects anomalies into a fresh
 noise-free playout of the same model (seed offset +1000), and scores the held
 out normal test rows (negatives) against each injected set (positives). It
 writes one numeric CSV per seed and an aggregate table of "mean ± std"
-percentages across seeds. The seeds run in groups: ft and dbscan train and
-score seed by seed, while ae trains once per group, every seed's autoencoder
-in one stacked pass, and then scores seed by seed. A sequential run is one
-group. CONFMON_THREADS caps seed-level parallelism (unset or 1 runs
-sequentially, 0 means one worker per CPU) and cuts the seeds into one
-contiguous group per worker. The output bytes do not depend on the grouping.
+percentages across seeds. The seeds run in groups, and a group is the unit
+of training: every seed of it is diagnosed, then each detector kind trains
+once for the group (ae fits every seed's autoencoder in one stacked pass)
+and scores seed by seed. A sequential run is one group. CONFMON_THREADS
+caps seed-level parallelism (unset or 1 runs sequentially, 0 means one
+worker per CPU) and cuts the seeds into one contiguous group per worker.
+The output bytes do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ def cmd_inject(args) -> None:
 
 def _parse_split(text: str):
     try:
-        parts = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise LogError(f"bad split {text!r}: {exc}") from exc
-    return parts
 
 
 def cmd_train(args) -> None:
@@ -275,6 +275,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         "outdir": ("outdir", str),
     }
     cfg = ExperimentConfig()
+    given = set()
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -284,6 +285,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in fields:
             raise ConfmonError(f"config line {no}: unknown key {key!r}")
+        if key in given:
+            raise ConfmonError(f"config line {no}: key {key!r} given more than once")
+        given.add(key)
         field, convert = fields[key]
         try:
             cfg = replace(cfg, **{field: convert(value)})
@@ -305,8 +309,9 @@ def _seed_diagnoses(cfg: ExperimentConfig, net: PetriNet, seed: int):
             {at: build_diagnoses(net, eval_logs[at]) for at in ANOMALY_TYPES})
 
 
-def _score_rows(det, seed: int, d_test, d_eval) -> list:
-    """The metric rows of one trained detector, one per eval set."""
+def _score_rows(det, d_test, d_eval) -> list:
+    """The metric rows of one trained detector, one per eval set, under
+    the seed it was trained with."""
     normal_scores = score_matrix(det, d_test).tolist()
     injected = {at: score_matrix(det, d_eval[at]).tolist() for at in ANOMALY_TYPES}
     injected["all"] = [s for at in ANOMALY_TYPES for s in injected[at]]
@@ -316,7 +321,7 @@ def _score_rows(det, seed: int, d_test, d_eval) -> list:
         labels = ["normal"] * len(normal_scores) + ["anomalous"] * len(injected[at])
         res = prf(confusion(labels, classify(det, scores)))
         roc = roc_auc(labels, scores)
-        rows.append({"seed": seed, "anomaly": at, "technique": det.kind,
+        rows.append({"seed": det.seed, "anomaly": at, "technique": det.kind,
                      "accuracy": res.accuracy, "recall": res.recall,
                      "precision": res.precision, "f1": res.f1, "auc": roc.auc})
     return rows
@@ -324,25 +329,17 @@ def _score_rows(det, seed: int, d_test, d_eval) -> list:
 
 def _run_seeds(cfg: ExperimentConfig, seeds) -> list:
     """The metric rows of each seed of a group, one list per seed, each
-    ordered by cfg.detectors and then EVAL_SET_ORDER. ft and dbscan train
-    and score seed by seed; ae trains once for the whole group, as one
-    stack, and then scores seed by seed."""
+    ordered by cfg.detectors and then EVAL_SET_ORDER. Every seed is
+    diagnosed first; then each kind trains once for the whole group, one
+    detector per seed, and each detector scores its own seed."""
     net = _resolve_model(cfg.model)
-    diagnosed = []
-    rows = {}
-    for seed in seeds:
-        d_train, d_val, d_test, d_eval = _seed_diagnoses(cfg, net, seed)
-        diagnosed.append((d_train, d_val, d_test, d_eval))
-        for kind in cfg.detectors:
-            if kind != "ae":
-                det = train(kind, d_train, d_val, quantile=cfg.quantile, seed=seed)
-                rows[seed, kind] = _score_rows(det, seed, d_test, d_eval)
-    if "ae" in cfg.detectors:
-        dets = train_group("ae", [d[:2] for d in diagnosed], quantile=cfg.quantile,
-                           seeds=seeds)
-        for seed, det, (_, _, d_test, d_eval) in zip(seeds, dets, diagnosed):
-            rows[seed, "ae"] = _score_rows(det, seed, d_test, d_eval)
-    return [[r for kind in cfg.detectors for r in rows[seed, kind]] for seed in seeds]
+    diagnosed = [_seed_diagnoses(cfg, net, seed) for seed in seeds]
+    rows = [[] for _ in seeds]
+    for kind in cfg.detectors:
+        dets = train_group(kind, [d[:2] for d in diagnosed], quantile=cfg.quantile, seeds=seeds)
+        for seed_rows, det, (_, _, d_test, d_eval) in zip(rows, dets, diagnosed):
+            seed_rows.extend(_score_rows(det, d_test, d_eval))
+    return rows
 
 
 def _worker_count(n_tasks: int) -> int:

@@ -584,14 +584,16 @@ def load_detector(text: str) -> Detector:
     """Parse a detector saved by save_detector. Rejects unknown versions,
     incomplete files, non-finite numbers, and cores, layers, weights or
     biases whose shapes disagree with the columns or with each other."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _MAGIC:
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != _MAGIC:
         raise DetectError(f"not a detector file (expected header {_MAGIC!r})")
     fields: dict[str, str] = {}
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         if "=" not in ln:
             raise DetectError(f"malformed detector line: {ln!r}")
         k, v = ln.split("=", 1)
+        if k in fields:
+            raise DetectError(f"line {no}: field {k!r} given more than once")
         fields[k] = v
 
     def floats(name: str) -> np.ndarray:

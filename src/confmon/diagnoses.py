@@ -174,6 +174,9 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
                 raise LogError(
                     f"line {no}: expected header 'case,<activities>,{UNKNOWN},fitness', got {line!r}")
             header = tuple(cells[1:])
+            repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+            if repeated is not None:
+                raise LogError(f"line {no}: column {repeated!r} appears more than once")
             continue
         if len(cells) != len(header) + 1:
             raise LogError(f"line {no}: expected {len(header) + 1} cells, got {len(cells)}")

@@ -23,7 +23,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .errors import InjectError
+from .errors import InjectError, LogError
 from .eventlog import EventLog, Trace
 
 ANOMALY_TYPES = ("ma", "woa", "ua")
@@ -56,8 +56,14 @@ class InjectionSpec:
             # below the smallest normal float that limit is rounded or 0
             raise InjectError(f"lambda must be at most about 708.4, so that exp(-lambda) "
                               f"does not underflow, got {self.lam}")
-        if self.anomaly_type in ("ua", "all") and not self.unknown_pool:
-            raise InjectError("ua injection needs a non-empty unknown pool")
+        if self.anomaly_type in ("ua", "all"):
+            if not self.unknown_pool:
+                raise InjectError("ua injection needs a non-empty unknown pool")
+            # pool names are inserted as events, so they pass a trace's check
+            try:
+                Trace("pool", self.unknown_pool)
+            except LogError as exc:
+                raise InjectError(f"unknown pool: {exc}") from None
 
 
 def _poisson(rng: random.Random, lam: float) -> int:

@@ -3,6 +3,7 @@ and ROC curves with trapezoidal AUC. "anomalous" is the positive class."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MetricsError
@@ -26,21 +27,12 @@ def confusion(labels, predictions) -> Confusion:
         raise MetricsError(f"{len(labels)} labels but {len(predictions)} predictions")
     if not labels:
         raise MetricsError("no observations")
-    tp = tn = fp = fn = 0
-    for truth, pred in zip(labels, predictions):
+    pairs = Counter(zip(labels, predictions))  # in order of first occurrence
+    for truth, pred in pairs:
         if truth not in _CLASSES or pred not in _CLASSES:
             raise MetricsError(f"labels must be in {_CLASSES}: got ({truth!r}, {pred!r})")
-        if truth == "anomalous":
-            if pred == "anomalous":
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == "anomalous":
-                fp += 1
-            else:
-                tn += 1
-    return Confusion(tp, tn, fp, fn)
+    return Confusion(pairs["anomalous", "anomalous"], pairs["normal", "normal"],
+                     pairs["normal", "anomalous"], pairs["anomalous", "normal"])
 
 
 @dataclass(frozen=True)

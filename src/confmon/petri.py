@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ModelError, PlayoutError
-from .eventlog import EventLog, Trace
+from .errors import LogError, ModelError, PlayoutError
+from .eventlog import EventLog, Trace, _check_token
 
 Marking = dict
 
@@ -91,8 +91,11 @@ class PetriNet:
         for t, act in self.labels.items():
             if act is None:
                 continue
-            if any(c.isspace() for c in act) or not act:
-                raise ModelError(f"activity name must be a non-empty token: {act!r}")
+            # a label must read back from a log: one token, without '|'
+            try:
+                _check_token(act, "activity")
+            except LogError as exc:
+                raise ModelError(f"transition {t!r}: {exc}") from None
             if act in RESERVED_ACTIVITY_NAMES:
                 raise ModelError(f"reserved token cannot be an activity name: {act!r}")
             # an activity names a column of the diagnoses and detector files

@@ -10,8 +10,8 @@ import pytest
 
 import confmon
 import confmon.detect
-from confmon.cli import (ExperimentConfig, _seed_groups, main, parse_experiment_config,
-                         run_experiment)
+from confmon.cli import (ExperimentConfig, _run_seeds, _seed_groups, main,
+                         parse_experiment_config, run_experiment)
 from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import ConfmonError
 from confmon.eventlog import parse_log, write_log
@@ -343,6 +343,8 @@ def test_parse_experiment_config_errors():
         parse_experiment_config("# splits\n\nsplit = 0.6,x,0.2\n")
     with pytest.raises(ConfmonError, match="key = value"):
         parse_experiment_config("just words\n")
+    with pytest.raises(ConfmonError, match="config line 3: key 'seeds' given more than once"):
+        parse_experiment_config("seeds = 0\n# again\nseeds = 1,2\n")
 
 
 MINI = ExperimentConfig(model="fn1", seeds=(0, 1), n_traces=20, outdir="")
@@ -394,6 +396,18 @@ AE_FT_SHA256 = {
 }
 
 
+# Digests of the files of FT_DBSCAN's run, recorded while ft and dbscan still
+# trained seed by seed; they hold group training to those bytes.
+FT_DBSCAN = ExperimentConfig(model="fn1", seeds=(0, 1, 2), n_traces=20,
+                             detectors=("ft", "dbscan"), outdir="")
+FT_DBSCAN_SHA256 = {
+    "aggregate.csv": "9af68464f32d1449c48411bc9ec0e9b4249bea6400515836bb93b8fcfd1df988",
+    "seed_0.csv": "02a55522d31a01f4f50e29f049528e35c9b5871376d6acb750055ef5d1ea5378",
+    "seed_1.csv": "ed30feea4448d13bb8a496f8820c63739317c1cdc89605664fb1a6b26253ebc6",
+    "seed_2.csv": "c96398202d887a98a5662c0ebe990899c5c28e6faee222c8bf62f2c6649b52ac",
+}
+
+
 def test_seed_groups_are_contiguous_and_even():
     assert _seed_groups((0, 1, 2), 2) == [(0, 1), (2,)]
     assert _seed_groups((0, 1, 2, 3, 4), 3) == [(0, 1), (2, 3), (4,)]
@@ -422,6 +436,48 @@ def test_experiment_trains_one_ae_stack_and_keeps_pinned_bytes(tmp_path, monkeyp
     monkeypatch.setenv("CONFMON_THREADS", "2")
     run_experiment(replace(AE_FT, outdir=str(tmp_path / "par")))
     assert read_outputs(tmp_path / "par") == read_outputs(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_experiment_keeps_pinned_ft_dbscan_bytes(tmp_path, monkeypatch, threads):
+    from dataclasses import replace
+
+    # two workers take the uneven groups (0, 1) and (2,)
+    monkeypatch.setenv("CONFMON_THREADS", threads)
+    run_experiment(replace(FT_DBSCAN, outdir=str(tmp_path)))
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in read_outputs(tmp_path).items()}
+    assert digests == FT_DBSCAN_SHA256
+
+
+def test_experiment_trains_each_kind_once_per_group(tmp_path, monkeypatch):
+    """A seed group is the one unit of training: one train_group call per
+    detector kind, in the configured order, over every seed of the group,
+    and no single-seed train call."""
+    from dataclasses import replace
+
+    calls = []
+    real = confmon.cli.train_group
+
+    def spy(kind, pairs, params=None, *, quantile, seeds):
+        calls.append((kind, tuple(seeds)))
+        return real(kind, pairs, params, quantile=quantile, seeds=seeds)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the harness trained a single seed")
+
+    monkeypatch.setattr(confmon.cli, "train_group", spy)
+    monkeypatch.setattr(confmon.cli, "train", never)
+    monkeypatch.delenv("CONFMON_THREADS", raising=False)
+    cfg = replace(MINI, seeds=(0, 1, 2), detectors=("dbscan", "ae", "ft"))
+    result = run_experiment(replace(cfg, outdir=str(tmp_path)))
+    assert calls == [("dbscan", (0, 1, 2)), ("ae", (0, 1, 2)), ("ft", (0, 1, 2))]
+    # the groups two workers would take
+    calls.clear()
+    per_seed = _run_seeds(cfg, (0, 1)) + _run_seeds(cfg, (2,))
+    assert [r for rows in per_seed for r in rows] == result["per_seed"]
+    assert calls == [("dbscan", (0, 1)), ("ae", (0, 1)), ("ft", (0, 1)),
+                     ("dbscan", (2,)), ("ae", (2,)), ("ft", (2,))]
 
 
 def test_experiment_rejects_pool_overlap(tmp_path, monkeypatch):
@@ -488,6 +544,22 @@ def test_experiment_with_a_bad_value_leaves_no_outdir(tmp_path, monkeypatch, fie
     bad = replace(MINI, seeds=(0,), detectors=("ft",), outdir=str(out), **{field: value})
     with pytest.raises(ConfmonError, match=message):
         run_experiment(bad)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pool, message", [
+    ("x|y", "unknown pool: activity may not contain '|': 'x|y'"),
+    ("a,,b", "unknown pool: activity must be a non-empty token without whitespace: ''"),
+], ids=["bar", "empty"])
+def test_experiment_refuses_a_bad_pool_name_before_the_first_seed(tmp_path, monkeypatch,
+                                                                 capsys, pool, message):
+    refuse_to_run_seeds(monkeypatch)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"model = fn1\nseeds = 0\nn_traces = 20\npool = {pool}\n",
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("experiment", "--config", str(cfg_path), "--outdir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -524,6 +524,9 @@ def test_load_rejects_malformed_files():
         load_detector("confmon-detector v1\nkind=ft\n")
     with pytest.raises(DetectError, match="unknown detector kind"):
         load_detector("confmon-detector v1\nkind=svm\nmodel=m\n")
+    # the line number counts blank lines
+    with pytest.raises(DetectError, match="line 4: field 'threshold' given more than once"):
+        load_detector("confmon-detector v1\nthreshold=1.0\n\nthreshold=0.5\n")
 
 
 def test_load_rejects_inconsistent_normalization(line_train, line_val):

@@ -122,6 +122,8 @@ def test_read_rejects_malformed_header():
         read_diagnoses("case,t1,fitness,UNKNOWN\nc1,0,1.0,0\n")
     with pytest.raises(LogError, match="no header"):
         read_diagnoses("# just a comment\n")
+    with pytest.raises(LogError, match="line 2: column 'a' appears more than once"):
+        read_diagnoses("# confmon-diagnoses v1 model=m\ncase,a,a,UNKNOWN,fitness\nc1,0,0,0,1.0\n")
 
 
 def test_read_rejects_wrong_width():

@@ -33,6 +33,20 @@ def test_spec_validation():
     InjectionSpec("ma", unknown_pool=())
 
 
+@pytest.mark.parametrize("atype", ["ua", "all"])
+@pytest.mark.parametrize("pool, message", [
+    (("z1", "x|y"), r"unknown pool: activity may not contain '\|': 'x\|y'"),
+    (("a", "", "b"), "unknown pool: activity must be a non-empty token without whitespace: ''"),
+    (("z 1",), "unknown pool: activity must be a non-empty token without whitespace: 'z 1'"),
+    ((7,), "unknown pool: activity must be a str: 7"),
+], ids=["bar", "empty", "space", "not-str"])
+def test_spec_checks_each_pool_name_as_an_activity(atype, pool, message):
+    """A pool name is inserted into traces as an activity, so it is held
+    to the log's activity rule when the spec is built."""
+    with pytest.raises(InjectError, match=message):
+        InjectionSpec(atype, unknown_pool=pool)
+
+
 @pytest.mark.parametrize("lam", [800.0, 5000.0, float("inf")])
 def test_lambda_whose_exp_underflows_is_rejected(lam):
     """The sampler stops once its running product falls to exp(-lambda).

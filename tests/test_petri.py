@@ -77,6 +77,20 @@ def test_parse_rejects_a_comma_in_an_activity_name():
         parse_model(text)
 
 
+def test_parse_rejects_a_bar_in_an_activity_name():
+    """'|' ends a trace's events in a trace-per-line log, so no parsed log
+    could ever match such a label, and simulate could not write one."""
+    text = "place p1\nplace p2\ntrans t1 label a|b\narc p1 t1\narc t1 p2\ninit p1 1\nfinal p2 1\n"
+    with pytest.raises(ModelError, match=r"transition 't1': activity may not contain '\|': 'a\|b'"):
+        parse_model(text)
+
+
+def test_a_label_that_is_not_a_str_is_a_model_error():
+    with pytest.raises(ModelError, match="transition 't1': activity must be a str: 5$"):
+        PetriNet({"p1", "p2"}, {"t1"}, {("p1", "t1"), ("t1", "p2")}, {"p1": 1}, {"p2": 1},
+                 {"t1": 5})
+
+
 def test_duplicate_activity_label_rejected():
     text = ("place p1\nplace p2\nplace p3\n"
             "trans t1 label a\ntrans t2 label a\n"
