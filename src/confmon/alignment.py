@@ -131,8 +131,9 @@ def _decimal_ratio(value) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CostScheme:
-    """Move costs. Synchronous moves are free by definition; silent moves
-    default to free so only genuine mismatches cost anything.
+    """The costs of log, model and silent moves. Synchronous moves are free
+    by definition, so the scheme has no cost for them; silent moves default
+    to free so only genuine mismatches cost anything.
 
     Each cost is read as the decimal it prints as (repr), so 0.7 is 7/10.
     The scheme's unit is 1/D, D the least common multiple of the three
@@ -144,18 +145,15 @@ class CostScheme:
     c_log: float = 1.0
     c_model: float = 1.0
     c_silent: float = 0.0
-    c_sync: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("c_log", "c_model", "c_silent", "c_sync"):
+        for name in ("c_log", "c_model", "c_silent"):
             if not math.isfinite(getattr(self, name)):
                 raise AlignmentError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c_log <= 0 or self.c_model <= 0:
             raise AlignmentError("c_log and c_model must be positive")
         if self.c_silent < 0:
             raise AlignmentError("c_silent must be >= 0")
-        if self.c_sync != 0:
-            raise AlignmentError("c_sync must be 0")
         names = ("c_log", "c_model", "c_silent")
         exact = [_decimal_ratio(getattr(self, name)) for name in names]
         unit = 1

@@ -30,16 +30,16 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
-from .detect import (DETECTOR_KINDS, check_quantile, check_train_rows, classify,
+from .detect import (DEFAULT_QUANTILE, DETECTOR_KINDS, check_quantile, check_train_rows, classify,
                      load_detector, save_detector, score_matrix, train, train_group)
 from .diagnoses import build_diagnoses, write_diagnoses
 from .errors import ConfmonError, DetectError, LogError, ModelError
-from .eventlog import EventLog, parse_log, split_log, split_sizes, write_log
-from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
+from .eventlog import DEFAULT_SPLIT, EventLog, parse_log, split_log, split_sizes, write_log
+from .inject import (ANOMALY_TYPES, DEFAULT_LAMBDA, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets, inject_log)
 from .metrics import confusion, prf, roc_auc
-from .petri import (NoiseParams, PetriNet, bundled_model, check_max_steps, load_model,
-                    playout)
+from .petri import (DEFAULT_MAX_STEPS, NoiseParams, PetriNet, bundled_model, check_max_steps,
+                    load_model, playout)
 
 EVAL_SET_ORDER = ("ma", "woa", "ua", "all")
 METRIC_ORDER = ("accuracy", "recall", "precision", "f1", "auc")
@@ -103,7 +103,7 @@ def cmd_check(args) -> None:
 
 def cmd_inject(args) -> None:
     log = _read_log(args.log)
-    pool = _names(args.pool) if args.pool else DEFAULT_UNKNOWN_POOL
+    pool = DEFAULT_UNKNOWN_POOL if args.pool is None else _names(args.pool)
     spec = InjectionSpec(args.type, args.lam, pool, args.seed)
     out = inject_log(log, spec)
     _emit(args.out, write_log(out))
@@ -231,14 +231,14 @@ class ExperimentConfig:
     model: str = "som"
     seeds: tuple = (0, 1, 2, 3, 4)
     n_traces: int = 50
-    lam: float = 3.0
+    lam: float = DEFAULT_LAMBDA
     p_drop: float = 0.03
     p_dup: float = 0.03
-    split: tuple = (0.6, 0.2, 0.2)
-    quantile: float = 95.0
+    split: tuple = DEFAULT_SPLIT
+    quantile: float = DEFAULT_QUANTILE
     detectors: tuple = ("ft", "dbscan", "ae")
     pool: tuple = DEFAULT_UNKNOWN_POOL
-    max_steps: int = 200
+    max_steps: int = DEFAULT_MAX_STEPS
     outdir: str = "results"
 
 
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file or bundled name (fn1, som)")
     p.add_argument("--n", type=int, default=50, help="number of traces (default 50)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=200)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--p-drop", type=float, default=0.0, help="per-event drop probability")
     p.add_argument("--p-dup", type=float, default=0.0, help="per-event duplicate probability")
     p.add_argument("-o", "--out", help="output log file (default stdout)")
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="inject control-flow anomalies into a log")
     p.add_argument("--log", required=True)
     p.add_argument("--type", required=True, choices=ANOMALY_TYPES + ("all",))
-    p.add_argument("--lambda", dest="lam", type=float, default=3.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.add_argument("--pool", help="comma-separated unknown activity names")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="output log file (default stdout)")
@@ -519,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", required=True, choices=DETECTOR_KINDS)
     p.add_argument("--model", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--split", default="0.6,0.2,0.2")
-    p.add_argument("--quantile", type=float, default=95.0)
+    p.add_argument("--split", default=",".join(map(str, DEFAULT_SPLIT)))
+    p.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True, help="detector output file")
     p.set_defaults(func=cmd_train)

@@ -54,6 +54,8 @@ from .errors import DetectError
 # The training parameters each detector kind accepts.
 _PARAMS = {"ft": (), "dbscan": ("min_pts", "eps"), "ae": ("layers", "lr", "epochs")}
 DETECTOR_KINDS = tuple(_PARAMS)
+# The percentile of the validation scores a threshold sits at.
+DEFAULT_QUANTILE = 95.0
 
 _MAGIC = "confmon-detector v1"
 
@@ -445,7 +447,7 @@ def check_quantile(quantile) -> None:
 
 
 def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
-          params: dict | None = None, *, quantile: float = 95.0,
+          params: dict | None = None, *, quantile: float = DEFAULT_QUANTILE,
           seed: int = 0) -> Detector:
     """Fit a detector on training diagnoses and set its threshold at the
     given percentile of the validation scores."""
@@ -453,7 +455,7 @@ def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
 
 
 def train_group(kind: str, pairs, params: dict | None = None, *,
-                quantile: float = 95.0, seeds) -> list[Detector]:
+                quantile: float = DEFAULT_QUANTILE, seeds) -> list[Detector]:
     """One detector per (training, validation) pair of diagnoses, the i-th
     fitted with seeds[i] and the same parameters, each equal to the one
     train fits on that pair and seed alone. The ae detectors of a group

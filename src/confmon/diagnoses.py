@@ -13,8 +13,10 @@ reductions of its arrays.
 
 CSV form:
 
-    # confmon-diagnoses v1 model=<id> costs=<c_log>,<c_model>,<c_silent>,<c_sync>
+    # confmon-diagnoses v1 model=<id> costs=<c_log>,<c_model>,<c_silent>,0
     case,<a_1>,...,<a_k>,UNKNOWN,fitness
+
+The fourth cost is the synchronous move's, always 0.
 
 Counters are integers; fitness is written with six decimals, so reading a
 file back reproduces the written matrix exactly while an in-memory matrix
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import CostScheme, UNKNOWN, align_variants
-from .errors import LogError
+from .errors import AlignmentError, LogError
 from .eventlog import EventLog
 from .petri import PetriNet
 
@@ -128,7 +130,7 @@ def _fmt_cost(value: float) -> str:
 def write_diagnoses(diag: DiagnosesMatrix) -> str:
     """Render as CSV with a comment line naming the model and cost scheme."""
     c = diag.costs
-    costs = ",".join(_fmt_cost(v) for v in (c.c_log, c.c_model, c.c_silent, c.c_sync))
+    costs = ",".join(_fmt_cost(v) for v in (c.c_log, c.c_model, c.c_silent, 0))
     head = f"# {_MAGIC} model={diag.model_id} costs={costs}"
     lines = [head, "case," + ",".join(diag.columns)]
     for case_id, row, fit in zip(diag.case_ids, diag.counts.tolist(), diag.fitness.tolist()):
@@ -140,7 +142,8 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
     """Parse a diagnoses CSV produced by write_diagnoses.
 
     A row with a negative counter, a fitness outside [0, 1] or a case id of
-    an earlier row raises a LogError that names its line.
+    an earlier row raises a LogError that names its line, as does a costs
+    field that is not three valid CostScheme costs followed by 0.
     """
     model_id = "unknown"
     costs = CostScheme()
@@ -163,10 +166,12 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
                 if has_costs:
                     try:
                         cl, cm, cs, cy = (float(x) for x in cost_text.split(","))
-                    except ValueError as exc:
+                        if cy != 0:
+                            raise ValueError("the fourth (sync) cost must be 0")
+                        costs = CostScheme(cl, cm, cs)
+                    except (ValueError, AlignmentError) as exc:
                         raise LogError(
-                            f"line {no}: bad costs field: {'costs=' + cost_text!r}") from exc
-                    costs = CostScheme(cl, cm, cs, cy)
+                            f"line {no}: bad costs field {'costs=' + cost_text!r}: {exc}") from exc
             continue
         cells = line.split(",")
         if header is None:

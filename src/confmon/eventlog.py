@@ -28,6 +28,8 @@ from .errors import LogError
 
 LABELS = ("normal", "anomalous")
 _LABEL_OF = {label: label for label in LABELS}  # a parsed label is one of these strs
+# (train, validation, test) ratios of a split
+DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 
 
 def _check_token(value: str, what: str) -> None:
@@ -114,13 +116,6 @@ class EventLog:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EventLog) and self.traces == other.traces
-
-    def activities(self) -> set[str]:
-        """Set of all activity names occurring in the log."""
-        acts: set[str] = set()
-        for tr in self.traces:
-            acts.update(tr.events)
-        return acts
 
 
 def parse_log(text) -> EventLog:
@@ -306,7 +301,7 @@ def stats(log: EventLog) -> LogStats:
     return LogStats(n, len(variants), mean, math.sqrt(var))
 
 
-def split_sizes(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[int, int, int]:
+def split_sizes(n: int, ratios=DEFAULT_SPLIT) -> tuple[int, int, int]:
     """(train, validation, test) sizes of a split of n traces: floor(ratio *
     n) for validation and test, the remainder for training. LogError unless
     the ratios are a triple of positive numbers summing to 1 and every part
@@ -325,7 +320,7 @@ def split_sizes(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[int, int, int]:
     return n_train, n_val, n_test
 
 
-def split_log(log: EventLog, ratios=(0.6, 0.2, 0.2), seed: int = 0):
+def split_log(log: EventLog, ratios=DEFAULT_SPLIT, seed: int = 0):
     """Random train/validation/test partition by trace.
 
     Split sizes are floor(ratio * n) with the remainder assigned to training.

@@ -28,6 +28,7 @@ from .eventlog import EventLog, Trace
 
 ANOMALY_TYPES = ("ma", "woa", "ua")
 DEFAULT_UNKNOWN_POOL = tuple(f"unk_{i}" for i in range(1, 11))
+DEFAULT_LAMBDA = 3.0
 
 _MAX_ATTEMPTS = 100
 
@@ -41,7 +42,7 @@ class InjectionSpec:
     """
 
     anomaly_type: str
-    lam: float = 3.0
+    lam: float = DEFAULT_LAMBDA
     unknown_pool: tuple[str, ...] = DEFAULT_UNKNOWN_POOL
     seed: int = 0
 
@@ -152,7 +153,7 @@ def inject_log(normal: EventLog, spec: InjectionSpec) -> EventLog:
     return EventLog(out)
 
 
-def build_eval_sets(normal: EventLog, lam: float = 3.0,
+def build_eval_sets(normal: EventLog, lam: float = DEFAULT_LAMBDA,
                     unknown_pool=DEFAULT_UNKNOWN_POOL, seed: int = 0) -> dict:
     """Anomalous evaluation sets: one log per type plus their union.
 

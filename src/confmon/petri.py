@@ -14,8 +14,9 @@ semantics, workflow-net structure checks, and the one reachability graph that
 alignments, bounded relaxed soundness and stochastic playout with
 drop/duplicate noise all read. The graph records the node of the final
 marking. DEFAULT_STATE_CAP is the one resource cap: it is read at call time
-and bounds both the markings of a graph and the expansions of an alignment
-search. Playout raises the graph's ModelError on an unbounded net and
+and bounds the markings of a graph and, in an alignment, the states of a
+cost-to-go table of its own, the states the walk passes and the expansions
+of the search. Playout raises the graph's ModelError on an unbounded net and
 PlayoutError over the cap.
 """
 
@@ -34,9 +35,13 @@ Marking = dict
 # skip moves, and the last two are reserved diagnosis column names.
 RESERVED_ACTIVITY_NAMES = ("tau", ">>", "UNKNOWN", "fitness")
 
-# The one resource cap: the most markings a reachability graph may hold, and
-# the most states one alignment search may expand. Read at call time.
+# The one resource cap, read at call time: the most markings a reachability
+# graph may hold, states a cost-to-go table of its own may hold, states an
+# alignment walk may pass and states an alignment search may expand.
 DEFAULT_STATE_CAP = 1_000_000
+
+# playout's default for the most firings a walk may take before it is discarded.
+DEFAULT_MAX_STEPS = 200
 
 
 class PetriNet:
@@ -60,7 +65,6 @@ class PetriNet:
         self.labels = dict(labels)
         self._validate()
         self.place_order = tuple(sorted(self.places))
-        self._place_index = {p: i for i, p in enumerate(self.place_order)}
         ins: dict[str, list[str]] = {t: [] for t in self.transitions}
         outs: dict[str, list[str]] = {t: [] for t in self.transitions}
         for a, b in self.arcs:
@@ -300,7 +304,7 @@ def check_max_steps(max_steps) -> None:
         raise PlayoutError(f"max_steps must be >= 1, got {max_steps}")
 
 
-def playout(net: PetriNet, n_traces: int, max_steps: int = 200, seed: int = 0,
+def playout(net: PetriNet, n_traces: int, max_steps: int = DEFAULT_MAX_STEPS, seed: int = 0,
             noise: NoiseParams = NoiseParams()) -> EventLog:
     """Simulate the net: uniform random walks over its reachability graph.
 

@@ -178,8 +178,6 @@ def test_cost_matches_oracle_with_custom_costs(fn1):
 
 
 def test_cost_scheme_validation():
-    with pytest.raises(AlignmentError, match="c_sync"):
-        CostScheme(c_sync=0.5)
     with pytest.raises(AlignmentError, match="positive"):
         CostScheme(c_log=0.0)
     with pytest.raises(AlignmentError, match="c_silent"):
@@ -188,7 +186,7 @@ def test_cost_scheme_validation():
 
 @pytest.mark.parametrize("field, value", [("c_log", float("nan")), ("c_model", float("inf")),
                                           ("c_silent", float("nan")), ("c_log", float("inf")),
-                                          ("c_model", float("-inf")), ("c_sync", float("nan"))])
+                                          ("c_model", float("-inf"))])
 def test_cost_scheme_rejects_non_finite_costs(field, value):
     """A nan or infinite cost is refused when the scheme is built, naming
     the cost, rather than failing the search later (nan c_log, inf c_model),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -10,12 +11,14 @@ import pytest
 
 import confmon
 import confmon.detect
-from confmon.cli import (ExperimentConfig, _run_seeds, _seed_groups, main,
-                         parse_experiment_config, run_experiment)
+from confmon.cli import (ExperimentConfig, _parse_split, _run_seeds, _seed_groups, build_parser,
+                         main, parse_experiment_config, run_experiment)
+from confmon.detect import DEFAULT_QUANTILE, train, train_group
 from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import ConfmonError
-from confmon.eventlog import parse_log, write_log
-from confmon.petri import NoiseParams, playout
+from confmon.eventlog import DEFAULT_SPLIT, parse_log, split_log, split_sizes, write_log
+from confmon.inject import DEFAULT_LAMBDA, InjectionSpec, build_eval_sets
+from confmon.petri import DEFAULT_MAX_STEPS, NoiseParams, playout
 
 
 def run(*argv):
@@ -121,6 +124,37 @@ def test_inject_pool_names_are_stripped_like_the_config_pool(normal_log_file, tm
     clean = {a for tr in parse_log(normal_log_file.read_text(encoding="utf-8")) for a in tr.events}
     inserted = {a for tr in injected for a in tr.events} - clean
     assert inserted == {"z1", "z2"}
+
+
+def test_inject_refuses_an_empty_pool_like_the_config(normal_log_file, capsys):
+    """--pool "" names one empty activity, refused as pool = is in a config;
+    only a missing --pool means the default pool."""
+    assert run("inject", "--log", str(normal_log_file), "--type", "ua", "--pool", "") == 1
+    assert ("error: unknown pool: activity must be a non-empty token without whitespace: ''"
+            in capsys.readouterr().err)
+
+
+def test_front_ends_share_each_default():
+    """The library signatures, the CLI flags and ExperimentConfig read each
+    shared default from its one constant."""
+    parse = build_parser().parse_args
+    assert parse(["simulate", "--model", "m"]).max_steps == DEFAULT_MAX_STEPS == 200
+    assert parse(["inject", "--log", "l", "--type", "ma"]).lam == DEFAULT_LAMBDA == 3.0
+    flags = parse(["train", "--detector", "ft", "--model", "m", "--log", "l", "-o", "d"])
+    assert flags.split == "0.6,0.2,0.2"
+    assert _parse_split(flags.split) == DEFAULT_SPLIT == (0.6, 0.2, 0.2)
+    assert flags.quantile == DEFAULT_QUANTILE == 95.0
+    cfg = ExperimentConfig()
+    assert (cfg.max_steps, cfg.lam, cfg.split, cfg.quantile) == (
+        DEFAULT_MAX_STEPS, DEFAULT_LAMBDA, DEFAULT_SPLIT, DEFAULT_QUANTILE)
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(playout, "max_steps") == DEFAULT_MAX_STEPS
+    assert default(split_log, "ratios") == default(split_sizes, "ratios") == DEFAULT_SPLIT
+    assert default(train, "quantile") == default(train_group, "quantile") == DEFAULT_QUANTILE
+    assert default(build_eval_sets, "lam") == default(InjectionSpec, "lam") == DEFAULT_LAMBDA
 
 
 def test_train_detect_evaluate_pipeline(fn1, normal_log_file, tmp_path, capsys):

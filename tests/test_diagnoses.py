@@ -124,6 +124,14 @@ def test_read_rejects_malformed_header():
         read_diagnoses("# just a comment\n")
     with pytest.raises(LogError, match="line 2: column 'a' appears more than once"):
         read_diagnoses("# confmon-diagnoses v1 model=m\ncase,a,a,UNKNOWN,fitness\nc1,0,0,0,1.0\n")
+    # the fourth cost is the sync move's, always 0; the first three must
+    # make a CostScheme
+    for costs, why in (("1,1,0,0.5", "sync"), ("1,-1,0,0", "positive"),
+                       ("nan,1,0,0", "c_log must be finite"),
+                       ("1,1,0.1234567891,0", "cost unit finer")):
+        text = f"# confmon-diagnoses v1 model=m costs={costs}\ncase,t1,UNKNOWN,fitness\n"
+        with pytest.raises(LogError, match=f"line 1: bad costs field 'costs={costs}': .*{why}"):
+            read_diagnoses(text)
 
 
 def test_read_rejects_wrong_width():
