@@ -19,6 +19,7 @@ from .errors import (AlignmentError, ConfmonError, DetectError, InjectError,
                      LogError, MetricsError, ModelError, PlayoutError)
 from .eventlog import (EventLog, LogStats, Trace, ingest_raw, parse_log,
                        split_log, stats, write_log, write_log_csv)
+from .experiment import ExperimentConfig, parse_experiment_config, run_experiment
 from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets, inject_log, inject_trace)
 from .metrics import Confusion, PrfResult, RocCurve, confusion, prf, roc_auc
@@ -31,9 +32,11 @@ __version__ = "0.1.0"
 # confmon.cli is imported on first use of one of these names rather than
 # here, so that `python -m confmon.cli` does not find the module already in
 # sys.modules when it runs it.
-_CLI_NAMES = ("ExperimentConfig", "main", "parse_experiment_config", "run_experiment")
+_CLI_NAMES = ("main",)
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["cli", *_CLI_NAMES])
+# The harness is exported by its names; its module stays out of __all__.
+__all__ = sorted([name for name in dir() if not name.startswith("_") and name != "experiment"]
+                 + ["cli", *_CLI_NAMES])
 
 
 def __getattr__(name: str):

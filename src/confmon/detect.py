@@ -446,6 +446,17 @@ def check_quantile(quantile) -> None:
         raise DetectError(f"quantile must be in [0, 100], got {quantile}")
 
 
+def check_seeds(kind: str, seeds) -> None:
+    """DetectError unless every seed suits the kind: an autoencoder draws its
+    initial weights from np.random.default_rng(seed), so an ae seed must be
+    an integer >= 0. The other kinds draw nothing and take any seed."""
+    if kind != "ae":
+        return
+    bad = next((s for s in seeds if not isinstance(s, numbers.Integral) or s < 0), None)
+    if bad is not None:
+        raise DetectError(f"an ae detector needs seeds that are integers >= 0, got seed {bad!r}")
+
+
 def train(kind: str, train_d: DiagnosesMatrix, val_d: DiagnosesMatrix,
           params: dict | None = None, *, quantile: float = DEFAULT_QUANTILE,
           seed: int = 0) -> Detector:
@@ -466,6 +477,7 @@ def train_group(kind: str, pairs, params: dict | None = None, *,
     if not pairs or len(pairs) != len(seeds):
         raise DetectError(f"need one seed per training pair and at least one pair, "
                           f"got {len(pairs)} pairs and {len(seeds)} seeds")
+    check_seeds(kind, seeds)
     for train_d, val_d in pairs:
         if train_d.columns != val_d.columns:
             raise DetectError("training and validation diagnoses have different columns")

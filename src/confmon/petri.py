@@ -445,13 +445,14 @@ def parse_model(text: str, name: str = "net") -> PetriNet:
 
 
 def load_model(path) -> PetriNet:
-    """Read and parse a .net model file."""
+    """Read and parse a .net model file: UTF-8, a leading byte-order mark
+    dropped."""
     from pathlib import Path
 
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file {p}: {exc}") from exc
     return parse_model(text, name=p.stem)
 

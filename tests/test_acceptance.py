@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from confmon.alignment import misalignments, optimal_alignment, trace_fitness
-from confmon.cli import ExperimentConfig, run_experiment
+from confmon.experiment import ExperimentConfig, run_experiment
 from confmon.detect import ae_gradient_check, train
 from confmon.diagnoses import build_diagnoses, coverage, log_fitness
 from confmon.eventlog import split_log

@@ -5,18 +5,21 @@ import inspect
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import confmon
 import confmon.detect
-from confmon.cli import (ExperimentConfig, _parse_split, _run_seeds, _seed_groups, build_parser,
-                         main, parse_experiment_config, run_experiment)
-from confmon.detect import DEFAULT_QUANTILE, train, train_group
+import confmon.experiment
+from confmon.cli import _parse_split, build_parser, main
+from confmon.detect import DEFAULT_QUANTILE, DETECTOR_KINDS, train, train_group
 from confmon.diagnoses import coverage, log_fitness
 from confmon.errors import ConfmonError
 from confmon.eventlog import DEFAULT_SPLIT, parse_log, split_log, split_sizes, write_log
+from confmon.experiment import (DEFAULT_N_TRACES, ExperimentConfig, _run_seeds, _seed_groups,
+                                parse_experiment_config, run_experiment)
 from confmon.inject import DEFAULT_LAMBDA, InjectionSpec, build_eval_sets
 from confmon.petri import DEFAULT_MAX_STEPS, NoiseParams, playout
 
@@ -138,15 +141,18 @@ def test_front_ends_share_each_default():
     """The library signatures, the CLI flags and ExperimentConfig read each
     shared default from its one constant."""
     parse = build_parser().parse_args
-    assert parse(["simulate", "--model", "m"]).max_steps == DEFAULT_MAX_STEPS == 200
+    simulate = parse(["simulate", "--model", "m"])
+    assert simulate.max_steps == DEFAULT_MAX_STEPS == 200
+    assert simulate.n == DEFAULT_N_TRACES == 50
     assert parse(["inject", "--log", "l", "--type", "ma"]).lam == DEFAULT_LAMBDA == 3.0
     flags = parse(["train", "--detector", "ft", "--model", "m", "--log", "l", "-o", "d"])
     assert flags.split == "0.6,0.2,0.2"
     assert _parse_split(flags.split) == DEFAULT_SPLIT == (0.6, 0.2, 0.2)
     assert flags.quantile == DEFAULT_QUANTILE == 95.0
     cfg = ExperimentConfig()
-    assert (cfg.max_steps, cfg.lam, cfg.split, cfg.quantile) == (
-        DEFAULT_MAX_STEPS, DEFAULT_LAMBDA, DEFAULT_SPLIT, DEFAULT_QUANTILE)
+    assert (cfg.max_steps, cfg.lam, cfg.split, cfg.quantile, cfg.n_traces) == (
+        DEFAULT_MAX_STEPS, DEFAULT_LAMBDA, DEFAULT_SPLIT, DEFAULT_QUANTILE, DEFAULT_N_TRACES)
+    assert cfg.detectors == DETECTOR_KINDS == ("ft", "dbscan", "ae")
 
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
@@ -293,6 +299,65 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert "cannot read detector" in capsys.readouterr().err
 
 
+def cli_input_files(fn1_log: Path, tmp_path: Path) -> dict:
+    """One valid file of each kind the CLI reads, with the command that reads
+    it: kind -> (path, argv)."""
+    model = tmp_path / "fn1.net"
+    model.write_bytes((resources.files("confmon") / "models" / "fn1.net").read_bytes())
+    det = tmp_path / "ft.det"
+    assert run("train", "--detector", "ft", "--model", "fn1", "--log", str(fn1_log),
+               "-o", str(det)) == 0
+    truth = tmp_path / "truth.log"
+    truth.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("case,score,prediction\nc1,0.0,normal\nc2,1.0,anomalous\n",
+                     encoding="utf-8")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model = fn1\nseeds = 0\nn_traces = 20\ndetectors = ft\n", encoding="utf-8")
+    # detect prints each case id of the log
+    detect = ["detect", "--detector", str(det), "--model", "fn1", "--log", str(fn1_log)]
+    return {
+        "log file": (fn1_log, detect),
+        "model file": (model, ["check", "--model", str(model), "--log", str(fn1_log)]),
+        "predictions file": (preds, ["evaluate", "--preds", str(preds), "--log", str(truth)]),
+        "detector file": (det, detect),
+        "config": (cfg, ["experiment", "--config", str(cfg), "--outdir",
+                         str(tmp_path / "out")]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["log file", "model file", "predictions file", "detector file",
+                                  "config"])
+def test_an_undecodable_input_file_exits_one(kind, normal_log_file, tmp_path, capsys):
+    """A byte that is not UTF-8, here 0xff after the file's first line,
+    ends in exit 1 and an error line that names the file, not in a
+    UnicodeDecodeError traceback."""
+    path, argv = cli_input_files(normal_log_file, tmp_path)[kind]
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 1
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    capsys.readouterr()
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {kind} {path}: ")
+    assert "can't decode byte 0xff" in captured.err and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["log file", "predictions file"])
+def test_a_leading_byte_order_mark_is_dropped(kind, normal_log_file, tmp_path, capsys):
+    """A UTF-8 byte-order mark at the start of a file is not part of its
+    first line: the command prints what it prints without one."""
+    path, argv = cli_input_files(normal_log_file, tmp_path)[kind]
+    capsys.readouterr()
+    assert run(*argv) == 0
+    want = capsys.readouterr().out
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_a_comma_in_a_name_written_to_a_csv_exits_one(normal_log_file, tmp_path, capsys):
     """',' separates the fields of the diagnoses, detector and predictions
     files, so an activity or a case id that holds one is refused where it
@@ -318,28 +383,58 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-def python_m(*argv):
-    """Run python -m <argv> in a fresh interpreter that imports this package.
+def python(*argv):
+    """Run python <argv> in a fresh interpreter that imports this package.
     A RuntimeWarning, such as runpy's warning that the module was imported
     before it ran, fails the child as it would fail this suite."""
     src = str(Path(confmon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", *argv],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+# confmon.__all__, the package's public names
+PUBLIC_NAMES = [
+    "ANOMALY_TYPES", "Alignment", "AlignmentError", "ConfmonError", "Confusion", "CostScheme",
+    "DEFAULT_UNKNOWN_POOL", "DETECTOR_KINDS", "DetectError", "Detector", "DiagnosesMatrix",
+    "EventLog", "ExperimentConfig", "InjectError", "InjectionSpec", "LogError", "LogStats",
+    "MetricsError", "ModelError", "Move", "NoiseParams", "PetriNet", "PlayoutError",
+    "PrfResult", "RocCurve", "SKIP", "SoundnessReport", "Trace", "UNKNOWN",
+    "ae_gradient_check", "alignment", "build_diagnoses", "build_eval_sets", "bundled_model",
+    "check_soundness", "classify", "cli", "confusion", "coverage", "default_ae_layers",
+    "detect", "diagnoses", "diagnosis_columns", "enabled", "errors", "eventlog", "fire",
+    "ingest_raw", "inject", "inject_log", "inject_trace", "is_workflow_net", "load_detector",
+    "load_model", "log_fitness", "main", "metrics", "misalignments", "optimal_alignment",
+    "parse_experiment_config", "parse_log", "parse_model", "petri", "playout", "prf",
+    "read_diagnoses", "roc_auc", "run_experiment", "save_detector", "score_matrix",
+    "split_log", "stats", "trace_fitness", "train", "train_group", "worst_case_cost",
+    "write_diagnoses", "write_log", "write_log_csv"]
+
+IMPORT_BOUNDARY = f"""
+import sys
+import confmon
+assert "confmon.cli" not in sys.modules, "import confmon imported confmon.cli"
+assert confmon.run_experiment is confmon.experiment.run_experiment
+assert confmon.__all__ == {PUBLIC_NAMES!r}, confmon.__all__
+"""
 
 
 def test_python_m_runs_the_cli(som, tmp_path):
     """python -m confmon runs a command and exits 0; a bad subcommand exits
-    2. python -m confmon.cli runs the same command."""
+    2. python -m confmon.cli runs the same command. import confmon leaves
+    confmon.cli unimported, exports the harness from confmon.experiment and
+    keeps its public names."""
     path = tmp_path / "som.log"
     log = playout(som, 20, seed=4)
     path.write_text(write_log(log), encoding="utf-8")
     want = f"fitness={log_fitness(som, log):.6f} coverage={coverage(som, log):.6f}\n"
     for module in ("confmon", "confmon.cli"):
-        done = python_m(module, "check", "--model", "som", "--log", str(path))
+        done = python("-m", module, "check", "--model", "som", "--log", str(path))
         assert (done.returncode, done.stdout) == (0, want), done.stderr
-    assert python_m("confmon", "frobnicate").returncode == 2
+    assert python("-m", "confmon", "frobnicate").returncode == 2
+    done = python("-c", IMPORT_BOUNDARY)
+    assert done.returncode == 0, done.stderr
 
 
 def test_parse_experiment_config_full():
@@ -491,7 +586,7 @@ def test_experiment_trains_each_kind_once_per_group(tmp_path, monkeypatch):
     from dataclasses import replace
 
     calls = []
-    real = confmon.cli.train_group
+    real = confmon.experiment.train_group
 
     def spy(kind, pairs, params=None, *, quantile, seeds):
         calls.append((kind, tuple(seeds)))
@@ -500,8 +595,8 @@ def test_experiment_trains_each_kind_once_per_group(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the harness trained a single seed")
 
-    monkeypatch.setattr(confmon.cli, "train_group", spy)
-    monkeypatch.setattr(confmon.cli, "train", never)
+    monkeypatch.setattr(confmon.experiment, "train_group", spy)
+    monkeypatch.setattr(confmon.detect, "train", never)
     monkeypatch.delenv("CONFMON_THREADS", raising=False)
     cfg = replace(MINI, seeds=(0, 1, 2), detectors=("dbscan", "ae", "ft"))
     result = run_experiment(replace(cfg, outdir=str(tmp_path)))
@@ -550,7 +645,7 @@ def refuse_to_run_seeds(monkeypatch):
         raise AssertionError("a seed ran before the config was checked")
 
     monkeypatch.delenv("CONFMON_THREADS", raising=False)
-    monkeypatch.setattr(confmon.cli, "_run_seeds", never)
+    monkeypatch.setattr(confmon.experiment, "_run_seeds", never)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -594,6 +689,28 @@ def test_experiment_refuses_a_bad_pool_name_before_the_first_seed(tmp_path, monk
     out = tmp_path / "out"
     assert run("experiment", "--config", str(cfg_path), "--outdir", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_negative_seed_is_refused_only_for_ae(normal_log_file, tmp_path, monkeypatch,
+                                               capsys):
+    """An autoencoder draws its initial weights from default_rng(seed), which
+    takes no negative seed: train refuses one for ae, naming it, and so does
+    an experiment, before the first seed runs. ft and dbscan take it."""
+    message = "error: an ae detector needs seeds that are integers >= 0, got seed -1\n"
+    for kind in DETECTOR_KINDS:
+        out = tmp_path / f"{kind}.det"
+        code = run("train", "--detector", kind, "--model", "fn1", "--log", str(normal_log_file),
+                   "--seed", "-1", "-o", str(out))
+        assert (code, out.exists()) == ((1, False) if kind == "ae" else (0, True))
+        assert capsys.readouterr().err == (message if kind == "ae" else "")
+    refuse_to_run_seeds(monkeypatch)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("model = fn1\nseeds = 0,-1\nn_traces = 20\ndetectors = ft,ae\n",
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("experiment", "--config", str(cfg_path), "--outdir", str(out)) == 1
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

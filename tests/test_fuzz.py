@@ -15,7 +15,7 @@ from importlib import resources
 
 import pytest
 
-from confmon.cli import parse_experiment_config
+from confmon.experiment import parse_experiment_config
 from confmon.detect import load_detector, save_detector, score_matrix, train
 from confmon.diagnoses import build_diagnoses, read_diagnoses, write_diagnoses
 from confmon.errors import ConfmonError
