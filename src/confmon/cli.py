@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -30,12 +31,34 @@ from .petri import DEFAULT_MAX_STEPS, NoiseParams, playout
 def _read(path: str, what: str, read):
     """read(file) on the file opened as UTF-8 text, a leading byte-order mark
     dropped. An OSError or an undecodable byte met while opening or reading
-    it is a ConfmonError that names the file."""
+    it is a ConfmonError that names the file, and for an undecodable byte
+    its line and byte offset where the file can be read again."""
     try:
         with open(path, encoding="utf-8-sig") as file:
             return read(file)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfmonError(f"cannot read {what} {path}: {exc}") from exc
+        where = _undecodable_at(path) if isinstance(exc, UnicodeDecodeError) else None
+        raise ConfmonError(f"cannot read {what} {path}: {where or exc}") from exc
+
+
+def _undecodable_at(path: str) -> str | None:
+    """The line, numbered as str.splitlines numbers it, and the byte offset
+    of the regular file's first byte that is not UTF-8, found by decoding
+    its bytes again, since a text reader counts positions from the start of
+    its last read chunk. None for a file that cannot be read again (a pipe)
+    or now decodes."""
+    try:
+        if os.path.isfile(path):
+            with open(path, "rb") as file:
+                data = file.read()
+            data.decode("utf-8")
+    except OSError:
+        pass
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        return (f"line {line}, byte {exc.start}: can't decode byte "
+                f"0x{data[exc.start]:02x} ({exc.reason})")
+    return None
 
 
 def _read_log(path: str) -> EventLog:

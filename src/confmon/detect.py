@@ -39,6 +39,11 @@ lists them in order of first occurrence rather than sorted as np.unique
 does. No output depends on that order: a score depends on its row alone,
 and DBSCAN's k-distances, eps percentile, core mask and cluster count are
 the same for any order of its distinct rows.
+
+The initial ae weights are the stream np.random.default_rng(seed) gives, and
+every threshold and DBSCAN eps is np.percentile's default linear
+interpolation, both reproduced bit for bit in this module (_Stream,
+_percentile), so training imports neither numpy.random nor numpy.ma.
 """
 
 from __future__ import annotations
@@ -126,6 +131,84 @@ def _ae_layers(sizes, width: int | None = None) -> tuple[int, ...]:
     if width is not None and (layers[0] != width or layers[-1] != width):
         raise DetectError(f"autoencoder layers {layers} do not match {width} feature columns")
     return layers
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class _Stream:
+    """The doubles np.random.default_rng(seed) draws, bit for bit, without
+    importing numpy.random: the seed's 32-bit words, low first, mixed into a
+    pool of four as SeedSequence mixes them; four 64-bit words of its
+    generate_state seeding PCG64 XSL-RR 128/64 as numpy seeds it; each double
+    (next64 >> 11) * 2**-53."""
+
+    def __init__(self, seed):
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"expected a non-negative seed, got {seed}")
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        mult = 0x43B0D7E5
+
+        def hashmix(value, scale=0x931E8875):
+            nonlocal mult
+            value ^= mult
+            mult = mult * scale & _M32
+            value = value * mult & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return x ^ x >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        mult = 0x8B51F9DD  # generate_state(4, uint64) hashes the pool afresh
+        gen = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        gen = [gen[i] | gen[i + 1] << 32 for i in range(0, 8, 2)]
+        # the state from words 0-1, the increment from 2-3, high word first
+        self.inc = (gen[2] << 65 | gen[3] << 1 | 1) & _M128
+        self.state = 0
+        self._step()
+        self.state = (self.state + (gen[0] << 64 | gen[1])) & _M128
+        self._step()
+
+    def _step(self) -> None:
+        self.state = (self.state * 0x2360ED051FC65DA44385DF649FCCF645 + self.inc) & _M128
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """low + (high - low) * u for the next math.prod(size) doubles u,
+        filled in C order, as Generator.uniform draws them."""
+        span, out = high - low, []
+        for _ in range(math.prod(size)):
+            self._step()
+            word, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+            word = (word >> rot | word << (64 - rot)) & _M64
+            out.append(low + span * ((word >> 11) * 2.0 ** -53))
+        return np.array(out).reshape(size)
+
+
+def _percentile(values, q: float) -> float:
+    """np.percentile(values, q) with its default linear method, bit for bit,
+    without the np.unique call through which np.percentile imports numpy.ma.
+    The values are partitioned at the indices numpy partitions them at, so
+    ties of -0.0 and 0.0 land where numpy puts them; NaN in gives NaN out."""
+    s = np.asarray(values, dtype=float).reshape(-1)
+    index = (len(s) - 1) * (q / 100)
+    # numpy takes the top value for an index at or past it, as index -1
+    below = -1 if index >= len(s) - 1 else math.floor(index)
+    above = -1 if below == -1 else below + 1
+    s = np.partition(s, sorted({0, -1, below, above}))
+    if math.isnan(s[-1]):
+        return float(s[-1])
+    a, b, t = float(s[below]), float(s[above]), index - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _ae_init(layers, rng) -> tuple[list, list]:
@@ -237,7 +320,8 @@ def _ae_errors(weights, biases, x: np.ndarray) -> np.ndarray:
 
 def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
     """Trains one autoencoder per slice of the stack x, of shape (S, n, d),
-    the i-th from initial weights drawn from np.random.default_rng(seeds[i]).
+    the i-th from initial weights drawn from the stream
+    np.random.default_rng(seeds[i]) gives (_Stream).
     Returns a (weights, biases, loss history) triple per slice, each
     bit-identical to what a stack of that slice alone gives.
 
@@ -259,7 +343,7 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
     views, grads = _split(theta, shapes), _split(g, shapes)
     weights, biases = views[0::2], views[1::2]
     for i, seed in enumerate(seeds):
-        init_w, init_b = _ae_init(layers, np.random.default_rng(seed))
+        init_w, init_b = _ae_init(layers, _Stream(seed))
         for view, value in zip(views, [a for pair in zip(init_w, init_b) for a in pair]):
             view[i] = value
     run = _ae_pass(weights, biases, x, grads[0::2], grads[1::2])
@@ -302,10 +386,13 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
 def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
     """Max relative error between analytic and central finite-difference
     gradients on random parameters and inputs, both from the pass training
-    runs. Small (< 1e-4) when the backpropagation is implemented correctly."""
+    runs. Small (< 1e-4) when the backpropagation is implemented correctly.
+    The parameters and then the inputs are drawn from the stream
+    np.random.default_rng(seed) gives, so the seed must be an integer >= 0."""
     layers = _ae_layers(layer_sizes)
     step = _positive("gradient check step", step)
-    rng = np.random.default_rng(seed)
+    check_seeds("ae", [seed])
+    rng = _Stream(seed)
     weights, biases = _ae_init(layers, rng)
     x = rng.uniform(0.0, 1.0, size=(3, layers[0]))
     # a stack of one slice, whose views write through to weights and biases
@@ -406,7 +493,7 @@ def _fit_dbscan(x: np.ndarray, min_pts: int, eps):
         reached = np.cumsum(counts[order], axis=1) > min_pts
         rows = np.arange(len(counts))
         kdist = dist[rows, order[rows, reached.argmax(axis=1)]]
-        eps = float(np.percentile(np.repeat(kdist, counts), DBSCAN_EPS_QUANTILE))
+        eps = _percentile(np.repeat(kdist, counts), DBSCAN_EPS_QUANTILE)
     core = (dist <= eps) @ counts >= min_pts  # weighted neighbour counts, self included
     if not core.any():
         raise DetectError(
@@ -448,8 +535,9 @@ def check_quantile(quantile) -> None:
 
 def check_seeds(kind: str, seeds) -> None:
     """DetectError unless every seed suits the kind: an autoencoder draws its
-    initial weights from np.random.default_rng(seed), so an ae seed must be
-    an integer >= 0. The other kinds draw nothing and take any seed."""
+    initial weights from the stream np.random.default_rng(seed) gives, so an
+    ae seed must be an integer >= 0. The other kinds draw nothing and take
+    any seed."""
     if kind != "ae":
         return
     bad = next((s for s in seeds if not isinstance(s, numbers.Integral) or s < 0), None)
@@ -517,7 +605,7 @@ def train_group(kind: str, pairs, params: dict | None = None, *,
     for (train_d, val_d), (mins, maxs), state, seed in zip(pairs, bounds, states, seeds):
         det = Detector(kind, train_d.columns, mins, maxs, 0.0, quantile, seed,
                        train_d.model_id, state)
-        det.threshold = float(np.percentile(score_matrix(det, val_d), quantile))
+        det.threshold = _percentile(score_matrix(det, val_d), quantile)
         dets.append(det)
     return dets
 

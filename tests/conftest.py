@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 import pytest
 
-from confmon.petri import PetriNet, bundled_model
+from confmon.cli import main
+from confmon.eventlog import write_log
+from confmon.petri import PetriNet, bundled_model, playout
 
 # Verdicts recorded by tests/test_acceptance.py, echoed after the run so the
 # per-criterion lines survive pytest's output capture.
@@ -46,6 +49,42 @@ def fn1() -> PetriNet:
 @pytest.fixture(scope="session")
 def som() -> PetriNet:
     return bundled_model("som")
+
+
+@pytest.fixture()
+def normal_log_file(fn1, tmp_path):
+    path = tmp_path / "normal.log"
+    path.write_text(write_log(playout(fn1, 40, seed=1)), encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
+def cli_input_files(normal_log_file, tmp_path) -> dict:
+    """One valid file of each kind the CLI reads, with the command that reads
+    it: kind -> (path, argv)."""
+    log = str(normal_log_file)
+    model = tmp_path / "fn1.net"
+    model.write_bytes((resources.files("confmon") / "models" / "fn1.net").read_bytes())
+    det = tmp_path / "ft.det"
+    assert main(["train", "--detector", "ft", "--model", "fn1", "--log", log,
+                 "-o", str(det)]) == 0
+    truth = tmp_path / "truth.log"
+    truth.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("case,score,prediction\nc1,0.0,normal\nc2,1.0,anomalous\n",
+                     encoding="utf-8")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model = fn1\nseeds = 0\nn_traces = 20\ndetectors = ft\n", encoding="utf-8")
+    # detect prints each case id of the log
+    detect = ["detect", "--detector", str(det), "--model", "fn1", "--log", log]
+    return {
+        "log file": (normal_log_file, detect),
+        "model file": (model, ["check", "--model", str(model), "--log", log]),
+        "predictions file": (preds, ["evaluate", "--preds", str(preds), "--log", str(truth)]),
+        "detector file": (det, detect),
+        "config": (cfg, ["experiment", "--config", str(cfg), "--outdir",
+                         str(tmp_path / "out")]),
+    }
 
 
 class _NetBuilder:

@@ -5,7 +5,6 @@ import inspect
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -26,13 +25,6 @@ from confmon.petri import DEFAULT_MAX_STEPS, NoiseParams, playout
 
 def run(*argv):
     return main(list(argv))
-
-
-@pytest.fixture()
-def normal_log_file(fn1, tmp_path):
-    path = tmp_path / "normal.log"
-    path.write_text(write_log(playout(fn1, 40, seed=1)), encoding="utf-8")
-    return path
 
 
 def test_simulate_writes_parseable_log(tmp_path):
@@ -299,40 +291,13 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert "cannot read detector" in capsys.readouterr().err
 
 
-def cli_input_files(fn1_log: Path, tmp_path: Path) -> dict:
-    """One valid file of each kind the CLI reads, with the command that reads
-    it: kind -> (path, argv)."""
-    model = tmp_path / "fn1.net"
-    model.write_bytes((resources.files("confmon") / "models" / "fn1.net").read_bytes())
-    det = tmp_path / "ft.det"
-    assert run("train", "--detector", "ft", "--model", "fn1", "--log", str(fn1_log),
-               "-o", str(det)) == 0
-    truth = tmp_path / "truth.log"
-    truth.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
-    preds = tmp_path / "preds.csv"
-    preds.write_text("case,score,prediction\nc1,0.0,normal\nc2,1.0,anomalous\n",
-                     encoding="utf-8")
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("model = fn1\nseeds = 0\nn_traces = 20\ndetectors = ft\n", encoding="utf-8")
-    # detect prints each case id of the log
-    detect = ["detect", "--detector", str(det), "--model", "fn1", "--log", str(fn1_log)]
-    return {
-        "log file": (fn1_log, detect),
-        "model file": (model, ["check", "--model", str(model), "--log", str(fn1_log)]),
-        "predictions file": (preds, ["evaluate", "--preds", str(preds), "--log", str(truth)]),
-        "detector file": (det, detect),
-        "config": (cfg, ["experiment", "--config", str(cfg), "--outdir",
-                         str(tmp_path / "out")]),
-    }
-
-
 @pytest.mark.parametrize("kind", ["log file", "model file", "predictions file", "detector file",
                                   "config"])
-def test_an_undecodable_input_file_exits_one(kind, normal_log_file, tmp_path, capsys):
+def test_an_undecodable_input_file_exits_one(kind, cli_input_files, tmp_path, capsys):
     """A byte that is not UTF-8, here 0xff after the file's first line,
     ends in exit 1 and an error line that names the file, not in a
     UnicodeDecodeError traceback."""
-    path, argv = cli_input_files(normal_log_file, tmp_path)[kind]
+    path, argv = cli_input_files[kind]
     data = path.read_bytes()
     cut = data.index(b"\n") + 1
     path.write_bytes(data[:cut] + b"\xff" + data[cut:])
@@ -345,11 +310,29 @@ def test_an_undecodable_input_file_exits_one(kind, normal_log_file, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_a_decode_error_names_its_line_and_file_offset(som, tmp_path, capsys):
+    """The text reader decodes a file in 8 KiB chunks and counts the bad
+    byte's position from its chunk: 0xff at offset 20 000 of a 99 KB som
+    log read "position 3616". The error line names the line and the offset
+    in the file instead."""
+    data = write_log(playout(som, 600, seed=0)).encode()
+    assert len(data) > 90_000
+    path = tmp_path / "som.log"
+    path.write_bytes(data[:20_000] + b"\xff" + data[20_000:])
+    line = data.count(b"\n", 0, 20_000) + 1
+    assert line == 122
+    capsys.readouterr()
+    assert run("check", "--model", "som", "--log", str(path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read log file {path}: line {line}, byte 20000: "
+        "can't decode byte 0xff (invalid start byte)\n")
+
+
 @pytest.mark.parametrize("kind", ["log file", "predictions file"])
-def test_a_leading_byte_order_mark_is_dropped(kind, normal_log_file, tmp_path, capsys):
+def test_a_leading_byte_order_mark_is_dropped(kind, cli_input_files, capsys):
     """A UTF-8 byte-order mark at the start of a file is not part of its
     first line: the command prints what it prints without one."""
-    path, argv = cli_input_files(normal_log_file, tmp_path)[kind]
+    path, argv = cli_input_files[kind]
     capsys.readouterr()
     assert run(*argv) == 0
     want = capsys.readouterr().out
@@ -411,12 +394,25 @@ PUBLIC_NAMES = [
     "split_log", "stats", "trace_fitness", "train", "train_group", "worst_case_cost",
     "write_diagnoses", "write_log", "write_log_csv"]
 
+# numpy 1.x imports numpy.random and numpy.ma with numpy, numpy 2.x on first
+# use; training must not be their first use.
 IMPORT_BOUNDARY = f"""
 import sys
+import numpy
+lazy = {{"numpy.random", "numpy.ma"}} - set(sys.modules)
 import confmon
 assert "confmon.cli" not in sys.modules, "import confmon imported confmon.cli"
 assert confmon.run_experiment is confmon.experiment.run_experiment
 assert confmon.__all__ == {PUBLIC_NAMES!r}, confmon.__all__
+from confmon.detect import train
+from confmon.diagnoses import build_diagnoses
+from confmon.petri import NoiseParams, bundled_model, playout
+fn1 = bundled_model("fn1")
+d_train, d_val = (build_diagnoses(fn1, playout(fn1, 12, seed=s, noise=NoiseParams(0.1, 0.1)))
+                  for s in (1, 2))
+for kind, params in [("ft", None), ("dbscan", None), ("ae", {{"epochs": 3}})]:
+    train(kind, d_train, d_val, params)
+assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
 """
 
 
@@ -424,7 +420,8 @@ def test_python_m_runs_the_cli(som, tmp_path):
     """python -m confmon runs a command and exits 0; a bad subcommand exits
     2. python -m confmon.cli runs the same command. import confmon leaves
     confmon.cli unimported, exports the harness from confmon.experiment and
-    keeps its public names."""
+    keeps its public names, and training each detector kind imports neither
+    numpy.random nor numpy.ma where numpy leaves them lazy."""
     path = tmp_path / "som.log"
     log = playout(som, 20, seed=4)
     path.write_text(write_log(log), encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 import warnings
 
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 import confmon.detect
 from confmon.alignment import CostScheme
 from confmon.cli import main
-from confmon.detect import (DETECTOR_KINDS, Detector, _distinct_rows, _normalize, _pairwise,
-                            _train_ae, ae_gradient_check, classify, default_ae_layers,
-                            load_detector, save_detector, score_matrix, train, train_group)
+from confmon.detect import (DETECTOR_KINDS, Detector, _ae_init, _distinct_rows, _normalize,
+                            _pairwise, _percentile, _Stream, _train_ae, ae_gradient_check,
+                            classify, default_ae_layers, load_detector, save_detector,
+                            score_matrix, train, train_group)
 from confmon.diagnoses import DiagnosesMatrix, build_diagnoses
 from confmon.errors import DetectError
 from confmon.eventlog import EventLog, split_log, write_log
@@ -162,6 +164,54 @@ def test_ae_gradient_check_small():
     assert ae_gradient_check([3, 3], seed=0) < 1e-4
     with pytest.raises(DetectError, match="at least"):
         ae_gradient_check([4])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_ae_gradient_check_rejects_seeds_an_ae_cannot_take(seed):
+    # numpy's default_rng raised a bare ValueError for -1 and a TypeError for 1.5
+    with pytest.raises(DetectError, match=re.escape(f"got seed {seed!r}")):
+        ae_gradient_check([3, 2, 3], seed=seed)
+
+
+# 0-299, the edges of one and two 32-bit words, and 70-bit seeds of three
+STREAM_SEEDS = ([*range(300), 2**32 - 1, 2**32, 2**64 + 3]
+                + [random.Random(70).getrandbits(70) | 1 << 69 for _ in range(8)])
+
+
+def test_stream_draws_what_default_rng_draws():
+    """One _Stream per seed draws the bits np.random.default_rng(seed) draws,
+    over consecutive draws: the initial weights of every default layer shape
+    of a 16-column model, then ae_gradient_check's input draw; for a
+    31-column model too on every tenth seed. numpy integer seeds give the
+    stream of their value."""
+    for i, seed in enumerate(STREAM_SEEDS):
+        for width in (16, 31) if i % 10 == 0 else (16,):
+            got, want = ([*_ae_init(default_ae_layers(width), rng)[0],
+                          rng.uniform(0.0, 1.0, size=(3, width))]
+                         for rng in (_Stream(seed), np.random.default_rng(seed)))
+            assert [a.shape for a in got] == [a.shape for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (seed, width)
+    for seed in (np.int64(7), np.uint32(7), np.uint64(2**64 - 1)):
+        assert (_Stream(seed).uniform(-1.0, 1.0, (4, 5)).tobytes()
+                == np.random.default_rng(seed).uniform(-1.0, 1.0, (4, 5)).tobytes())
+
+
+def test_percentile_equals_np_percentile_bit_for_bit():
+    """_percentile gives np.percentile's bits on 10 000 random vectors of 1-60
+    values, drawn with ties, -0.0, +-inf and NaN among them, at q of 0, 90,
+    95, 100 and uniform in [0, 100]."""
+    rng = np.random.default_rng(2024)
+    specials = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])
+    for _ in range(10_000):
+        n = int(rng.integers(1, 61))
+        values = rng.normal(size=n).round(int(rng.integers(0, 3)))  # rounding makes ties
+        mask = rng.random(n) < rng.choice([0.0, 0.1, 0.5])
+        values[mask] = rng.choice(specials, size=int(mask.sum()))
+        q = float(rng.choice([0.0, 90.0, 95.0, 100.0, rng.uniform(0.0, 100.0)]))
+        with np.errstate(invalid="ignore"):  # numpy warns on inf - inf
+            want = np.percentile(values, q)
+        got = _percentile(values, q)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, q, got, want)
 
 
 @pytest.mark.parametrize("layers, step, named", [

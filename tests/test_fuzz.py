@@ -1,20 +1,28 @@
-"""Seeded mutation fuzz of the five text parsers.
+"""Seeded mutation fuzz of the five text parsers and of the files the CLI
+reads.
 
 Each parser gets a few hundred mutants of valid inputs: bit flips, deleted
 and duplicated lines, and swapped tokens, up to three per mutant. A mutant
 may parse or fail, but a failure must be a ConfmonError, never a stray
 Python exception. A detector mutant that loads must also score, or fail
 with a ConfmonError.
+
+The CLI gets byte-level mutants of each file kind it reads: invalid UTF-8,
+NUL and byte-order-mark bytes, CRLF line ends and truncation. A command on
+a mutant may succeed, or exit 1 or 2 with one error: line, but never end in
+a traceback.
 """
 
 from __future__ import annotations
 
+import codecs
 import random
 import re
 from importlib import resources
 
 import pytest
 
+from confmon.cli import main
 from confmon.experiment import parse_experiment_config
 from confmon.detect import load_detector, save_detector, score_matrix, train
 from confmon.diagnoses import build_diagnoses, read_diagnoses, write_diagnoses
@@ -23,6 +31,7 @@ from confmon.eventlog import EventLog, Trace, parse_log, write_log, write_log_cs
 from confmon.petri import NoiseParams, bundled_model, parse_model, playout
 
 MUTANTS_PER_PARSER = 200
+MUTANTS_PER_FILE = 30
 
 _TOKEN = re.compile(r"[^\s,=:|#]+")
 
@@ -142,3 +151,60 @@ def test_loaded_detector_mutants_score_or_raise_only_confmon_errors():
             continue
         scored += 1
     assert scored > 0
+
+
+def _insert(data: bytes, rng: random.Random, piece: bytes) -> bytes:
+    at = rng.randrange(len(data) + 1)
+    return data[:at] + piece + data[at:]
+
+
+def _invalid_utf8(data: bytes, rng: random.Random) -> bytes:
+    # a bad lead byte, a lead byte cut short, a lone continuation, a surrogate
+    return _insert(data, rng, rng.choice((b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80")))
+
+
+def _nul(data: bytes, rng: random.Random) -> bytes:
+    return _insert(data, rng, b"\x00")
+
+
+def _bom(data: bytes, rng: random.Random) -> bytes:
+    # at the start, where readers drop it, as often as anywhere else
+    return codecs.BOM_UTF8 + data if rng.random() < 0.5 else _insert(data, rng, codecs.BOM_UTF8)
+
+
+def _crlf(data: bytes, rng: random.Random) -> bytes:
+    return data.replace(b"\n", b"\r\n")
+
+
+def _truncate(data: bytes, rng: random.Random) -> bytes:
+    return data[:rng.randrange(len(data) + 1)]
+
+
+_BYTE_MUTATIONS = (_invalid_utf8, _nul, _bom, _crlf, _truncate)
+
+
+@pytest.mark.parametrize("salt,kind", enumerate(
+    ["log file", "model file", "predictions file", "detector file", "config"]))
+def test_cli_exits_cleanly_on_byte_mutants_of_its_input_files(salt, kind, cli_input_files,
+                                                               capsys):
+    """Each mutant of one input file, one or two byte mutations of the valid
+    file, is run through main as the command that reads it: exit 0, or exit
+    1 or 2 with a single error: line on stderr."""
+    path, argv = cli_input_files[kind]
+    valid = path.read_bytes()
+    rng = random.Random(salt)
+    for _ in range(MUTANTS_PER_FILE):
+        data = valid
+        for _ in range(rng.randint(1, 2)):
+            data = rng.choice(_BYTE_MUTATIONS)(data, rng)
+        path.write_bytes(data)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        if code:
+            assert code in (1, 2), (code, data)
+            assert err.endswith("\n") and err.count("\n") == 1, (err, data)
+            assert err.startswith("error: ") or code == 2 and "error: " in err, (err, data)
