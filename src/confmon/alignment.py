@@ -29,24 +29,31 @@ origin of sigma[pos], a marking where its transition is enabled, followed by
 the sync move there. h*(., pos + 1) is closed under model moves, so the log
 move needs no model moves before it. A move is tight when its cost plus the
 h* of its target equals the h* of its source; the paths of tight moves from
-the start state are exactly the prefixes of optimal alignments.
+the start state are exactly the prefixes of optimal alignments. The pass
+allocates its arrays once, and each position takes the same five numpy
+steps: gather the model-only costs to the origins of its events, gather the
+h* after each origin's sync move and add it, put the log move's c_log +
+h*(., pos + 1) beside them, and write h*(., pos) as one minimum over all
+of them (see _backward_pass).
 
 Every trace on a net with pass arrays gets a table and is aligned by a
 depth-first walk over tight moves in tie-break order, which settles each
 state on the same path as the uniform-cost search would. A sync move costs
 nothing, so it is tight when its target's h* equals its source's. The walk
 can only reach a dead end, a state whose tight moves all lead to states
-it has passed, through a zero-cost cycle of silent moves. Such a trace, and
+it has passed, through a zero-cost cycle of silent moves. The walk holds
+its state as the position, the table index of the position's first state
+and the marking, and reads the table at their sum. Such a trace, and
 every trace on a net too large for the pass, is aligned by an unpruned
 uniform-cost (Dijkstra) search on a heap, which follows a sync move, free
 and first in the tie-break, without a round trip through the heap.
 
 A table is a read-only buffer of float64, whole numbers of units, one per
 (position, marking), so a state takes 8 bytes. Two byte caps bound a chunk:
-_TABLE_BYTES (768 KiB) its tables, _LANE_BYTES (1 MiB) its pass's per-lane
-gather of origin columns. A net whose origin table exceeds _LANE_BYTES gets
-no pass arrays. A trace whose table alone exceeds _TABLE_BYTES gets a chunk
-of its own.
+_TABLE_BYTES (768 KiB) its tables, _LANE_BYTES (1 MiB) its pass's
+candidates, the per-lane gather of origin columns and the log move. A net
+whose origin table exceeds _LANE_BYTES gets no pass arrays. A trace whose
+table alone exceeds _TABLE_BYTES gets a chunk of its own.
 petri.DEFAULT_STATE_CAP, read at call time, bounds the markings of the graph,
 the states of a table of its own, the states the walk passes and the
 expansions of the search.
@@ -94,9 +101,9 @@ INF = float("inf")
 # (position, marking) state. A trace whose table alone exceeds it gets a
 # chunk of its own.
 _TABLE_BYTES = 3 << 18
-# Bytes per chunk of the pass's (J, N, B) float64 gather of origin columns,
-# J x N x 8 a lane. A net whose (J, N, A + 1) origin table exceeds it gets no
-# tables.
+# Bytes per chunk of the pass's (J + 1, N, B) float64 candidates, the gather
+# of origin columns and the log move, (J + 1) x N x 8 a lane. A net whose
+# (J, N, A + 1) origin table exceeds it gets no tables.
 _LANE_BYTES = 1 << 20
 # The largest cost unit denominator D, and the largest cost in units. A
 # table holds at most 98 304 < 2^17 states in a shared chunk and at most
@@ -426,41 +433,42 @@ def _walk(sigma, h, record, c_log: int, log: str) -> str | None:
     position, so it closes none. When every tight move of a state closes
     one, the state is a dead end. Otherwise the walk passes each state on
     the path the uniform-cost search would settle it on; see the module
-    docstring.
+    docstring. The walk keeps the state as its position pos, the index base
+    = pos * stride of the position's first state, and the marking m; the
+    state is base + m.
     """
     final, _, sync_arcs, free_arcs = record[:4]
     stride = len(free_arcs) + 1
-    last = len(sigma) * stride  # the first state of the last position
-    goal = last + final
+    n_events = len(sigma)
     limit = petri.DEFAULT_STATE_CAP
     passed = 0
     key = ""
-    state = 0
+    pos = base = m = 0
     path = set()
-    while state != goal:
+    while pos < n_events or m != final:
         passed += 1
         if passed > limit:
             raise _exhausted(limit)
-        here = h[state]
-        m = state % stride
-        base = state - m
-        if state < last:
-            arc = sync_arcs[m].get(sigma[state // stride])
+        here = h[base + m]
+        if pos < n_events:
+            arc = sync_arcs[m].get(sigma[pos])
             if arc is not None and h[base + stride + arc[1]] == here:
-                code, nxt = arc
+                code, m = arc
                 key += code
-                state = base + stride + nxt
+                pos += 1
+                base += stride
                 continue
-        path.add(state)
+        path.add(base + m)
         for code, nxt, step in free_arcs[m]:
             if step + h[base + nxt] == here and base + nxt not in path:
-                state = base + nxt
+                m = nxt
                 break
         else:
-            if state >= last or c_log + h[state + stride] != here:
+            if pos == n_events or c_log + h[base + stride + m] != here:
                 return None
             code = log
-            state += stride
+            pos += 1
+            base += stride
         key += code
     return key
 
@@ -534,11 +542,11 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
 
     Sequences go in chunks, in order, and one backward pass computes a
     chunk's tables. A chunk's (positions, N + 1, B) table holds at most
-    _TABLE_BYTES, and its pass's (J, N, B) gather of origin columns (see
-    _tables) at most _LANE_BYTES, for B sequences. A chunk takes sequences
-    while both caps hold; align_variants passes them longest first, so
-    that each chunk's first sequence fixes its width and the next ones fill
-    the cap under it. A sequence whose table alone exceeds _TABLE_BYTES
+    _TABLE_BYTES, and its pass's (J + 1, N, B) candidates (see
+    _backward_pass) at most _LANE_BYTES, for B sequences. A chunk takes
+    sequences while both caps hold; align_variants passes them longest
+    first, so that each chunk's first sequence fixes its width and the next
+    ones fill the cap under it. A sequence whose table alone exceeds _TABLE_BYTES
     fits no chunk with another, so it gets a chunk of its own;
     AlignmentError, before any allocation, when that table would hold more
     than petri.DEFAULT_STATE_CAP states. A chunk's tables are slices of one
@@ -550,8 +558,10 @@ def cost_to_go(net: PetriNet, sequences, costs: CostScheme = CostScheme()):
             yield None
         return
     c_log = costs._units[1]
-    stride = len(tables[3]) + 1
-    lane = tables[0][..., 0].nbytes
+    n_nodes = len(tables[3])
+    stride = n_nodes + 1
+    # the bytes of one lane of the pass's (J + 1, N, B) candidates
+    lane = (len(tables[1]) + 1) * n_nodes * 8
     chunk, longest = [], 0
     for sigma in map(_events, sequences):
         states = (len(sigma) + 1) * stride
@@ -599,9 +609,13 @@ def _backward_pass(tables, chunk, c_log: int):
                       min over origins k of a = sigma[pos] of
                           dist[m, k] + h[pos + 1][next_a(k)])
 
-    Each position gathers the (J, N, B) origin columns of its events, adds
-    their successors' h and reduces over J, so the min runs over contiguous
-    (N, B) planes.
+    The pass allocates its arrays once. Each position fills a (J + 1, N, B)
+    candidates array: rows 0 to J - 1 take the origin columns of its events
+    from dist and add the h after each origin's sync move, read from one
+    row of successor indices; row J is the log move, c_log + h[pos + 1].
+    One minimum over axis 0, on contiguous (N, B) planes, then writes
+    h[pos]. A min and a sum of whole-number floats are exact, so no order
+    of the terms changes a bit.
     """
     dist, successors, columns, comp_cost = tables
     n_nodes, n_seqs, depth = len(comp_cost), len(chunk), len(successors)
@@ -616,24 +630,27 @@ def _backward_pass(tables, chunk, c_log: int):
     # right-aligned
     cols.T[np.arange(width - 1) >= offsets[:, None]] = np.fromiter(
         map(columns.get, chain.from_iterable(chunk), repeat(unknown)), dtype=np.intp)
-    # nexts[j, pos, b] is the flat index, into the (N + 1, B) slice after
-    # pos, of the successor of origin j of sequence b's event at pos; it
+    # nexts[pos, j, 0, b] is the flat index into h of the state after the
+    # sync move from origin j of sequence b's event at pos, at pos + 1; it
     # takes J / (N + 1) of the table's bytes
-    nexts = successors[:, cols] * n_seqs + lanes
+    nexts = successors[np.arange(depth)[:, None, None], cols[:, None, None, :]]
+    nexts *= n_seqs
+    nexts += (np.arange(1, width) * (stride * n_seqs))[:, None, None, None] + lanes
     h = np.empty((width, stride, n_seqs))
     h[:, n_nodes] = INF
     h[-1, :n_nodes] = comp_cost[:, None]
-    moved = np.empty((depth, n_seqs))
-    gathered = np.empty((depth, n_nodes, n_seqs))
+    flat, rows = h.reshape(-1), h[:, :n_nodes]
+    candidates = np.empty((depth + 1, n_nodes, n_seqs))
+    gathered, logged = candidates[:depth], candidates[depth]
+    moved = np.empty((depth, 1, n_seqs))
     # every index is in range; mode="clip" only lets take write into out
     # without an intermediate buffer
     for pos in range(width - 2, -1, -1):
-        after, here = h[pos + 1], h[pos, :n_nodes]
         dist.take(cols[pos], axis=2, out=gathered, mode="clip")
-        after.take(nexts[:, pos], out=moved, mode="clip")
-        gathered += moved[:, None]
-        np.minimum.reduce(gathered, axis=0, out=here)
-        np.minimum(here, after[:n_nodes] + c_log, out=here)
+        flat.take(nexts[pos], out=moved, mode="clip")
+        gathered += moved
+        np.add(rows[pos + 1], c_log, out=logged)
+        np.minimum.reduce(candidates, axis=0, out=rows[pos])
     return h, (offsets * stride * n_seqs + lanes).tolist()
 
 
@@ -765,7 +782,7 @@ def count_from_keys(net: PetriNet, columns, keys, sequences) -> np.ndarray:
         codes = np.frombuffer("".join(block_keys).encode("utf-32-le", "surrogatepass"),
                               dtype="<u4")
         moves = np.repeat(rows, list(map(len, block_keys))) + slot[codes]
-        events = np.fromiter((column.get(act, unknown) for sigma in block_seqs for act in sigma),
+        events = np.fromiter(map(column.get, chain.from_iterable(block_seqs), repeat(unknown)),
                              dtype=np.intp)
         events += np.repeat(rows, list(map(len, block_seqs)))
         part = tally[lo:lo + _COUNT_BLOCK].reshape(-1)
@@ -792,10 +809,8 @@ def align_variants(net: PetriNet, sequences, columns, costs: CostScheme = CostSc
     """
     # sorted is stable, so sequences of one length keep their order
     order = sorted(range(len(sequences)), key=lambda i: len(sequences[i]), reverse=True)
-    unit, c_log = costs._units[:2]
-    completion = _tables(net, costs)[1][0]
     keys = [""] * len(sequences)
-    fitness = np.empty(len(sequences))
+    cost = np.empty(len(sequences))
     # next() hands each table straight to the search, so no name holds a
     # chunk's last table, and with it the chunk's array, while the next
     # chunk's pass runs
@@ -803,10 +818,15 @@ def align_variants(net: PetriNet, sequences, columns, costs: CostScheme = CostSc
     for i in order:
         alignment = optimal_alignment(net, sequences[i], costs, table=next(tables))
         keys[i] = alignment.key
-        # fitness_from_cost's float operations, so the same bits
-        worst = (c_log * len(sequences[i]) + completion) / unit
-        fitness[i] = 1.0 - alignment.cost / worst if worst else 1.0
+        cost[i] = alignment.cost
     # the suspended generator still holds the last chunk's array
     del tables
+    # fitness_from_cost's float operations, so the same bits: the int64
+    # units of the worst case are exact in float64 (see _MAX_UNITS), and a
+    # worst case of 0 gives 1.0
+    unit, c_log = costs._units[:2]
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    worst = (c_log * lengths + _tables(net, costs)[1][0]) / unit
+    fitness = 1.0 - np.divide(cost, worst, out=np.zeros_like(cost), where=worst != 0)
     moves = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
     return count_from_keys(net, columns, keys, sequences), fitness, moves

@@ -11,15 +11,15 @@ that cannot be opened or decoded is a domain error that names the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
-import os
 import sys
 from dataclasses import replace
 
 from .detect import (DEFAULT_QUANTILE, DETECTOR_KINDS, classify, load_detector, save_detector,
                      score_matrix, train)
 from .diagnoses import build_diagnoses, write_diagnoses
-from .errors import ConfmonError, DetectError, LogError
+from .errors import ConfmonError, DetectError, LogError, _undecodable_at
 from .eventlog import DEFAULT_SPLIT, EventLog, parse_log, split_log, write_log
 from .experiment import (DEFAULT_N_TRACES, ExperimentConfig, _names, _resolve_model, _write_text,
                          parse_experiment_config, run_experiment)
@@ -39,26 +39,6 @@ def _read(path: str, what: str, read):
     except (OSError, UnicodeDecodeError) as exc:
         where = _undecodable_at(path) if isinstance(exc, UnicodeDecodeError) else None
         raise ConfmonError(f"cannot read {what} {path}: {where or exc}") from exc
-
-
-def _undecodable_at(path: str) -> str | None:
-    """The line, numbered as str.splitlines numbers it, and the byte offset
-    of the regular file's first byte that is not UTF-8, found by decoding
-    its bytes again, since a text reader counts positions from the start of
-    its last read chunk. None for a file that cannot be read again (a pipe)
-    or now decodes."""
-    try:
-        if os.path.isfile(path):
-            with open(path, "rb") as file:
-                data = file.read()
-            data.decode("utf-8")
-    except OSError:
-        pass
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        return (f"line {line}, byte {exc.start}: can't decode byte "
-                f"0x{data[exc.start]:02x} ({exc.reason})")
-    return None
 
 
 def _read_log(path: str) -> EventLog:
@@ -289,8 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built by its first call and shared by the rest
+    of the process: parse_args reads it and leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except ConfmonError as exc:

@@ -2,7 +2,13 @@
 
 Every domain failure raises a subclass of ConfmonError so the command line
 front end can map it to a nonzero exit code without catching bare Exception.
+_undecodable_at words where a file's bytes stop being UTF-8, for the
+messages of every reader of text files.
 """
+
+from __future__ import annotations
+
+import os
 
 
 class ConfmonError(Exception):
@@ -35,3 +41,23 @@ class DetectError(ConfmonError):
 
 class MetricsError(ConfmonError):
     """Metric computation on degenerate input (e.g. single-class ROC)."""
+
+
+def _undecodable_at(path: str) -> str | None:
+    """The line, numbered as str.splitlines numbers it, and the byte offset
+    of the regular file's first byte that is not UTF-8, found by decoding
+    its bytes again, since a text reader counts positions from the start of
+    its last read chunk. None for a file that cannot be read again (a pipe)
+    or now decodes."""
+    try:
+        if os.path.isfile(path):
+            with open(path, "rb") as file:
+                data = file.read()
+            data.decode("utf-8")
+    except OSError:
+        pass
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        return (f"line {line}, byte {exc.start}: can't decode byte "
+                f"0x{data[exc.start]:02x} ({exc.reason})")
+    return None

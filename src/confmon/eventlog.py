@@ -5,16 +5,19 @@ Two text formats are supported. The trace-per-line format is canonical:
     <case_id>: <activity> <activity> ... [| normal]
 
 and a long CSV format with header ``case,activity[,label]`` and one event per
-row, grouped by case. Activity names and case ids are whitespace-free tokens;
-``|`` is reserved as the label separator. A case id holds no ``:`` and no
-``,``, the field separator of the CSVs the package writes.
+row, grouped by case. Activity names and case ids are whitespace-free tokens
+that hold no NUL and no U+FEFF; ``|`` is reserved as the label separator. A
+case id holds no ``:`` and no ``,``, the field separator of the CSVs the
+package writes.
 
 ``Trace(...)`` is the one validating constructor. The trace-per-line parser
 builds its traces without it: an activity is a token of ``str.split`` on the
 text between ``:`` and ``|``, so it is non-empty, holds no whitespace and no
-``|`` by construction, and the parser checks the label and the case id itself
-with the same rules. A parsed log stores each distinct activity name once and
-shares one events tuple between lines with the same body.
+``|`` by construction. The parser checks that the text holds no NUL and no
+U+FEFF, which no token may hold either, once per distinct text, and checks
+the label and the case id itself with the same rules. A parsed log stores
+each distinct activity name once and shares one events tuple between lines
+with the same body.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ _LABEL_OF = {label: label for label in LABELS}  # a parsed label is one of these
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 
 
+def _not_text(value: str) -> bool:
+    """Whether value holds a NUL or a U+FEFF, which str.split does not split
+    on but no token may hold: neither is text, and a U+FEFF past the start
+    of a file is a stray byte-order mark."""
+    return "\x00" in value or "\ufeff" in value
+
+
 def _check_token(value: str, what: str) -> None:
     if not isinstance(value, str):
         raise LogError(f"{what} must be a str: {value!r}")
@@ -39,6 +49,8 @@ def _check_token(value: str, what: str) -> None:
         raise LogError(f"{what} must be a non-empty token without whitespace: {value!r}")
     if "|" in value:
         raise LogError(f"{what} may not contain '|': {value!r}")
+    if _not_text(value):
+        raise LogError(f"{what} may not contain NUL or U+FEFF: {value!r}")
 
 
 def _check_case_id(value: str) -> None:
@@ -79,7 +91,8 @@ class Trace:
         # events one by one, to name the first bad one.
         try:
             joined = " ".join(events)
-            valid = "|" not in joined and joined.split() == list(events)
+            valid = ("|" not in joined and not _not_text(joined)
+                     and joined.split() == list(events))
         except TypeError:  # an event is not a str
             valid = False
         if not valid:
@@ -138,8 +151,9 @@ def parse_log(text) -> EventLog:
 
 def _parse_lines(lines) -> EventLog:
     # Each Trace is built by hand, without __post_init__: the events are the
-    # str.split tokens of a body free of '|', so they are valid tokens, and the
-    # label is one of the LABELS constants. The case id gets Trace's own
+    # str.split tokens of a body free of '|', checked for NUL and U+FEFF when
+    # the body is first met, so they are valid tokens, and the label is one
+    # of the LABELS constants. The case id gets Trace's own
     # checks; it holds no ':' after the split on the first one, so only a ','
     # calls _check_case_id, to raise its error. Fields
     # are set one by one, as __init__ does, so the instances keep CPython's
@@ -165,6 +179,9 @@ def _parse_lines(lines) -> EventLog:
         events = bodies.get(rest)
         if events is None:
             parts = rest.split()
+            if _not_text(rest):
+                bad = next(part for part in parts if _not_text(part))
+                raise LogError(f"line {no}: activity may not contain NUL or U+FEFF: {bad!r}")
             events = bodies[rest] = tuple(map(tokens.setdefault, parts, parts))
         case_id = case_id.strip()
         try:

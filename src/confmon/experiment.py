@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -250,6 +249,10 @@ def _results(cfg: ExperimentConfig):
     the seeds, in EVAL_SET_ORDER, cfg.detectors and METRIC_ORDER order."""
     workers = _worker_count(len(cfg.seeds))
     if workers > 1:
+        # imported here, so a sequential run, and every import of the
+        # package, leaves concurrent.futures and multiprocessing unloaded
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = _seed_groups(tuple(cfg.seeds), workers)
             per_seed = [rows for group in pool.map(_run_seeds, repeat(cfg), groups)

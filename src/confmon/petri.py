@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import LogError, ModelError, PlayoutError
+from .errors import LogError, ModelError, PlayoutError, _undecodable_at
 from .eventlog import EventLog, Trace, _check_token
 
 Marking = dict
@@ -446,14 +446,16 @@ def parse_model(text: str, name: str = "net") -> PetriNet:
 
 def load_model(path) -> PetriNet:
     """Read and parse a .net model file: UTF-8, a leading byte-order mark
-    dropped."""
+    dropped. A file that cannot be read is a ModelError that names it, and
+    for an undecodable byte its line and byte offset in the file."""
     from pathlib import Path
 
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ModelError(f"cannot read model file {p}: {exc}") from exc
+        where = _undecodable_at(str(p)) if isinstance(exc, UnicodeDecodeError) else None
+        raise ModelError(f"cannot read model file {p}: {where or exc}") from exc
     return parse_model(text, name=p.stem)
 
 

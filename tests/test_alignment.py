@@ -5,11 +5,13 @@ import hashlib
 import heapq
 import pickle
 import random
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -741,10 +743,10 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
     """A chunk of two or more sequences holds its (positions, N + 1, B)
     float64 table in at most _TABLE_BYTES, 8 bytes a state; a chunk of one
     may exceed that, up to petri.DEFAULT_STATE_CAP states. Every chunk's
-    pass gathers the (J, N, B) float64 model-only costs to its events'
-    origins, J of them per event, in at most _LANE_BYTES. The spy refuses a
-    larger chunk before it allocates, and bounds the nbytes of the arrays
-    the tables are views of. The diagnoses match those built without any
+    pass holds its (J + 1, N, B) float64 candidates, the model-only costs
+    to its events' origins, J of them per event, and the log move, in at
+    most _LANE_BYTES. The spy refuses a larger chunk before it allocates,
+    and bounds the nbytes of the arrays the tables are views of. The diagnoses match those built without any
     table. The caps are at their defaults, or both at 4096 bytes, where
     most fn1 loops get a chunk of their own."""
     if cap is not None:
@@ -765,7 +767,7 @@ def test_cost_to_go_arrays_stay_under_the_cap(fn1, som, cap, monkeypatch):
             cap = confmon.petri.DEFAULT_STATE_CAP * 8
         assert width * (n_nodes + 1) * 8 * len(chunk) <= cap
         assert tables[0].shape[:2] == (depth, n_nodes)
-        assert depth * n_nodes * 8 * len(chunk) <= lane_cap
+        assert (depth + 1) * n_nodes * 8 * len(chunk) <= lane_cap
         chunks.append(len(chunk))
         for h in real(tables, chunk, c_log):
             assert h.obj.nbytes <= cap
@@ -865,6 +867,67 @@ def test_cost_to_go_pass_matches_the_reference_pass(fn1, som, costs):
             assert h.readonly and h.format == "d"
             assert h.tolist() == ref
             assert type(h[len(h) - 1]) is float
+
+
+@pytest.mark.parametrize("costs", [CostScheme(), CostScheme(0.7, 1.3, 0.1)])
+def test_backward_pass_matches_the_dense_pass_on_mixed_lengths(fn1, som, costs):
+    """_backward_pass on chunks that mix sequences of 0 to 600 events, eleven
+    lanes a chunk, gives each sequence's lane the bytes of the dense
+    reference pass in tests/oracle.py, and starts the flat index of its
+    (pos 0, marking 0) state. The nets are fn1 (J = 2 origins for an
+    activity), som (J = 1) and random workflow nets with J from 1 to 18, in
+    a chunk of noisy playouts and random traces over the net's activities
+    and x1."""
+    rng = random.Random(5)
+    lengths = (0, 1, 2, 9, 50, 133, 301, 600)
+    nets = [fn1, som] + [random_workflow_net(seed, budget) for seed, budget
+                         in ((0, 6), (11, 5), (9, 6), (5, 6), (3, 3))]
+    depths = [origin_table(net)[0] for net in nets]
+    assert depths[:2] == [2, 1] and max(depths) == 18 and min(depths[2:]) == 1
+    for net in nets:
+        alphabet = sorted(net.visible_labels) + ["x1"]
+        chunk = [tuple(rng.choice(alphabet) for _ in range(n)) for n in lengths]
+        if net is fn1:
+            chunk += [noisy_fn1_loop(rng, n) for n in (8, 300, 600)]
+        else:
+            chunk += [tr.events for tr in playout(net, 3, max_steps=60, seed=1,
+                                                  noise=NoiseParams(0.1, 0.1))]
+        chunk = [tuple(events) for events in rng.sample(chunk, len(chunk))]
+        tables = confmon.alignment._tables(net, costs)[4]
+        h, starts = confmon.alignment._backward_pass(tables, chunk, costs._units[1])
+        want = oracle_chunk_cost_to_go(net, reachability_graph(net)[1], chunk,
+                                       *costs._units[1:])
+        stride = len(reachability_graph(net)[0]) + 1
+        assert h.shape == (max(map(len, chunk)) + 1, stride, len(chunk))
+        flat = h.reshape(-1)
+        for b, (start, sigma, ref) in enumerate(zip(starts, chunk, want)):
+            assert start == (h.shape[0] - 1 - len(sigma)) * stride * len(chunk) + b
+            assert flat[start::len(chunk)].tobytes() == np.array(ref).tobytes()
+
+
+def test_each_chunk_array_is_freed_before_the_next_pass(fn1, monkeypatch):
+    """align_variants hands each table straight to optimal_alignment, so no
+    name holds a chunk's array once its last trace is aligned: a weakref to
+    each (positions, N + 1, B) array _backward_pass returns is dead when the
+    next chunk's pass starts, and every one is dead once build_diagnoses
+    returns. A 16 KiB table cap cuts 20 fn1 loops of 20-305 events into
+    at least five chunks."""
+    monkeypatch.setattr(confmon.alignment, "_TABLE_BYTES", 1 << 14)
+    rng = random.Random(8)
+    log = EventLog([Trace(f"c{i}", noisy_fn1_loop(rng, 20 + 15 * i)) for i in range(20)])
+    real = confmon.alignment._backward_pass
+    arrays = []
+
+    def spy(tables, chunk, c_log):
+        assert sum(ref() is not None for ref in arrays) == 0
+        h, starts = real(tables, chunk, c_log)
+        arrays.append(weakref.ref(h))
+        return h, starts
+
+    monkeypatch.setattr(confmon.alignment, "_backward_pass", spy)
+    build_diagnoses(fn1, log)
+    assert len(arrays) >= 5
+    assert all(ref() is None for ref in arrays)
 
 
 def test_two_passes_for_a_check_of_25_long_fn1_traces(fn1, monkeypatch):

@@ -5,22 +5,24 @@ import inspect
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import confmon
+import confmon.cli
 import confmon.detect
 import confmon.experiment
 from confmon.cli import _parse_split, build_parser, main
 from confmon.detect import DEFAULT_QUANTILE, DETECTOR_KINDS, train, train_group
 from confmon.diagnoses import coverage, log_fitness
-from confmon.errors import ConfmonError
+from confmon.errors import ConfmonError, ModelError
 from confmon.eventlog import DEFAULT_SPLIT, parse_log, split_log, split_sizes, write_log
 from confmon.experiment import (DEFAULT_N_TRACES, ExperimentConfig, _run_seeds, _seed_groups,
                                 parse_experiment_config, run_experiment)
 from confmon.inject import DEFAULT_LAMBDA, InjectionSpec, build_eval_sets
-from confmon.petri import DEFAULT_MAX_STEPS, NoiseParams, playout
+from confmon.petri import DEFAULT_MAX_STEPS, NoiseParams, load_model, playout
 
 
 def run(*argv):
@@ -328,6 +330,42 @@ def test_a_decode_error_names_its_line_and_file_offset(som, tmp_path, capsys):
         "can't decode byte 0xff (invalid start byte)\n")
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_model_decode_error_names_its_line_and_file_offset(bom, tmp_path, capsys):
+    """check --model on som.net with 0xff at offset 224, on line 5, names
+    that line and offset. Behind a leading byte-order mark the byte sits at
+    file offset 227, which the error names, where the utf-8-sig codec
+    counts 224. The same file as a --log names the same line and offset."""
+    data = (resources.files("confmon") / "models" / "som.net").read_bytes()
+    data = bom + data[:224] + b"\xff" + data[224:]
+    at = 224 + len(bom)
+    assert data.count(b"\n", 0, at) + 1 == 5
+    path = tmp_path / "som.net"
+    path.write_bytes(data)
+    tail = f"line 5, byte {at}: can't decode byte 0xff (invalid start byte)\n"
+    capsys.readouterr()
+    assert run("check", "--model", str(path), "--log", str(path)) == 1
+    assert capsys.readouterr().err == f"error: cannot read model file {path}: {tail}"
+    assert run("check", "--model", "som", "--log", str(path)) == 1
+    assert capsys.readouterr().err == f"error: cannot read log file {path}: {tail}"
+    with pytest.raises(ModelError, match=f"^cannot read model file .*: line 5, byte {at}: "):
+        load_model(path)
+
+
+def test_a_nul_or_a_stray_byte_order_mark_in_a_log_exits_one(tmp_path, capsys):
+    """A NUL or a U+FEFF inside an activity is not part of its name: check
+    exits 1 and names the line, where it used to read them as unknown
+    activities and print fitness=0.285714."""
+    for text, line, bad in [("c1: t1 t\x002\nc2: t1 t2\n", 1, r"'t\x002'"),
+                            ("c1: t1 t2\nc2: t1 t2\ufeff\n", 2, r"'t2\ufeff'")]:
+        path = tmp_path / "odd.log"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run("check", "--model", "fn1", "--log", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {line}: activity may not contain NUL or U+FEFF: {bad}\n")
+
+
 @pytest.mark.parametrize("kind", ["log file", "predictions file"])
 def test_a_leading_byte_order_mark_is_dropped(kind, cli_input_files, capsys):
     """A UTF-8 byte-order mark at the start of a file is not part of its
@@ -364,6 +402,39 @@ def test_usage_errors_exit_two(capsys):
         run("frobnicate")
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_of_a_process(normal_log_file, capsys):
+    """main builds its parser on its first call and reuses it: in one
+    process a usage error (exit 2), then a valid check, then simulate and
+    check in a row give the exit codes and output of the same calls each
+    with a freshly built parser. build_parser still returns a new parser."""
+    calls = [["check", "--model", "fn1"],
+             ["check", "--model", "fn1", "--log", str(normal_log_file)],
+             ["simulate", "--model", "fn1", "--n", "3", "--seed", "5"],
+             ["check", "--model", "fn1", "--log", str(normal_log_file)]]
+
+    def outcomes(fresh: bool) -> list:
+        got = []
+        for argv in calls:
+            if fresh:
+                confmon.cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    confmon.cli._parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert confmon.cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert "the following arguments are required: --log" in shared[0][2]
+    assert shared[1][1].startswith("fitness=") and shared[3] == shared[1]
+    assert outcomes(fresh=True) == shared
+    assert build_parser() is not build_parser()
 
 
 def python(*argv):
@@ -413,6 +484,16 @@ d_train, d_val = (build_diagnoses(fn1, playout(fn1, 12, seed=s, noise=NoiseParam
 for kind, params in [("ft", None), ("dbscan", None), ("ae", {{"epochs": 3}})]:
     train(kind, d_train, d_val, params)
 assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
+import os
+import tempfile
+import confmon.cli
+from confmon.experiment import ExperimentConfig, run_experiment
+os.environ.pop("CONFMON_THREADS", None)
+with tempfile.TemporaryDirectory() as tmp:
+    run_experiment(ExperimentConfig(model="fn1", seeds=(0, 1), n_traces=20, detectors=("ft",),
+                                    outdir=os.path.join(tmp, "out")))
+pools = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+assert not pools, pools
 """
 
 
@@ -421,7 +502,9 @@ def test_python_m_runs_the_cli(som, tmp_path):
     2. python -m confmon.cli runs the same command. import confmon leaves
     confmon.cli unimported, exports the harness from confmon.experiment and
     keeps its public names, and training each detector kind imports neither
-    numpy.random nor numpy.ma where numpy leaves them lazy."""
+    numpy.random nor numpy.ma where numpy leaves them lazy. import
+    confmon.cli and a sequential run_experiment import neither
+    concurrent.futures nor multiprocessing: only a pool needs them."""
     path = tmp_path / "som.log"
     log = playout(som, 20, seed=4)
     path.write_text(write_log(log), encoding="utf-8")

@@ -70,6 +70,29 @@ def test_parse_line_errors():
         parse_log("c1: a b | weird\n")
 
 
+def test_nul_and_u_feff_are_not_token_characters():
+    """A NUL or a U+FEFF in an activity, a case id or a label is a LogError
+    that names the line, in both formats; neither is whitespace, so
+    str.split leaves it in a token. A leading U+FEFF is a case id's
+    character too: parse_log reads text, and the CLI's reader drops a
+    file's byte-order mark before it."""
+    cases = [("c1: t1 t\x002\n", "line 1: activity may not contain NUL or U+FEFF: 't\\x002'"),
+             ("c1: t1\nc2: t1 t2\ufeff\n",
+              "line 2: activity may not contain NUL or U+FEFF: 't2\\ufeff'"),
+             ("c1: t1\nc1\x00: t1\n", "line 2: case id may not contain NUL or U+FEFF"),
+             ("\ufeffc1: t1\n", "line 1: case id may not contain NUL or U+FEFF"),
+             ("c1: t1 | normal\ufeff\n", "line 1: unknown label"),
+             ("case,activity\nc1,t\x00\n",
+              "case 'c1': activity may not contain NUL or U+FEFF: 't\\x00'")]
+    for text, message in cases:
+        with pytest.raises(LogError) as exc:
+            parse_log(text)
+        assert str(exc.value).startswith(message), (text, str(exc.value))
+    # the body memo holds only checked bodies: a repeated bad body fails again
+    with pytest.raises(LogError, match="^line 1: "):
+        parse_log("c1: t\x00\nc2: t\x00\n")
+
+
 def test_parse_csv_errors():
     with pytest.raises(LogError, match="header"):
         parse_log("case,activity,oops\nc1,a,x\n")
@@ -178,7 +201,8 @@ def test_trace_rejects_values_of_the_wrong_type():
         Trace("c1", None)
 
 
-BAD_TOKENS = ["", " ", "a b", "a\tb", "a\x1cb", "a\xa0b", "a\u2028b", "a|b", " a", "a "]
+BAD_TOKENS = ["", " ", "a b", "a\tb", "a\x1cb", "a\xa0b", "a\u2028b", "a|b", " a", "a ",
+              "a\x00b", "\x00", "a\ufeffb", "\ufeffa"]
 
 
 @pytest.mark.parametrize("bad", BAD_TOKENS)
@@ -194,12 +218,12 @@ def test_trace_names_the_bad_event_as_check_token_does(bad):
 
 
 def test_trace_accepts_tokens_that_only_look_odd():
-    events = ("é", "a:b", "a\u200bb", "x-y", "日本", "a\x00b", "a,b")
+    events = ("é", "a:b", "a\u200bb", "x-y", "日本", "a\x01b", "a,b")
     assert Trace("c1", events).events == events
 
 
 @settings(max_examples=200, deadline=None)
-@given(events=st.lists(st.text(alphabet="ab |\t\x1c\xa0\u2028\u200b", max_size=3),
+@given(events=st.lists(st.text(alphabet="ab |\t\x1c\xa0\u2028\u200b\x00\ufeff", max_size=3),
                        max_size=4))
 def test_trace_accepts_exactly_what_check_token_accepts(events):
     first_bad = None

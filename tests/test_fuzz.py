@@ -189,10 +189,13 @@ def test_cli_exits_cleanly_on_byte_mutants_of_its_input_files(salt, kind, cli_in
                                                                capsys):
     """Each mutant of one input file, one or two byte mutations of the valid
     file, is run through main as the command that reads it: exit 0, or exit
-    1 or 2 with a single error: line on stderr."""
+    1 or 2 with a single error: line on stderr. A log whose text, after the
+    leading byte-order mark the reader drops, holds a NUL or a U+FEFF must
+    exit 1: neither may be part of a token."""
     path, argv = cli_input_files[kind]
     valid = path.read_bytes()
     rng = random.Random(salt)
+    not_text = 0
     for _ in range(MUTANTS_PER_FILE):
         data = valid
         for _ in range(rng.randint(1, 2)):
@@ -208,3 +211,8 @@ def test_cli_exits_cleanly_on_byte_mutants_of_its_input_files(salt, kind, cli_in
             assert code in (1, 2), (code, data)
             assert err.endswith("\n") and err.count("\n") == 1, (err, data)
             assert err.startswith("error: ") or code == 2 and "error: " in err, (err, data)
+        text = data.decode("utf-8", "replace").removeprefix("\ufeff")
+        if kind == "log file" and ("\x00" in text or "\ufeff" in text):
+            not_text += 1
+            assert code == 1 and err.startswith("error: "), (code, err, data)
+    assert not_text or kind != "log file"
