@@ -17,8 +17,8 @@ from .diagnoses import (DiagnosesMatrix, build_diagnoses, coverage,
                         write_diagnoses)
 from .errors import (AlignmentError, ConfmonError, DetectError, InjectError,
                      LogError, MetricsError, ModelError, PlayoutError)
-from .eventlog import (EventLog, LogStats, Trace, ingest_raw, parse_log,
-                       split_log, stats, write_log, write_log_csv)
+from .eventlog import (EventLog, LogStats, Trace, parse_log, split_log, stats,
+                       write_log, write_log_csv)
 from .experiment import ExperimentConfig, parse_experiment_config, run_experiment
 from .inject import (ANOMALY_TYPES, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets, inject_log, inject_trace)

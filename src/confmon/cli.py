@@ -3,9 +3,12 @@ harness in confmon.experiment.
 
 Subcommands: simulate, check, inject, train, detect, evaluate, experiment.
 Exit codes: 0 on success, 1 on a domain error (bad model file, unreachable
-final marking, degenerate metrics, ...), 2 on usage errors. Every file the
-commands read is UTF-8 text; a leading byte-order mark is dropped, and a file
-that cannot be opened or decoded is a domain error that names the file.
+final marking, degenerate metrics, ...), 2 on usage errors. The commands
+read and write files through confmon.errors' one reader (UTF-8, a leading
+byte-order mark dropped, a file that cannot be opened or decoded a domain
+error that names the file) and one writer, and parse them line by line under
+its one line rule; a model argument names a file or else a bundled model
+(confmon.petri._resolve_model).
 """
 
 from __future__ import annotations
@@ -19,26 +22,13 @@ from dataclasses import replace
 from .detect import (DEFAULT_QUANTILE, DETECTOR_KINDS, classify, load_detector, save_detector,
                      score_matrix, train)
 from .diagnoses import build_diagnoses, write_diagnoses
-from .errors import ConfmonError, DetectError, LogError, _undecodable_at
-from .eventlog import DEFAULT_SPLIT, EventLog, parse_log, split_log, write_log
-from .experiment import (DEFAULT_N_TRACES, ExperimentConfig, _names, _resolve_model, _write_text,
-                         parse_experiment_config, run_experiment)
+from .errors import ConfmonError, DetectError, LogError, _lines, _read, _write_text
+from .eventlog import DEFAULT_SPLIT, LABELS, EventLog, parse_log, split_log, write_log
+from .experiment import (DEFAULT_N_TRACES, ExperimentConfig, _names, parse_experiment_config,
+                         run_experiment)
 from .inject import ANOMALY_TYPES, DEFAULT_LAMBDA, DEFAULT_UNKNOWN_POOL, InjectionSpec, inject_log
 from .metrics import confusion, prf, roc_auc
-from .petri import DEFAULT_MAX_STEPS, NoiseParams, playout
-
-
-def _read(path: str, what: str, read):
-    """read(file) on the file opened as UTF-8 text, a leading byte-order mark
-    dropped. An OSError or an undecodable byte met while opening or reading
-    it is a ConfmonError that names the file, and for an undecodable byte
-    its line and byte offset where the file can be read again."""
-    try:
-        with open(path, encoding="utf-8-sig") as file:
-            return read(file)
-    except (OSError, UnicodeDecodeError) as exc:
-        where = _undecodable_at(path) if isinstance(exc, UnicodeDecodeError) else None
-        raise ConfmonError(f"cannot read {what} {path}: {where or exc}") from exc
+from .petri import DEFAULT_MAX_STEPS, NoiseParams, _resolve_model, playout
 
 
 def _read_log(path: str) -> EventLog:
@@ -124,10 +114,7 @@ def cmd_detect(args) -> None:
 def _read_predictions(path: str):
     lines = _read(path, "predictions file", lambda file: file.read().splitlines())
     rows = None  # case id -> (score, prediction), once the header is read
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for no, line in _lines(lines):
         cells = line.split(",")
         if rows is None:
             if cells != ["case", "score", "prediction"]:
@@ -143,6 +130,8 @@ def _read_predictions(path: str):
             score = math.nan  # not a number: rejected below with nan and inf
         if not math.isfinite(score):
             raise LogError(f"{path} line {no}: bad score: {cell!r}")
+        if pred not in LABELS:
+            raise LogError(f"{path} line {no}: prediction must be one of {LABELS}, got {pred!r}")
         if case_id in rows:
             raise LogError(f"{path} line {no}: repeated prediction for case {case_id!r}")
         rows[case_id] = (score, pred)

@@ -54,7 +54,7 @@ import numbers
 import numpy as np
 
 from .diagnoses import DiagnosesMatrix
-from .errors import DetectError
+from .errors import DetectError, _lines
 
 # The training parameters each detector kind accepts.
 _PARAMS = {"ft": (), "dbscan": ("min_pts", "eps"), "ae": ("layers", "lr", "epochs")}
@@ -686,13 +686,14 @@ def load_detector(text: str) -> Detector:
     """Parse a detector saved by save_detector. Rejects unknown versions,
     incomplete files, non-finite numbers, and cores, layers, weights or
     biases whose shapes disagree with the columns or with each other."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].strip() != _MAGIC:
+    lines = _lines(text.splitlines())
+    _, head = next(lines, (None, None))
+    if head != _MAGIC:
         raise DetectError(f"not a detector file (expected header {_MAGIC!r})")
     fields: dict[str, str] = {}
-    for no, ln in lines[1:]:
+    for no, ln in lines:
         if "=" not in ln:
-            raise DetectError(f"malformed detector line: {ln!r}")
+            raise DetectError(f"line {no}: malformed detector line: {ln!r}")
         k, v = ln.split("=", 1)
         if k in fields:
             raise DetectError(f"line {no}: field {k!r} given more than once")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import CostScheme, UNKNOWN, align_variants
-from .errors import AlignmentError, LogError
+from .errors import AlignmentError, LogError, _lines
 from .eventlog import EventLog
 from .petri import PetriNet
 
@@ -150,10 +150,7 @@ def read_diagnoses(text: str) -> DiagnosesMatrix:
     header = None
     case_ids, counts, fitness = [], [], []
     seen = set()
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for no, line in _lines(text.splitlines()):
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith(_MAGIC):

@@ -2,13 +2,22 @@
 
 Every domain failure raises a subclass of ConfmonError so the command line
 front end can map it to a nonzero exit code without catching bare Exception.
-_undecodable_at words where a file's bytes stop being UTF-8, for the
-messages of every reader of text files.
+
+The module also owns the package's text-file rules. _read opens every file
+the package reads, all but the bundled models: UTF-8, a leading byte-order
+mark dropped, and an OSError or an undecodable byte raised as the caller's
+error class, naming the file and, through _undecodable_at, the line and
+byte offset of a bad byte. _write_text writes every file: UTF-8 with LF
+line breaks. _lines is the line rule of every parser: blank lines skipped,
+each line stripped of the whitespace around it, and lines numbered as
+str.splitlines numbers them.
 """
 
 from __future__ import annotations
 
 import os
+from operator import itemgetter
+from pathlib import Path
 
 
 class ConfmonError(Exception):
@@ -43,7 +52,7 @@ class MetricsError(ConfmonError):
     """Metric computation on degenerate input (e.g. single-class ROC)."""
 
 
-def _undecodable_at(path: str) -> str | None:
+def _undecodable_at(path) -> str | None:
     """The line, numbered as str.splitlines numbers it, and the byte offset
     of the regular file's first byte that is not UTF-8, found by decoding
     its bytes again, since a text reader counts positions from the start of
@@ -61,3 +70,36 @@ def _undecodable_at(path: str) -> str | None:
         return (f"line {line}, byte {exc.start}: can't decode byte "
                 f"0x{data[exc.start]:02x} ({exc.reason})")
     return None
+
+
+def _read(path, what: str, read, error=ConfmonError):
+    """read(file) on the file opened as UTF-8 text, a leading byte-order mark
+    dropped. An OSError or an undecodable byte met while opening or reading
+    it is an error of the given class that names the file, and for an
+    undecodable byte its line and byte offset where the file can be read
+    again."""
+    try:
+        with open(path, encoding="utf-8-sig") as file:
+            return read(file)
+    except (OSError, UnicodeDecodeError) as exc:
+        where = _undecodable_at(path) if isinstance(exc, UnicodeDecodeError) else None
+        raise error(f"cannot read {what} {path}: {where or exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with LF line breaks; an OSError is a
+    ConfmonError that names the path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfmonError(f"cannot write {path}: {exc}") from exc
+
+
+def _lines(lines, comment: bool = False):
+    """(number, text) for each line of lines whose text is not blank, the
+    text stripped of the whitespace around it and the lines numbered from
+    1 as they come, so lines of str.splitlines keep its numbers. With
+    comment, the text from the first '#' on is dropped first."""
+    if comment:
+        lines = (line.split("#", 1)[0] for line in lines)
+    return filter(itemgetter(1), enumerate(map(str.strip, lines), start=1))

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import LogError
+from .errors import LogError, _lines
 
 LABELS = ("normal", "anomalous")
 _LABEL_OF = {label: label for label in LABELS}  # a parsed label is one of these strs
@@ -162,10 +162,7 @@ def _parse_lines(lines) -> EventLog:
     tokens: dict[str, str] = {}  # one str object per activity name
     new, set_field = object.__new__, object.__setattr__
     traces = []
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for no, line in _lines(lines):
         if ":" not in line:
             raise LogError(f"line {no}: expected '<case_id>: <activities>', got {line!r}")
         case_id, rest = line.split(":", 1)
@@ -205,10 +202,7 @@ def _parse_csv(lines) -> EventLog:
     events: dict[str, list[str]] = {}
     labels: dict[str, str | None] = {}
     tokens: dict[str, str] = {}  # one str object per activity name
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for no, line in _lines(lines):
         cells = line.split(",")
         if not header_seen:
             if cells == ["case", "activity"]:
@@ -278,24 +272,6 @@ def write_log_csv(log: EventLog) -> str:
             else:
                 rows.append(f"{tr.case_id},{ev}")
     return "\n".join(rows) + "\n"
-
-
-def ingest_raw(lines, vocabulary, case_id: str = "raw") -> Trace:
-    """Distill one trace from raw text lines.
-
-    Scans each line left to right and emits the first whitespace-delimited
-    token that is a member of vocabulary; lines without a vocabulary token
-    contribute nothing. This drops interleaved non-process output (log levels,
-    addresses, unrelated prints) while keeping the activity order.
-    """
-    vocab = set(vocabulary)
-    events = []
-    for line in lines:
-        for token in line.split():
-            if token in vocab:
-                events.append(token)
-                break
-    return Trace(case_id, tuple(events))
 
 
 @dataclass(frozen=True)

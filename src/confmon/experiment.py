@@ -28,34 +28,17 @@ from pathlib import Path
 from .detect import (DEFAULT_QUANTILE, DETECTOR_KINDS, check_quantile, check_seeds,
                      check_train_rows, classify, score_matrix, train_group)
 from .diagnoses import build_diagnoses
-from .errors import ConfmonError, ModelError
+from .errors import ConfmonError, _lines, _write_text
 from .eventlog import DEFAULT_SPLIT, split_log, split_sizes
 from .inject import (ANOMALY_TYPES, DEFAULT_LAMBDA, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets)
 from .metrics import confusion, prf, roc_auc
-from .petri import (DEFAULT_MAX_STEPS, NoiseParams, PetriNet, bundled_model, check_max_steps,
-                    load_model, playout)
+from .petri import (DEFAULT_MAX_STEPS, NoiseParams, PetriNet, _resolve_model, check_max_steps,
+                    playout)
 
 DEFAULT_N_TRACES = 50
 EVAL_SET_ORDER = ("ma", "woa", "ua", "all")
 METRIC_ORDER = ("accuracy", "recall", "precision", "f1", "auc")
-
-
-def _resolve_model(spec: str) -> PetriNet:
-    path = Path(spec)
-    if path.exists():
-        return load_model(path)
-    try:
-        return bundled_model(spec)
-    except ModelError:
-        raise ModelError(f"model {spec!r} is neither a readable file nor a bundled model")
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfmonError(f"cannot write {path}: {exc}") from exc
 
 
 def _names(value: str) -> tuple:
@@ -110,10 +93,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     }
     cfg = ExperimentConfig()
     given = set()
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in _lines(text.splitlines(), comment=True):
         if "=" not in line:
             raise ConfmonError(f"config line {no}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))

@@ -25,8 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
-from .errors import LogError, ModelError, PlayoutError, _undecodable_at
+from .errors import LogError, ModelError, PlayoutError, _lines, _read
 from .eventlog import EventLog, Trace, _check_token
 
 Marking = dict
@@ -389,10 +390,7 @@ def parse_model(text: str, name: str = "net") -> PetriNet:
     def fail(no: int, msg: str):
         raise ModelError(f"{name}, line {no}: {msg}")
 
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in _lines(text.splitlines(), comment=True):
         parts = line.split()
         kind = parts[0]
         if kind == "place":
@@ -448,15 +446,8 @@ def load_model(path) -> PetriNet:
     """Read and parse a .net model file: UTF-8, a leading byte-order mark
     dropped. A file that cannot be read is a ModelError that names it, and
     for an undecodable byte its line and byte offset in the file."""
-    from pathlib import Path
-
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        where = _undecodable_at(str(p)) if isinstance(exc, UnicodeDecodeError) else None
-        raise ModelError(f"cannot read model file {p}: {where or exc}") from exc
-    return parse_model(text, name=p.stem)
+    return parse_model(_read(p, "model file", lambda file: file.read(), ModelError), name=p.stem)
 
 
 def bundled_model(name: str) -> PetriNet:
@@ -468,3 +459,14 @@ def bundled_model(name: str) -> PetriNet:
     except (FileNotFoundError, OSError) as exc:
         raise ModelError(f"no bundled model named {name!r}") from exc
     return parse_model(text, name=base)
+
+
+def _resolve_model(spec: str) -> PetriNet:
+    """The model file at spec when one exists there, else the bundled model
+    of that name."""
+    if Path(spec).exists():
+        return load_model(spec)
+    try:
+        return bundled_model(spec)
+    except ModelError:
+        raise ModelError(f"model {spec!r} is neither a readable file nor a bundled model")

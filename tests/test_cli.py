@@ -245,6 +245,21 @@ def test_evaluate_rejects_a_bad_score(score, tmp_path, capsys):
     assert f"line 3: bad score: {score!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pred", ["Anomalous", "yes", ""])
+def test_evaluate_rejects_a_bad_prediction_where_it_reads_it(pred, tmp_path, capsys):
+    """A prediction cell other than normal or anomalous fails in the reader,
+    naming the file and the line, not later in the metrics."""
+    log = tmp_path / "truth.log"
+    log.write_text("c1: t1 | normal\nc2: t1 | anomalous\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text(f"case,score,prediction\nc1,0.0,normal\nc2,1.0,{pred}\n",
+                     encoding="utf-8")
+    assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {preds} line 3: prediction must be one of ('normal', 'anomalous'), "
+        f"got {pred!r}\n")
+
+
 def test_evaluate_rejects_labeled_cases_without_a_prediction(tmp_path, capsys):
     log = tmp_path / "truth.log"
     log.write_text("c1: t1 | normal\nc2: t1 | normal\nc3: t1 | anomalous\n",
@@ -458,7 +473,7 @@ PUBLIC_NAMES = [
     "ae_gradient_check", "alignment", "build_diagnoses", "build_eval_sets", "bundled_model",
     "check_soundness", "classify", "cli", "confusion", "coverage", "default_ae_layers",
     "detect", "diagnoses", "diagnosis_columns", "enabled", "errors", "eventlog", "fire",
-    "ingest_raw", "inject", "inject_log", "inject_trace", "is_workflow_net", "load_detector",
+    "inject", "inject_log", "inject_trace", "is_workflow_net", "load_detector",
     "load_model", "log_fitness", "main", "metrics", "misalignments", "optimal_alignment",
     "parse_experiment_config", "parse_log", "parse_model", "petri", "playout", "prf",
     "read_diagnoses", "roc_auc", "run_experiment", "save_detector", "score_matrix",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from confmon.errors import LogError
 from confmon.eventlog import (LABELS, EventLog, Trace, _check_token,
-                              ingest_raw, parse_log, split_log, stats,
-                              write_log, write_log_csv)
+                              parse_log, split_log, stats, write_log,
+                              write_log_csv)
 
 token = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 
@@ -244,19 +244,6 @@ def test_trace_accepts_exactly_what_check_token_accepts(events):
 def test_duplicate_case_ids_rejected():
     with pytest.raises(LogError, match="duplicate case id"):
         EventLog([Trace("c1", ("a",)), Trace("c1", ("b",))])
-
-
-def test_ingest_raw_takes_first_vocabulary_token_per_line():
-    lines = [
-        "INFO 12:00:01 boot sequence",
-        "send a to 10.0.0.1",
-        "DEBUG b a ignored after first hit",
-        "nothing relevant",
-        "c",
-    ]
-    tr = ingest_raw(lines, {"a", "b", "c"}, case_id="run1")
-    assert tr.case_id == "run1"
-    assert tr.events == ("a", "b", "c")
 
 
 def test_stats():
