@@ -6,9 +6,10 @@ Exit codes: 0 on success, 1 on a domain error (bad model file, unreachable
 final marking, degenerate metrics, ...), 2 on usage errors. The commands
 read and write files through confmon.errors' one reader (UTF-8, a leading
 byte-order mark dropped, a file that cannot be opened or decoded a domain
-error that names the file) and one writer, and parse them line by line under
-its one line rule; a model argument names a file or else a bundled model
-(confmon.petri._resolve_model).
+error that names the file) and one writer. Each file is parsed inside the
+reader, line by line under its one line rule, so every parse error names its
+file once, in front: "error: <path>: line N: ...". A model argument names a
+file or else a bundled model (confmon.petri._resolve_model).
 """
 
 from __future__ import annotations
@@ -112,31 +113,34 @@ def cmd_detect(args) -> None:
 
 
 def _read_predictions(path: str):
-    lines = _read(path, "predictions file", lambda file: file.read().splitlines())
-    rows = None  # case id -> (score, prediction), once the header is read
-    for no, line in _lines(lines):
+    """{case id: (score, prediction)} of the predictions file detect writes."""
+    return _read(path, "predictions file",
+                 lambda file: _parse_predictions(_lines(file.read().splitlines())))
+
+
+def _parse_predictions(lines) -> dict:
+    _, header = next(lines, (None, None))
+    if header != "case,score,prediction":
+        raise LogError("expected header 'case,score,prediction'")
+    rows = {}
+    for no, line in lines:
         cells = line.split(",")
-        if rows is None:
-            if cells != ["case", "score", "prediction"]:
-                raise LogError(f"{path}: expected header 'case,score,prediction'")
-            rows = {}
-            continue
         if len(cells) != 3:
-            raise LogError(f"{path} line {no}: expected 3 cells, got {len(cells)}")
+            raise LogError(f"line {no}: expected 3 cells, got {len(cells)}")
         case_id, cell, pred = cells
         try:
             score = float(cell)
         except ValueError:
             score = math.nan  # not a number: rejected below with nan and inf
         if not math.isfinite(score):
-            raise LogError(f"{path} line {no}: bad score: {cell!r}")
+            raise LogError(f"line {no}: bad score: {cell!r}")
         if pred not in LABELS:
-            raise LogError(f"{path} line {no}: prediction must be one of {LABELS}, got {pred!r}")
+            raise LogError(f"line {no}: prediction must be one of {LABELS}, got {pred!r}")
         if case_id in rows:
-            raise LogError(f"{path} line {no}: repeated prediction for case {case_id!r}")
+            raise LogError(f"line {no}: repeated prediction for case {case_id!r}")
         rows[case_id] = (score, pred)
     if not rows:
-        raise LogError(f"{path}: no prediction rows")
+        raise LogError("no prediction rows")
     return rows
 
 

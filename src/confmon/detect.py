@@ -54,7 +54,7 @@ import numbers
 import numpy as np
 
 from .diagnoses import DiagnosesMatrix
-from .errors import DetectError, _lines
+from .errors import DetectError, _fields, _lines
 
 # The training parameters each detector kind accepts.
 _PARAMS = {"ft": (), "dbscan": ("min_pts", "eps"), "ae": ("layers", "lr", "epochs")}
@@ -318,6 +318,25 @@ def _ae_errors(weights, biases, x: np.ndarray) -> np.ndarray:
     return np.mean((out - x) ** 2, axis=-1)[:, 0]
 
 
+def _ae_params(layers, streams):
+    """(theta, g, weights, biases, grad_w, grad_b): one flat parameter vector
+    theta for a stack of autoencoders, one slice per stream, its gradient g
+    alike, each layer's weights of all slices as one (S, fan_in, fan_out)
+    view into theta and its biases as one (S, 1, fan_out) view, and the
+    gradients' views into g. Slice i holds the initial weights drawn from
+    streams[i] (_ae_init)."""
+    shapes = [(len(streams),) + shape for fan_in, fan_out in zip(layers[:-1], layers[1:])
+              for shape in ((fan_in, fan_out), (1, fan_out))]
+    theta = np.empty(sum(math.prod(shape) for shape in shapes))
+    g = np.zeros_like(theta)
+    views, grads = _split(theta, shapes), _split(g, shapes)
+    for i, stream in enumerate(streams):
+        init_w, init_b = _ae_init(layers, stream)
+        for view, value in zip(views, [a for pair in zip(init_w, init_b) for a in pair]):
+            view[i] = value
+    return theta, g, views[0::2], views[1::2], grads[0::2], grads[1::2]
+
+
 def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
     """Trains one autoencoder per slice of the stack x, of shape (S, n, d),
     the i-th from initial weights drawn from the stream
@@ -333,20 +352,11 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
     every slice at once, with the same operations on every element as a
     per-array update. Every array an epoch touches, the loss-and-gradient
     pass's included, is allocated once per call and written in place; the
-    pass is the one ae_gradient_check runs, and its forward routine the one
-    scoring runs."""
+    pass and parameter layout (_ae_params) are the ones ae_gradient_check
+    runs, and its forward routine the one scoring runs."""
     stack = len(x)
-    shapes = [(stack,) + shape for fan_in, fan_out in zip(layers[:-1], layers[1:])
-              for shape in ((fan_in, fan_out), (1, fan_out))]
-    theta = np.empty(sum(math.prod(shape) for shape in shapes))
-    g = np.zeros_like(theta)
-    views, grads = _split(theta, shapes), _split(g, shapes)
-    weights, biases = views[0::2], views[1::2]
-    for i, seed in enumerate(seeds):
-        init_w, init_b = _ae_init(layers, _Stream(seed))
-        for view, value in zip(views, [a for pair in zip(init_w, init_b) for a in pair]):
-            view[i] = value
-    run = _ae_pass(weights, biases, x, grads[0::2], grads[1::2])
+    theta, g, weights, biases, grad_w, grad_b = _ae_params(layers, [_Stream(s) for s in seeds])
+    run = _ae_pass(weights, biases, x, grad_w, grad_b)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     betas = np.array([[beta1], [beta2]])
     rates = np.array([[1 - beta1], [1 - beta2]])
@@ -385,41 +395,31 @@ def _train_ae(x: np.ndarray, layers, lr: float, epochs: int, seeds) -> list:
 
 def ae_gradient_check(layer_sizes, seed: int = 0, step: float = 1e-5) -> float:
     """Max relative error between analytic and central finite-difference
-    gradients on random parameters and inputs, both from the pass training
-    runs. Small (< 1e-4) when the backpropagation is implemented correctly.
-    The parameters and then the inputs are drawn from the stream
-    np.random.default_rng(seed) gives, so the seed must be an integer >= 0."""
+    gradients on random parameters and inputs, both from the parameter
+    layout and pass training runs, on a stack of one. Small (< 1e-4) when
+    the backpropagation is implemented correctly. The parameters and then
+    the inputs are drawn from the stream np.random.default_rng(seed) gives,
+    so the seed must be an integer >= 0."""
     layers = _ae_layers(layer_sizes)
     step = _positive("gradient check step", step)
     check_seeds("ae", [seed])
     rng = _Stream(seed)
-    weights, biases = _ae_init(layers, rng)
-    x = rng.uniform(0.0, 1.0, size=(3, layers[0]))
-    # a stack of one slice, whose views write through to weights and biases
-    stack_w, stack_b = [w[None] for w in weights], [b[None, None] for b in biases]
-    grads = [np.zeros_like(a) for a in stack_w + stack_b]
-    run = _ae_pass(stack_w, stack_b, x[None], grads[:len(weights)], grads[len(weights):])
-
-    def loss_at() -> float:
-        return float(run()[0])
-
-    loss_at()
-    analytic = [a.copy() for a in grads]
-
+    theta, g, weights, biases, grad_w, grad_b = _ae_params(layers, [rng])
+    x = rng.uniform(0.0, 1.0, size=(1, 3, layers[0]))
+    run = _ae_pass(weights, biases, x, grad_w, grad_b)
+    run()
+    analytic = g.copy()
     worst = 0.0
-    for arr, grad in zip(weights + biases, analytic):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            hi = loss_at()
-            flat[j] = orig - step
-            lo = loss_at()
-            flat[j] = orig
-            fd = (hi - lo) / (2.0 * step)
-            rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-6)
-            worst = max(worst, rel)
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + step
+        hi = float(run()[0])
+        theta[j] = orig - step
+        lo = float(run()[0])
+        theta[j] = orig
+        fd = (hi - lo) / (2.0 * step)
+        rel = abs(analytic[j] - fd) / max(abs(analytic[j]), abs(fd), 1e-6)
+        worst = max(worst, rel)
     return worst
 
 
@@ -683,49 +683,48 @@ def save_detector(det: Detector) -> str:
 
 
 def load_detector(text: str) -> Detector:
-    """Parse a detector saved by save_detector. Rejects unknown versions,
-    incomplete files, non-finite numbers, and cores, layers, weights or
-    biases whose shapes disagree with the columns or with each other."""
+    """Parse a detector saved by save_detector: its header line, then
+    key = value lines (errors._fields). Rejects unknown versions, incomplete
+    files, a field save_detector does not write, non-finite numbers, and
+    cores, layers, weights or biases whose shapes disagree with the columns
+    or with each other."""
     lines = _lines(text.splitlines())
     _, head = next(lines, (None, None))
     if head != _MAGIC:
         raise DetectError(f"not a detector file (expected header {_MAGIC!r})")
-    fields: dict[str, str] = {}
-    for no, ln in lines:
-        if "=" not in ln:
-            raise DetectError(f"line {no}: malformed detector line: {ln!r}")
-        k, v = ln.split("=", 1)
-        if k in fields:
-            raise DetectError(f"line {no}: field {k!r} given more than once")
-        fields[k] = v
+    # key -> (line number, value); each field read is taken out
+    fields = {key: (no, value) for no, key, value in _fields(lines, DetectError)}
+
+    def field(name: str) -> str:
+        return fields.pop(name)[1]
 
     def floats(name: str) -> np.ndarray:
-        return _finite(name, _parse_floats(fields[name]))
+        return _finite(name, _parse_floats(field(name)))
 
     def scalar(name: str) -> float:
-        return _finite(name, float(fields[name]))
+        return _finite(name, float(field(name)))
 
     try:
-        kind = fields["kind"]
+        kind = field("kind")
         if kind not in DETECTOR_KINDS:
             raise DetectError(f"unknown detector kind {kind!r}")
-        columns = tuple(fields["columns"].split(","))
+        columns = tuple(field("columns").split(","))
         det = Detector(kind, columns, floats("mins"), floats("maxs"),
                        scalar("threshold"), scalar("quantile"),
-                       int(fields["seed"]), fields["model"])
+                       int(field("seed")), field("model"))
         if len(det.mins) != len(columns) or len(det.maxs) != len(columns):
             raise DetectError("normalization vectors do not match the column count")
         if kind == "dbscan":
-            rows, cols = (int(v) for v in fields["cores_shape"].split("x"))
+            rows, cols = (int(v) for v in field("cores_shape").split("x"))
             if rows < 1 or cols != len(columns):
                 raise DetectError(f"dbscan cores of shape {rows}x{cols} do not match "
                                   f"{len(columns)} feature columns")
             cores = np.array([floats(f"core{i}") for i in range(rows)])
             cores = cores.reshape(rows, cols)
-            det.state = {"eps": scalar("eps"), "min_pts": int(fields["min_pts"]),
-                         "n_clusters": int(fields["n_clusters"]), "cores": cores}
+            det.state = {"eps": scalar("eps"), "min_pts": int(field("min_pts")),
+                         "n_clusters": int(field("n_clusters")), "cores": cores}
         elif kind == "ae":
-            layers = _ae_layers((int(s) for s in fields["layers"].split(",")), len(columns))
+            layers = _ae_layers((int(s) for s in field("layers").split(",")), len(columns))
             weights = []
             biases = []
             for i, (fan_in, fan_out) in enumerate(zip(layers[:-1], layers[1:])):
@@ -740,4 +739,6 @@ def load_detector(text: str) -> Detector:
         raise DetectError(f"detector file is missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise DetectError(f"detector file has a malformed value: {exc}") from exc
+    for key, (no, _) in fields.items():  # the first field left over
+        raise DetectError(f"line {no}: unknown field {key!r}")
     return det

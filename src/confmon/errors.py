@@ -4,13 +4,18 @@ Every domain failure raises a subclass of ConfmonError so the command line
 front end can map it to a nonzero exit code without catching bare Exception.
 
 The module also owns the package's text-file rules. _read opens every file
-the package reads, all but the bundled models: UTF-8, a leading byte-order
-mark dropped, and an OSError or an undecodable byte raised as the caller's
-error class, naming the file and, through _undecodable_at, the line and
-byte offset of a bad byte. _write_text writes every file: UTF-8 with LF
-line breaks. _lines is the line rule of every parser: blank lines skipped,
-each line stripped of the whitespace around it, and lines numbered as
-str.splitlines numbers them.
+the package reads, all but the bundled models, and parses it inside the
+call: UTF-8, a leading byte-order mark dropped, an OSError or an
+undecodable byte raised as the caller's error class, naming the file and,
+through _undecodable_at, the line and byte offset of a bad byte. It is also
+the one place that names the file of a parse error: a ConfmonError the
+parse raises comes out as the same class with "<path>: " in front, so a
+parser's own messages never name a file, and a bad line's message starts
+"line N: ". _write_text writes every file: UTF-8 with LF line breaks. _lines
+is the line rule of every parser: blank lines skipped, each line stripped of
+the whitespace around it, and lines numbered as str.splitlines numbers them.
+_fields is the key = value rule of the config and detector files on top of
+it: key and value stripped, a line without '=' or a repeated key refused.
 """
 
 from __future__ import annotations
@@ -74,16 +79,19 @@ def _undecodable_at(path) -> str | None:
 
 def _read(path, what: str, read, error=ConfmonError):
     """read(file) on the file opened as UTF-8 text, a leading byte-order mark
-    dropped. An OSError or an undecodable byte met while opening or reading
-    it is an error of the given class that names the file, and for an
-    undecodable byte its line and byte offset where the file can be read
-    again."""
+    dropped; read parses the file. An OSError or an undecodable byte met
+    while opening or reading it is an error of the given class that names
+    the file, and for an undecodable byte its line and byte offset where the
+    file can be read again. A ConfmonError read raises comes out as the same
+    class with the path in front."""
     try:
         with open(path, encoding="utf-8-sig") as file:
             return read(file)
     except (OSError, UnicodeDecodeError) as exc:
         where = _undecodable_at(path) if isinstance(exc, UnicodeDecodeError) else None
         raise error(f"cannot read {what} {path}: {where or exc}") from exc
+    except ConfmonError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _write_text(path, text: str) -> None:
@@ -103,3 +111,19 @@ def _lines(lines, comment: bool = False):
     if comment:
         lines = (line.split("#", 1)[0] for line in lines)
     return filter(itemgetter(1), enumerate(map(str.strip, lines), start=1))
+
+
+def _fields(lines, error=ConfmonError):
+    """(number, key, value) for each (number, text) of lines, such as _lines
+    yields, in order: the text split at its first '=', key and value
+    stripped. A line without '=' or with a key an earlier line gave is an
+    error of the given class that names the line."""
+    keys = set()
+    for no, line in lines:
+        if "=" not in line:
+            raise error(f"line {no}: expected key = value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in keys:
+            raise error(f"line {no}: key {key!r} given more than once")
+        keys.add(key)
+        yield no, key, value

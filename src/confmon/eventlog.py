@@ -196,23 +196,18 @@ def _parse_lines(lines) -> EventLog:
 
 
 def _parse_csv(lines) -> EventLog:
-    header_seen = False
-    with_label = False
+    # parse_log calls this only when the first non-blank line's first cell is "case"
+    lines = _lines(lines)
+    no, header = next(lines)
+    if header not in ("case,activity", "case,activity,label"):
+        raise LogError(f"line {no}: expected header 'case,activity[,label]', got {header!r}")
+    with_label = header == "case,activity,label"
     order: list[str] = []
     events: dict[str, list[str]] = {}
     labels: dict[str, str | None] = {}
     tokens: dict[str, str] = {}  # one str object per activity name
-    for no, line in _lines(lines):
+    for no, line in lines:
         cells = line.split(",")
-        if not header_seen:
-            if cells == ["case", "activity"]:
-                with_label = False
-            elif cells == ["case", "activity", "label"]:
-                with_label = True
-            else:
-                raise LogError(f"line {no}: expected header 'case,activity[,label]', got {line!r}")
-            header_seen = True
-            continue
         if len(cells) != (3 if with_label else 2):
             raise LogError(f"line {no}: wrong number of columns: {line!r}")
         case_id, activity = cells[0], cells[1]

@@ -28,12 +28,12 @@ from pathlib import Path
 from .detect import (DEFAULT_QUANTILE, DETECTOR_KINDS, check_quantile, check_seeds,
                      check_train_rows, classify, score_matrix, train_group)
 from .diagnoses import build_diagnoses
-from .errors import ConfmonError, _lines, _write_text
+from .errors import ConfmonError, _fields, _lines, _write_text
 from .eventlog import DEFAULT_SPLIT, split_log, split_sizes
 from .inject import (ANOMALY_TYPES, DEFAULT_LAMBDA, DEFAULT_UNKNOWN_POOL, InjectionSpec,
                      build_eval_sets)
 from .metrics import confusion, prf, roc_auc
-from .petri import (DEFAULT_MAX_STEPS, NoiseParams, PetriNet, _resolve_model, check_max_steps,
+from .petri import (DEFAULT_MAX_STEPS, NoiseParams, PetriNet, _resolve_model, check_playout,
                     playout)
 
 DEFAULT_N_TRACES = 50
@@ -73,8 +73,8 @@ def _detector_kinds(value: str) -> tuple:
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """key = value lines with # comments; unknown keys are errors, and a bad
-    value raises a ConfmonError that names its line and key."""
+    """key = value lines (errors._fields) with # comments; an unknown key or
+    a bad value raises a ConfmonError that names its line and key."""
     # key -> (ExperimentConfig field, converter of the value, which raises
     # ValueError on a bad value)
     fields = {
@@ -92,21 +92,14 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         "outdir": ("outdir", str),
     }
     cfg = ExperimentConfig()
-    given = set()
-    for no, line in _lines(text.splitlines(), comment=True):
-        if "=" not in line:
-            raise ConfmonError(f"config line {no}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for no, key, value in _fields(_lines(text.splitlines(), comment=True)):
         if key not in fields:
-            raise ConfmonError(f"config line {no}: unknown key {key!r}")
-        if key in given:
-            raise ConfmonError(f"config line {no}: key {key!r} given more than once")
-        given.add(key)
+            raise ConfmonError(f"line {no}: unknown key {key!r}")
         field, convert = fields[key]
         try:
             cfg = replace(cfg, **{field: convert(value)})
         except ValueError as exc:
-            raise ConfmonError(f"config line {no}: bad value for {key!r}: {exc}") from exc
+            raise ConfmonError(f"line {no}: bad value for {key!r}: {exc}") from exc
     return cfg
 
 
@@ -198,9 +191,10 @@ def _check_outdir(outdir: Path) -> None:
 def _check_experiment(cfg: ExperimentConfig) -> None:
     """The config's checks, run before the first seed so that a bad config
     fails at once and creates nothing: the seeds, detectors and pool; λ,
-    the noise, max_steps, the split of n_traces, its training rows, the
-    quantile and each detector's seeds, with the checks and messages a
-    seed's run would meet them with; and the output path."""
+    the noise, the split of n_traces, its training rows, the playout
+    counts n_traces and max_steps, the quantile and each detector's seeds,
+    with the checks and messages a seed's run would meet them with; and the
+    output path."""
     if not cfg.seeds:
         raise ConfmonError("experiment needs at least one seed")
     if not cfg.detectors:
@@ -214,9 +208,9 @@ def _check_experiment(cfg: ExperimentConfig) -> None:
         raise ConfmonError(f"unknown-activity pool overlaps model labels: {sorted(overlap)}")
     NoiseParams(cfg.p_drop, cfg.p_dup)
     InjectionSpec("all", cfg.lam, tuple(cfg.pool))
-    check_max_steps(cfg.max_steps)
     # playout gives exactly n_traces traces, and training gets the first part
     check_train_rows(split_sizes(cfg.n_traces, cfg.split)[0])
+    check_playout(cfg.n_traces, cfg.max_steps)
     check_quantile(cfg.quantile)
     for kind in cfg.detectors:
         check_seeds(kind, cfg.seeds)

@@ -7,8 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MetricsError
-
-_CLASSES = ("normal", "anomalous")
+from .eventlog import LABELS
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,8 @@ def confusion(labels, predictions) -> Confusion:
         raise MetricsError("no observations")
     pairs = Counter(zip(labels, predictions))  # in order of first occurrence
     for truth, pred in pairs:
-        if truth not in _CLASSES or pred not in _CLASSES:
-            raise MetricsError(f"labels must be in {_CLASSES}: got ({truth!r}, {pred!r})")
+        if truth not in LABELS or pred not in LABELS:
+            raise MetricsError(f"labels must be in {LABELS}: got ({truth!r}, {pred!r})")
     return Confusion(pairs["anomalous", "anomalous"], pairs["normal", "normal"],
                      pairs["normal", "anomalous"], pairs["anomalous", "normal"])
 
@@ -85,7 +84,7 @@ def roc_auc(labels, scores) -> RocCurve:
     pos = sum(1 for l in labels if l == "anomalous")
     neg = sum(1 for l in labels if l == "normal")
     if pos + neg != len(labels):
-        raise MetricsError(f"labels must be in {_CLASSES}")
+        raise MetricsError(f"labels must be in {LABELS}")
     if pos == 0 or neg == 0:
         raise MetricsError("ROC needs both classes present")
     by_score: dict[float, list[int]] = {}

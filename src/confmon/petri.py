@@ -22,6 +22,7 @@ PlayoutError over the cap.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -299,10 +300,15 @@ class NoiseParams:
 _MAX_CONSECUTIVE_DISCARDS = 1000
 
 
-def check_max_steps(max_steps) -> None:
-    """PlayoutError unless a walk of playout may fire at least once."""
-    if max_steps < 1:
-        raise PlayoutError(f"max_steps must be >= 1, got {max_steps}")
+def check_playout(n_traces, max_steps) -> None:
+    """PlayoutError unless n_traces is an integer >= 0 and max_steps one >= 1,
+    so that a walk of playout may fire at least once. An int or a numpy
+    integer passes, a bool or a float does not."""
+    for name, value, least in (("n_traces", n_traces, 0), ("max_steps", max_steps, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise PlayoutError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise PlayoutError(f"{name} must be >= {least}, got {value}")
 
 
 def playout(net: PetriNet, n_traces: int, max_steps: int = DEFAULT_MAX_STEPS, seed: int = 0,
@@ -315,12 +321,11 @@ def playout(net: PetriNet, n_traces: int, max_steps: int = DEFAULT_MAX_STEPS, se
     succeeds, each emitted event is independently dropped with probability
     noise.p_drop, and a kept event is duplicated in place with probability
     noise.p_dup. Deterministic for a given seed. Raises ModelError on an
-    unbounded net, and PlayoutError over DEFAULT_STATE_CAP markings or when
-    the final marking is not reachable.
+    unbounded net, and PlayoutError on a count that is not an integer
+    (check_playout), over DEFAULT_STATE_CAP markings or when the final
+    marking is not reachable.
     """
-    if n_traces < 0:
-        raise PlayoutError(f"n_traces must be >= 0, got {n_traces}")
-    check_max_steps(max_steps)
+    check_playout(n_traces, max_steps)
     graph = reachability_graph(net)
     if graph is None:
         raise PlayoutError(f"net {net.name} has more than {DEFAULT_STATE_CAP} reachable markings")
@@ -388,7 +393,7 @@ def parse_model(text: str, name: str = "net") -> PetriNet:
     final: dict[str, int] = {}
 
     def fail(no: int, msg: str):
-        raise ModelError(f"{name}, line {no}: {msg}")
+        raise ModelError(f"line {no}: {msg}")
 
     for no, line in _lines(text.splitlines(), comment=True):
         parts = line.split()
@@ -432,22 +437,23 @@ def parse_model(text: str, name: str = "net") -> PetriNet:
     for a, b in arcs:
         if a not in known or b not in known:
             missing = a if a not in known else b
-            raise ModelError(f"{name}: arc references unknown id {missing!r}")
+            raise ModelError(f"arc references unknown id {missing!r}")
     net = PetriNet(places, transitions, arcs, init, final, labels, name=name)
     for t in net.transition_order:
         if not net.preset[t]:
-            raise ModelError(f"{name}: transition {t!r} has no input arc")
+            raise ModelError(f"transition {t!r} has no input arc")
         if not net.postset[t]:
-            raise ModelError(f"{name}: transition {t!r} has no output arc")
+            raise ModelError(f"transition {t!r} has no output arc")
     return net
 
 
 def load_model(path) -> PetriNet:
-    """Read and parse a .net model file: UTF-8, a leading byte-order mark
-    dropped. A file that cannot be read is a ModelError that names it, and
-    for an undecodable byte its line and byte offset in the file."""
+    """Read and parse a .net model file, named by its stem: UTF-8, a leading
+    byte-order mark dropped. A file that cannot be read is a ModelError that
+    names it, and for an undecodable byte its line and byte offset in the
+    file; a parse error is one with the path in front."""
     p = Path(path)
-    return parse_model(_read(p, "model file", lambda file: file.read(), ModelError), name=p.stem)
+    return _read(p, "model file", lambda file: parse_model(file.read(), name=p.stem), ModelError)
 
 
 def bundled_model(name: str) -> PetriNet:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -256,7 +257,7 @@ def test_evaluate_rejects_a_bad_prediction_where_it_reads_it(pred, tmp_path, cap
                      encoding="utf-8")
     assert run("evaluate", "--preds", str(preds), "--log", str(log)) == 1
     assert capsys.readouterr().err == (
-        f"error: {preds} line 3: prediction must be one of ('normal', 'anomalous'), "
+        f"error: {preds}: line 3: prediction must be one of ('normal', 'anomalous'), "
         f"got {pred!r}\n")
 
 
@@ -378,7 +379,7 @@ def test_a_nul_or_a_stray_byte_order_mark_in_a_log_exits_one(tmp_path, capsys):
         capsys.readouterr()
         assert run("check", "--model", "fn1", "--log", str(path)) == 1
         assert capsys.readouterr().err == (
-            f"error: line {line}: activity may not contain NUL or U+FEFF: {bad}\n")
+            f"error: {path}: line {line}: activity may not contain NUL or U+FEFF: {bad}\n")
 
 
 @pytest.mark.parametrize("kind", ["log file", "predictions file"])
@@ -558,17 +559,28 @@ def test_parse_experiment_config_full():
 def test_parse_experiment_config_errors():
     with pytest.raises(ConfmonError, match="unknown key"):
         parse_experiment_config("zap = 1\n")
-    with pytest.raises(ConfmonError, match="config line 1: bad value for 'n_traces'"):
+    with pytest.raises(ConfmonError, match="^line 1: bad value for 'n_traces'"):
         parse_experiment_config("n_traces = many\n")
     with pytest.raises(ConfmonError,
-                       match=r"config line 2: bad value for 'detectors': unknown detectors"):
+                       match=r"^line 2: bad value for 'detectors': unknown detectors"):
         parse_experiment_config("model = fn1\ndetectors = ft,svm\n")
-    with pytest.raises(ConfmonError, match="config line 3: bad value for 'split': .*'x'"):
+    with pytest.raises(ConfmonError, match="^line 3: bad value for 'split': .*'x'"):
         parse_experiment_config("# splits\n\nsplit = 0.6,x,0.2\n")
     with pytest.raises(ConfmonError, match="key = value"):
         parse_experiment_config("just words\n")
-    with pytest.raises(ConfmonError, match="config line 3: key 'seeds' given more than once"):
+    with pytest.raises(ConfmonError, match="^line 3: key 'seeds' given more than once"):
         parse_experiment_config("seeds = 0\n# again\nseeds = 1,2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n_traces = many\nzap = 1\n", "line 1: bad value for 'n_traces'"),
+    ("zap = 1\nseeds 0\n", "line 1: unknown key 'zap'"),
+    ("model = fn1\nseeds 0\nmodel = som\n", "line 2: expected key = value"),
+    ("seeds = 0\nseeds = 1\nzap = 1\n", "line 2: key 'seeds' given more than once"),
+])
+def test_a_config_with_two_bad_lines_names_the_first(text, message):
+    with pytest.raises(ConfmonError, match=f"^{re.escape(message)}"):
+        parse_experiment_config(text)
 
 
 MINI = ExperimentConfig(model="fn1", seeds=(0, 1), n_traces=20, outdir="")
@@ -756,6 +768,8 @@ def refuse_to_run_seeds(monkeypatch):
     ("pool", (), "needs a non-empty unknown pool"),
     ("max_steps", 0, r"max_steps must be >= 1, got 0"),
     ("n_traces", 6, "need at least 5 training rows, got 4"),
+    ("n_traces", 20.5, r"n_traces must be an integer, got 20.5"),
+    ("max_steps", 1.5, r"max_steps must be an integer, got 1.5"),
 ])
 def test_experiment_with_a_bad_value_leaves_no_outdir(tmp_path, monkeypatch, field, value,
                                                       message):
@@ -897,7 +911,7 @@ def test_log_file_streams_like_its_text(tmp_path, name):
     except ConfmonError as exc:
         with pytest.raises(type(exc)) as got:
             confmon.cli._read_log(str(path))
-        assert str(got.value) == str(exc) and "line " in str(exc)
+        assert str(got.value) == f"{path}: {exc}" and "line " in str(exc)
     else:
         assert confmon.cli._read_log(str(path)) == want
         assert parse_log(text.splitlines()) == want

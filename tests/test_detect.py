@@ -166,6 +166,19 @@ def test_ae_gradient_check_small():
         ae_gradient_check([4])
 
 
+@pytest.mark.parametrize("layers, seed, want", [
+    ((4, 2, 4), 0, 5.590778776278037e-09),
+    ((6, 3, 2, 3, 6), 1, 6.240082294140788e-10),
+    ((5, 3, 5), 7, 3.736553709402494e-10),
+    ((3, 1, 3), 2, 1.8667373894483998e-10),  # a one-wide layer's bias gradient
+])
+def test_ae_gradient_check_is_pinned(layers, seed, want):
+    """The check runs on the parameter layout training uses; these are the
+    bits it gave on separate weight and bias arrays."""
+    got = ae_gradient_check(layers, seed=seed)
+    assert type(got) is np.float64 and got == want
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_ae_gradient_check_rejects_seeds_an_ae_cannot_take(seed):
     # numpy's default_rng raised a bare ValueError for -1 and a TypeError for 1.5
@@ -568,15 +581,46 @@ def test_save_load_keeps_scores_bit_identical(kind, train_rows, probe_rows):
 def test_load_rejects_malformed_files():
     with pytest.raises(DetectError, match="not a detector file"):
         load_detector("something else\n")
-    with pytest.raises(DetectError, match="malformed detector line"):
+    with pytest.raises(DetectError, match="^line 2: expected key = value, got 'nonsense'"):
         load_detector("confmon-detector v1\nnonsense\n")
     with pytest.raises(DetectError, match="missing field"):
         load_detector("confmon-detector v1\nkind=ft\n")
     with pytest.raises(DetectError, match="unknown detector kind"):
         load_detector("confmon-detector v1\nkind=svm\nmodel=m\n")
     # the line number counts blank lines
-    with pytest.raises(DetectError, match="line 4: field 'threshold' given more than once"):
+    with pytest.raises(DetectError, match="^line 4: key 'threshold' given more than once"):
         load_detector("confmon-detector v1\nthreshold=1.0\n\nthreshold=0.5\n")
+
+
+def test_load_refuses_a_field_save_detector_does_not_write(line_train, line_val):
+    text = save_detector(train("ft", line_train, line_val))
+    lines = text.splitlines()
+    with pytest.raises(DetectError, match=f"^line {len(lines) + 2}: unknown field 'colour'$"):
+        load_detector(text + "\ncolour=red\n")
+
+
+def test_load_strips_keys_and_values(line_train, line_val):
+    text = save_detector(train("ft", line_train, line_val))
+    assert "kind=ft\n" in text
+    spaced = text.replace("kind=ft\n", "kind = ft\n")
+    assert save_detector(load_detector(spaced)) == text
+
+
+def test_load_refuses_a_core_beyond_the_cores_shape(saved_detectors):
+    lines = saved_detectors["dbscan"].splitlines()
+    shape = next(line for line in lines if line.startswith("cores_shape="))
+    rows, cols = shape.split("=")[1].split("x")
+    assert int(rows) >= 2
+    # keep two cores, then add a third the shape does not cover
+    two = [line.replace(shape, f"cores_shape=2x{cols}") for line in lines
+           if not line.startswith("core") or line.split("=")[0] in ("cores_shape", "core0",
+                                                                    "core1")]
+    det = load_detector("\n".join(two) + "\n")
+    assert det.state["cores"].shape == (2, int(cols))
+    core0 = next(line for line in two if line.startswith("core0="))
+    surplus = two + ["core2=" + core0.split("=", 1)[1]]
+    with pytest.raises(DetectError, match=f"^line {len(surplus)}: unknown field 'core2'$"):
+        load_detector("\n".join(surplus) + "\n")
 
 
 def test_load_rejects_inconsistent_normalization(line_train, line_val):

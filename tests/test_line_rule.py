@@ -1,6 +1,7 @@
 """The one line rule every text parser shares: blank lines are skipped, each
 line is read without the whitespace around it, and a bad line is named by
-the number str.splitlines gives it."""
+the number str.splitlines gives it. On the command line the file is named
+once, in front: "error: <path>: line N: ..."."""
 
 from __future__ import annotations
 
@@ -85,3 +86,36 @@ def test_every_reader_follows_the_one_line_rule(reader, tmp_path):
     with pytest.raises(ConfmonError) as got:
         parse(spaced, tmp_path)
     assert re.search(rf"\bline {no}\b", str(got.value)), str(got.value)
+
+
+GOOD_LOG = "c1: t1 t2 t4 t5 t6 | normal\nc2: t1 t3 t4 t5 t6 | anomalous\n"
+
+# file name -> (text with one bad line, the command that reads it first, the
+# line, the message after "line N: ")
+CLI_FILES = {
+    "bad.log": ("c1: t1 t2\nc2 t1\n", ["check", "--model", "fn1", "--log", "{path}"],
+                2, "expected '<case_id>: <activities>', got 'c2 t1'"),
+    "bad.csv": ("case,activity\nc1,t1\n\nc2\n", ["check", "--model", "fn1", "--log", "{path}"],
+                4, "wrong number of columns: 'c2'"),
+    "bad.net": ("place p1\nplace\n", ["check", "--model", "{path}", "--log", "{good}"],
+                2, "expected 'place <id>': 'place'"),
+    "bad.det": ("confmon-detector v1\nkind ft\n",
+                ["detect", "--detector", "{path}", "--model", "fn1", "--log", "{good}"],
+                2, "expected key = value, got 'kind ft'"),
+    "bad.preds": ("case,score,prediction\nc1,x,normal\n",
+                  ["evaluate", "--preds", "{path}", "--log", "{good}"],
+                  2, "bad score: 'x'"),
+    "bad.cfg": ("model = fn1\n# seeds\nseeds 0\n", ["experiment", "--config", "{path}"],
+                3, "expected key = value, got 'seeds 0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_FILES))
+def test_the_cli_names_the_file_of_a_bad_line_once(name, tmp_path, capsys):
+    text, argv, no, message = CLI_FILES[name]
+    path, good = tmp_path / name, tmp_path / "good.log"
+    path.write_text(text, encoding="utf-8")
+    good.write_text(GOOD_LOG, encoding="utf-8")
+    argv = [arg.format(path=path, good=good) for arg in argv]
+    assert confmon.cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {no}: {message}\n"

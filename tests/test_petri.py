@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +251,23 @@ def test_playout_zero_traces(fn1):
     assert len(playout(fn1, 0)) == 0
     with pytest.raises(PlayoutError, match="n_traces"):
         playout(fn1, -1)
+
+
+@pytest.mark.parametrize("n_traces, max_steps, message", [
+    (1.5, 10, "n_traces must be an integer, got 1.5"),
+    (True, 10, "n_traces must be an integer, got True"),
+    (3, 1.5, "max_steps must be an integer, got 1.5"),
+    (3, True, "max_steps must be an integer, got True"),
+])
+def test_playout_refuses_a_count_that_is_not_an_integer(fn1, n_traces, max_steps, message):
+    # 1.5 traces used to give 2, and 1.5 steps a bare TypeError
+    with pytest.raises(PlayoutError, match=f"^{re.escape(message)}$"):
+        playout(fn1, n_traces, max_steps=max_steps)
+
+
+def test_playout_takes_numpy_integer_counts(fn1):
+    assert playout(fn1, np.int64(3), max_steps=np.int32(100), seed=4) == playout(
+        fn1, 3, max_steps=100, seed=4)
 
 
 def test_playout_drop_everything(fn1):
